@@ -11,16 +11,20 @@ Two methods:
   bootstrap sample is the multiset of all drawn occurrences, seeds
   included.
 
-Both methods are implemented through per-entry draw counts. For the tree
-method the counts propagate level by level: m occurrences of a recruiter
-with k recruits spawn m*k independent uniform child draws, i.e. the child
-counts are multinomial(m*k, uniform) -- the same random object as the
-recursive description, grouped by node.
+Each method has one draw kernel, ``_nb_counts`` and ``_tree_counts``, that
+returns a count matrix for a batch of replicates. For the tree method the
+counts propagate level by level: m occurrences of a recruiter with k
+recruits spawn m*k independent uniform child draws, i.e. the child counts
+are multinomial(m*k, uniform) -- the same random object as the recursive
+description, grouped by node. The single-sample resamplers are the kernels
+at batch size 1.
 
 Multiplicities are accumulated rather than materializing duplicate
-records. Replicate b of a bootstrap distribution draws from the derived
-substream (root, b), so the replicate loop can run in any order or split
-across workers without changing the result.
+records. A bootstrap distribution draws its replicates in blocks of
+``BLOCK``: block k holds replicates [k*BLOCK, (k+1)*BLOCK) and draws from
+the derived substream (root, k). The last block is drawn in full and
+truncated, so replicate b never depends on B, and the blocks can run in
+any order or split across workers without changing the result.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ METHODS = ("neighbourhood", "tree")
 POOLS = ("recruiters_only", "all_participants")
 SEED_MODES = ("with_replacement", "without_replacement")
 ESTIMATORS = ("sample_mean", "vh", "ipw")
+BLOCK = 100  # replicates per keyed substream in bootstrap_distributions
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,7 @@ def _nb_pool(forest: RecruitmentForest, pool: str) -> tuple[np.ndarray, int]:
     return np.arange(forest.n, dtype=np.int64), n_r
 
 
-def _nb_counts_batch(
-    forest: RecruitmentForest, pool: str, rng: RngStream, size: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw counts over the pool for ``size`` replicates, shape (size, p).
 
     Replicates whose drawn individuals have no recruits at all (possible
@@ -137,14 +140,10 @@ def _nb_counts_batch(
     return counts.astype(np.int64), pool_entries
 
 
-def _nb_counts_one(forest: RecruitmentForest, pool: str, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    pool_entries, n_r = _nb_pool(forest, pool)
-    p = int(pool_entries.size)
-    kids = forest.out_degree()[pool_entries]
-    while True:
-        counts = np.bincount(rng.integers(0, p, size=n_r), minlength=p)
-        if int(counts @ kids) > 0:
-            return counts.astype(np.int64), pool_entries
+def _recruit_slots(forest: RecruitmentForest, pool_entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(recruit entries, pool slot of each one's recruiter), in entry order."""
+    recruits = np.flatnonzero(forest.parent >= 0)
+    return recruits, np.searchsorted(pool_entries, forest.parent[recruits])
 
 
 def neighbourhood_resample(
@@ -157,35 +156,15 @@ def neighbourhood_resample(
     returned sample.
     """
     z = _as_z(forest, z)
-    counts, pool_entries = _nb_counts_one(forest, pool, rng)
-    indptr, children = forest.children_csr()
+    counts, pool_entries = _nb_counts(forest, pool, rng, 1)
+    recruits, slot = _recruit_slots(forest, pool_entries)
     mult = np.zeros(forest.n, dtype=np.int64)
-    for e, c in zip(pool_entries, counts):
-        if c > 0:
-            mult[children[indptr[e] : indptr[e + 1]]] = c
+    mult[recruits] = counts[0, slot]
     picked = np.flatnonzero(mult)
     return WeightedSample(z[picked], forest.degree[picked], mult[picked])
 
 
-def _tree_plan(forest: RecruitmentForest):
-    """Internal-node traversal plan: [(entry, child slice, uniform pvals)] in BFS order."""
-    indptr, children = forest.children_csr()
-    plan = []
-    pvals_cache: dict[int, np.ndarray] = {}
-    for u in forest.bfs_order():
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        k = hi - lo
-        if k == 0:
-            continue
-        if k not in pvals_cache:
-            pvals_cache[k] = np.full(k, 1.0 / k)
-        plan.append((int(u), children[lo:hi], pvals_cache[k]))
-    return plan
-
-
-def _tree_counts_batch(
-    forest: RecruitmentForest, seed_mode: str, rng: RngStream, size: int
-) -> np.ndarray:
+def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size: int) -> np.ndarray:
     """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n)."""
     seeds = forest.seed_entries()
     s = int(seeds.size)
@@ -194,26 +173,15 @@ def _tree_counts_batch(
         counts[:, seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size)
     else:
         counts[:, seeds] = 1
-    for u, kid, pvals in _tree_plan(forest):
-        counts[:, kid] = rng.multinomial(counts[:, u] * kid.size, pvals)
-    return counts
-
-
-def _tree_counts_one(
-    forest: RecruitmentForest, seed_mode: str, rng: RngStream, plan=None
-) -> np.ndarray:
-    seeds = forest.seed_entries()
-    s = int(seeds.size)
-    counts = np.zeros(forest.n, dtype=np.int64)
-    if seed_mode == "with_replacement":
-        counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s))
-    else:
-        counts[seeds] = 1
-    for u, kid, pvals in plan if plan is not None else _tree_plan(forest):
-        m = int(counts[u])
-        if m == 0:
-            continue
-        counts[kid] = rng.multinomial(m * kid.size, pvals)
+    indptr, children = forest.children_csr()
+    order = forest.bfs_order()
+    pvals: dict[int, np.ndarray] = {}
+    for u in order[forest.out_degree()[order] > 0]:
+        kid = children[indptr[u] : indptr[u + 1]]
+        k = int(kid.size)
+        if k not in pvals:
+            pvals[k] = np.full(k, 1.0 / k)
+        counts[:, kid] = rng.multinomial(counts[:, u] * k, pvals[k])
     return counts
 
 
@@ -224,7 +192,7 @@ def tree_resample(
     z = _as_z(forest, z)
     if forest.n == 0:
         raise DataError("empty forest")
-    counts = _tree_counts_one(forest, seed_mode, rng)
+    counts = _tree_counts(forest, seed_mode, rng, 1)[0]
     picked = np.flatnonzero(counts)
     return WeightedSample(z[picked], forest.degree[picked], counts[picked])
 
@@ -256,13 +224,10 @@ def _entry_terms(forest: RecruitmentForest, z: np.ndarray, estimator: str, total
 
 def _pool_terms(terms: _EstimatorTerms, forest: RecruitmentForest, pool_entries: np.ndarray) -> _EstimatorTerms:
     """Aggregate entry terms over each pool member's recruits."""
-    indptr, children = forest.children_csr()
-    num = np.zeros(pool_entries.size)
-    den = np.zeros(pool_entries.size)
-    for j, e in enumerate(pool_entries):
-        kid = children[indptr[e] : indptr[e + 1]]
-        num[j] = terms.num[kid].sum()
-        den[j] = terms.den[kid].sum()
+    recruits, slot = _recruit_slots(forest, pool_entries)
+    p = int(pool_entries.size)
+    num = np.bincount(slot, weights=terms.num[recruits], minlength=p)
+    den = np.bincount(slot, weights=terms.den[recruits], minlength=p)
     return _EstimatorTerms(num, den, terms.scale)
 
 
@@ -291,35 +256,28 @@ def bootstrap_distributions(
     """Bootstrap distributions for several attribute columns at once.
 
     One resample per replicate serves every column: the drawn node multiset
-    is attribute-agnostic. Replicate b draws from substream (root, b).
+    is attribute-agnostic. Replicate b is row b % BLOCK of the block drawn
+    from substream (root, b // BLOCK).
     """
     if cfg.estimator == "ipw" and totals is None:
         raise DataError("ipw estimator requires population totals")
     cols = {name: _as_z(forest, zc) for name, zc in columns.items()}
     terms = {name: _entry_terms(forest, zc, cfg.estimator, totals) for name, zc in cols.items()}
+    if cfg.method == "neighbourhood":
+        pool_entries, _ = _nb_pool(forest, cfg.selection_pool)
+        terms = {name: _pool_terms(t, forest, pool_entries) for name, t in terms.items()}
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
-    if cfg.method == "neighbourhood":
-        pool_entries, n_r = _nb_pool(forest, cfg.selection_pool)
-        terms = {name: _pool_terms(t, forest, pool_entries) for name, t in terms.items()}
-        p = int(pool_entries.size)
-        kids = forest.out_degree()[pool_entries]
-        need_redraw = cfg.selection_pool == "all_participants"
-        for b in range(B):
-            rng = generator(root, b)
-            while True:
-                counts = np.bincount(rng.integers(0, p, size=n_r), minlength=p)
-                if not need_redraw or int(counts @ kids) > 0:
-                    break
-            for name, t in terms.items():
-                est[name][b] = _estimate_from_counts(counts, t)
-    else:
-        plan = _tree_plan(forest)
-        for b in range(B):
-            rng = generator(root, b)
-            counts = _tree_counts_one(forest, cfg.tree_seed_mode, rng, plan)
-            for name, t in terms.items():
-                est[name][b] = _estimate_from_counts(counts, t)
+    for k in range(-(-B // BLOCK)):
+        rng = generator(root, k)
+        if cfg.method == "neighbourhood":
+            counts, _ = _nb_counts(forest, cfg.selection_pool, rng, BLOCK)
+        else:
+            counts = _tree_counts(forest, cfg.tree_seed_mode, rng, BLOCK)
+        lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
+        for name, t in terms.items():
+            # evaluate the full block, so that no replicate depends on B
+            est[name][lo:hi] = _estimate_from_counts(counts, t)[: hi - lo]
     return {
         name: BootstrapDistribution(est[name], _point_estimate(forest, cols[name], cfg.estimator, totals))
         for name in cols
@@ -337,26 +295,31 @@ def bootstrap_distribution(
     return bootstrap_distributions(forest, cfg, {"z": z}, totals, root)["z"]
 
 
-def percentile_ci(dist: BootstrapDistribution, level: float) -> tuple[float, float]:
-    """Nearest-rank percentile interval at the given coverage level.
+def nearest_rank_bounds(values: np.ndarray, level: float) -> tuple[float, float]:
+    """Nearest-rank (alpha/2, 1 - alpha/2) quantiles of ``values``, alpha = 1 - level.
 
-    rank = ceil(q * B) clamped to [1, B]; the ceiling is guarded against
-    float noise in q * B (e.g. 0.9 * 100 slightly above 90) so ranks match
+    rank = ceil(q * n) clamped to [1, n]; the ceiling is guarded against
+    float noise in q * n (e.g. 0.9 * 100 slightly above 90) so ranks match
     the exact-rational definition.
     """
-    if not (0.0 < level < 1.0):
-        raise DataError(f"confidence level must be in (0, 1), got {level!r}")
-    B = dist.n_replicates
-    if B < 2:
-        raise DataError("need at least 2 bootstrap estimates")
+    n = values.shape[0]
+    ordered = np.sort(values)
     alpha = 1.0 - level
-    ordered = np.sort(dist.estimates)
 
     def rank(q: float) -> int:
-        r = math.ceil(q * B - 1e-9)
-        return min(max(r, 1), B)
+        r = math.ceil(q * n - 1e-9)
+        return min(max(r, 1), n)
 
     return float(ordered[rank(alpha / 2.0) - 1]), float(ordered[rank(1.0 - alpha / 2.0) - 1])
+
+
+def percentile_ci(dist: BootstrapDistribution, level: float) -> tuple[float, float]:
+    """Nearest-rank percentile interval at the given coverage level."""
+    if not (0.0 < level < 1.0):
+        raise DataError(f"confidence level must be in (0, 1), got {level!r}")
+    if dist.n_replicates < 2:
+        raise DataError("need at least 2 bootstrap estimates")
+    return nearest_rank_bounds(dist.estimates, level)
 
 
 def bootstrap_variance(dist: BootstrapDistribution) -> float:
@@ -400,10 +363,10 @@ def mc_bootstrap_moments(
     z = _as_z(forest, z)
     terms = _entry_terms(forest, z, estimator, totals)
     if method == "neighbourhood":
-        counts, pool_entries = _nb_counts_batch(forest, pool, rng, B)
+        counts, pool_entries = _nb_counts(forest, pool, rng, B)
         terms = _pool_terms(terms, forest, pool_entries)
     elif method == "tree":
-        counts = _tree_counts_batch(forest, seed_mode, rng, B)
+        counts = _tree_counts(forest, seed_mode, rng, B)
     else:
         raise DataError(f"unknown bootstrap method: {method!r}")
     est = np.asarray(_estimate_from_counts(counts, terms), dtype=np.float64)

@@ -97,6 +97,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rdsvar", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rdsvar {__version__}")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices
 
     def add(name: str, helptext: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
@@ -184,16 +185,33 @@ def _merge_config(parser: _Parser, args: argparse.Namespace) -> dict:
             raise DataError(f"{path}: invalid JSON config: {e}")
         if not isinstance(file_cfg, dict):
             raise DataError(f"{path}: config must be a JSON object")
-        known = set(merged)
+        actions = {a.dest: a for a in parser.commands[merged["command"]]._actions}
         for key, value in file_cfg.items():
             dest = key.replace("-", "_")
             if dest in ("config", "command"):
                 raise UsageError(f"config file may not set {key!r}")
-            if dest not in known:
+            if dest not in merged:
                 raise UsageError(f"unknown config key {key!r} for command {merged['command']}")
             if merged[dest] is None:
-                merged[dest] = value
+                merged[dest] = _config_value(actions[dest], key, value)
     return merged
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """Coerce a config-file value as its flag would coerce the same text."""
+    if action.nargs == 0:  # on/off flag
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} must be a string or a number, got {value!r}")
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
+    return value
 
 
 def _require(cfg: dict, *names: str) -> None:

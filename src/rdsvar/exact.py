@@ -153,10 +153,12 @@ def enumerate_neighbourhood(
 ) -> ExactDistribution:
     """Exact law of an estimator under the neighbourhood bootstrap.
 
-    Iterates every n_r-tuple of pool draws (each with probability
-    p**-n_r). With the all_participants pool, tuples yielding no
-    observations are dropped and the law renormalized, matching the
-    resampler's redraw-until-nonempty behaviour.
+    Iterates every multiset of n_r pool draws, C(p + n_r - 1, n_r) of
+    them, each weighted by the number of n_r-tuples (of probability
+    p**-n_r each) that produce it; the budget bounds that count. With the
+    all_participants pool, tuples yielding no observations are dropped
+    and the law renormalized, matching the resampler's
+    redraw-until-nonempty behaviour.
     """
     num, den, scale = _exact_terms(forest, z, estimator, totals)
     recruiters = forest.recruiter_entries()
@@ -165,9 +167,10 @@ def enumerate_neighbourhood(
         raise DataError("degenerate forest: no recruiters to resample")
     pool_entries = recruiters if pool == "recruiters_only" else np.arange(forest.n)
     p = len(pool_entries)
-    if p**n_r > budget:
+    n_multisets = math.comb(p + n_r - 1, n_r)
+    if n_multisets > budget:
         raise BudgetError(
-            f"neighbourhood enumeration needs {p}**{n_r} tuples (> budget {budget}); "
+            f"neighbourhood enumeration needs {n_multisets} draw multisets (> budget {budget}); "
             "use mc_bootstrap_moments instead"
         )
     agg_num, agg_den = _nb_aggregates(forest, pool_entries, num, den)

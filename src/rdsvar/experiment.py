@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, bootstrap_distributions, bootstrap_variance, percentile_ci
+from .bootstrap import (
+    BootstrapConfig,
+    bootstrap_distributions,
+    bootstrap_variance,
+    nearest_rank_bounds,
+    percentile_ci,
+)
 from .errors import BudgetError, DataError
 from .estimators import WeightedSample, vh_estimate
 from .graph import AttributeTable, PopulationGraph
@@ -251,15 +257,8 @@ def _width_reference_estimates(
 
 def _quantile_width(estimates: np.ndarray, level: float) -> float:
     """Nearest-rank interquantile width of a sampling distribution."""
-    n = estimates.shape[0]
-    ordered = np.sort(estimates)
-    alpha = 1.0 - level
-
-    def rank(q: float) -> int:
-        r = math.ceil(q * n - 1e-9)
-        return min(max(r, 1), n)
-
-    return float(ordered[rank(1.0 - alpha / 2.0) - 1] - ordered[rank(alpha / 2.0) - 1])
+    lo, hi = nearest_rank_bounds(estimates, level)
+    return hi - lo
 
 
 def expected_width(

@@ -365,6 +365,8 @@ def read_forest_csv(path) -> RecruitmentForest:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
                 deg = int(row[col["degree"]])
             except ValueError:

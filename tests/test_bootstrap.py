@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
+from rdsvar.bootstrap import BLOCK, _nb_counts, _tree_counts
 from rdsvar.errors import DataError
 from rdsvar.rng import generator
 from conftest import balanced_forest, random_tiny_forest
@@ -150,14 +151,9 @@ class TestTreeResample:
         rng = np.random.default_rng(7)
         for _ in range(25):
             forest, z = random_tiny_forest(rng)
-            ws_rng = generator(int(rng.integers(10**6)))
-            counts = np.zeros(forest.n, dtype=int)
-            ws = rv.tree_resample(forest, z, ws_rng)
-            # reconstruct per-entry counts from the sample multiset is not
-            # possible in general, so check via the internal counts instead
-            from rdsvar.bootstrap import _tree_counts_one
-
-            counts = _tree_counts_one(forest, "with_replacement", generator(int(rng.integers(10**6))))
+            # a sample multiset does not record which entry each occurrence
+            # is, so check the kernel's per-entry counts instead
+            counts = _tree_counts(forest, "with_replacement", generator(int(rng.integers(10**6))), 1)[0]
             for i in range(forest.n):
                 p = int(forest.parent[i])
                 if counts[i] > 0 and p >= 0:
@@ -185,11 +181,13 @@ class TestBootstrapDistribution:
     def test_replicates_are_keyed_substreams(self, two_recruiter_forest):
         # replicate b of a B-run equals replicate b of a longer run: order free
         z = np.array([0.0, 1.0, 0.0, 1.0])
-        cfg_small = rv.BootstrapConfig("tree", 10, estimator="sample_mean")
-        cfg_big = rv.BootstrapConfig("tree", 30, estimator="sample_mean")
-        d_small = rv.bootstrap_distribution(two_recruiter_forest, cfg_small, z, root=5)
-        d_big = rv.bootstrap_distribution(two_recruiter_forest, cfg_big, z, root=5)
-        assert np.array_equal(d_small.estimates, d_big.estimates[:10])
+        for method in ("neighbourhood", "tree"):
+            for b_small, b_big in ((10, 30), (BLOCK + 7, 2 * BLOCK + 3)):
+                cfg_small = rv.BootstrapConfig(method, b_small, estimator="sample_mean")
+                cfg_big = rv.BootstrapConfig(method, b_big, estimator="sample_mean")
+                d_small = rv.bootstrap_distribution(two_recruiter_forest, cfg_small, z, root=5)
+                d_big = rv.bootstrap_distribution(two_recruiter_forest, cfg_big, z, root=5)
+                assert np.array_equal(d_small.estimates, d_big.estimates[:b_small])
 
     def test_multi_column_shares_draws(self, two_recruiter_forest):
         za = np.array([0.0, 1.0, 0.0, 0.0])
@@ -208,19 +206,26 @@ class TestBootstrapDistribution:
 
     def test_estimates_match_resampler_plus_estimator(self, two_recruiter_forest):
         # the distribution's estimates are exactly the declared estimator
-        # applied to the per-replicate resamples drawn from the same substreams
+        # applied to the rows of block 0, drawn from substream (root, 0)
+        forest = two_recruiter_forest
         z = np.array([0.0, 1.0, 0.0, 1.0])
-        B = 20
         root = 31
-        cfg = rv.BootstrapConfig("neighbourhood", B, estimator="vh")
-        d = rv.bootstrap_distribution(two_recruiter_forest, cfg, z, root=root)
-        for b in range(B):
-            ws = rv.neighbourhood_resample(two_recruiter_forest, z, generator(root, b))
+        cfg = rv.BootstrapConfig("neighbourhood", BLOCK, estimator="vh")
+        d = rv.bootstrap_distribution(forest, cfg, z, root=root)
+        counts, pool_entries = _nb_counts(forest, "recruiters_only", generator(root, 0), BLOCK)
+        recruits = np.flatnonzero(forest.parent >= 0)
+        slot = np.searchsorted(pool_entries, forest.parent[recruits])
+        for b in range(BLOCK):
+            mult = counts[b, slot]
+            drawn = recruits[mult > 0]
+            ws = rv.WeightedSample(z[drawn], forest.degree[drawn], mult[mult > 0])
             assert d.estimates[b] == pytest.approx(rv.vh_estimate(ws), abs=1e-12)
-        cfgT = rv.BootstrapConfig("tree", B, estimator="sample_mean")
-        dT = rv.bootstrap_distribution(two_recruiter_forest, cfgT, z, root=root)
-        for b in range(B):
-            ws = rv.tree_resample(two_recruiter_forest, z, generator(root, b))
+        cfgT = rv.BootstrapConfig("tree", BLOCK, estimator="sample_mean")
+        dT = rv.bootstrap_distribution(forest, cfgT, z, root=root)
+        countsT = _tree_counts(forest, "with_replacement", generator(root, 0), BLOCK)
+        for b in range(BLOCK):
+            drawn = np.flatnonzero(countsT[b])
+            ws = rv.WeightedSample(z[drawn], forest.degree[drawn], countsT[b, drawn])
             assert dT.estimates[b] == pytest.approx(rv.sample_mean(ws), abs=1e-12)
 
     def test_ipw_requires_totals(self, two_recruiter_forest):
@@ -232,8 +237,8 @@ class TestBootstrapDistribution:
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_production_path_matches_oracle_moments(seed):
-    # the per-replicate (substreamed) path, not just the batched one, agrees
-    # with exhaustive enumeration
+    # the block-keyed path of bootstrap_distribution, not just the single
+    # stream of mc_bootstrap_moments, agrees with exhaustive enumeration
     rng = np.random.default_rng(seed)
     forest, z = random_tiny_forest(rng)
     if forest.out_degree().max(initial=0) == 0:

@@ -212,6 +212,39 @@ def test_config_file_unknown_key_rejected(study_files, tmp_path, capsys):
     assert "walrus" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys):
+    forest_csv = tmp_path / "tiny.csv"
+    forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M,3\nO,M,1\n")
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text("id,flag\nM,0\nN,1\nO,0\n")
+    base = {"forest": str(forest_csv), "attrs": str(attrs_csv), "attribute": "flag", "method": "tree", "B": 10}
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(base))
+    assert run_cli("bootstrap", "--config", conf, "--out", tmp_path) == 0
+    for bad in ({"B": "abc"}, {"B": 2.5}, {"method": "bagging"}, {"dump-estimates": "yes"}, {"level": [0.9]}):
+        conf.write_text(json.dumps({**base, **bad}))
+        assert run_cli("bootstrap", "--config", conf, "--out", tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "UsageError"
+        assert next(iter(bad)) in err["error"]["message"]
+        validate_schema(err, "error.schema.json")
+
+
+def test_forest_row_missing_degree_is_data_error(study_files, tmp_path, capsys):
+    tmp, edges, attr_path, *_ = study_files
+    forest_csv = tmp_path / "short.csv"
+    forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M\n")
+    code = run_cli(
+        "bootstrap", "--forest", forest_csv, "--attrs", attr_path, "--attribute", "mix_half",
+        "--method", "tree", "--B", "10", "--out", tmp_path,
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DataError"
+    assert f"{forest_csv}:3" in err["error"]["message"]
+    validate_schema(err, "error.schema.json")
+
+
 def test_oracle_matches_enumeration(tmp_path):
     forest_csv = tmp_path / "tiny.csv"
     forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M,3\nO,M,1\nP,N,2\n")

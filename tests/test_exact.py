@@ -81,6 +81,15 @@ def test_neighbourhood_budget_error():
         rv.enumerate_neighbourhood(f, np.zeros(f.n, dtype=int))
 
 
+def test_neighbourhood_budget_counts_multisets():
+    f = balanced_forest(2, 2, 2)  # 6 recruiters: C(11, 6) = 462 multisets, 6**6 = 46656 tuples
+    assert len(rv.recruiters_of(f)) == 6
+    z = np.arange(f.n) % 2
+    rv.enumerate_neighbourhood(f, z, budget=500).validate()
+    with pytest.raises(BudgetError, match="462"):
+        rv.enumerate_neighbourhood(f, z, budget=461)
+
+
 def test_tree_budget_error():
     f = balanced_forest(2, 3, 5)
     with pytest.raises(BudgetError, match="mc_bootstrap_moments"):
