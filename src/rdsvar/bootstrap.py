@@ -25,6 +25,14 @@ records. A bootstrap distribution draws its replicates in blocks of
 the derived substream (root, k). The last block is drawn in full and
 truncated, so replicate b never depends on B, and the blocks can run in
 any order or split across workers without changing the result.
+
+A replicate estimate is (counts @ num) / (counts @ den) in float64, where
+num and den are the estimator's own integer terms from
+``estimators._degree_terms`` (see ``_replicate_terms``). It equals the
+exact estimator of the resample whenever every term and partial sum is an
+integer below 2**53, and can differ in the last bits otherwise. Revisions
+that used float 1/d weights give, at the same seeds, bootstrap values and
+reports that differ from today's in the last digits.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .estimators import PopulationTotals, WeightedSample, ipw_estimate, sample_mean, vh_estimate
+from .estimators import PopulationTotals, WeightedSample, _degree_terms, _estimate
 from .rng import RngStream, generator
 from .simulate import RecruitmentForest
 
@@ -197,53 +205,43 @@ def tree_resample(
     return WeightedSample(z[picked], forest.degree[picked], counts[picked])
 
 
-@dataclass
-class _EstimatorTerms:
-    """Per-unit numerator/denominator term arrays so an estimate is
-    (counts @ num) / ((counts @ den) * scale)."""
-
-    num: np.ndarray
-    den: np.ndarray
-    scale: float
-
-
-def _entry_terms(forest: RecruitmentForest, z: np.ndarray, estimator: str, totals) -> _EstimatorTerms:
-    d = forest.degree.astype(np.float64)
-    if estimator == "sample_mean":
-        return _EstimatorTerms(z.copy(), np.ones(forest.n), 1.0)
-    if estimator == "vh":
-        g = int(np.gcd.reduce(forest.degree)) if forest.n else 1
-        dn = (forest.degree // g).astype(np.float64)
-        return _EstimatorTerms(z / dn, 1.0 / dn, 1.0)
-    if estimator == "ipw":
-        if totals is None:
-            raise DataError("ipw estimator requires population totals")
-        return _EstimatorTerms(z * (float(totals.total_degree) / d), np.ones(forest.n), float(totals.n_population))
-    raise DataError(f"unknown estimator: {estimator!r}")
+def _counts(
+    forest: RecruitmentForest, method: str, pool: str, seed_mode: str, rng: RngStream, size: int
+) -> np.ndarray:
+    """The method's count matrix for ``size`` replicates."""
+    if method == "neighbourhood":
+        return _nb_counts(forest, pool, rng, size)[0]
+    return _tree_counts(forest, seed_mode, rng, size)
 
 
-def _pool_terms(terms: _EstimatorTerms, forest: RecruitmentForest, pool_entries: np.ndarray) -> _EstimatorTerms:
-    """Aggregate entry terms over each pool member's recruits."""
-    recruits, slot = _recruit_slots(forest, pool_entries)
-    p = int(pool_entries.size)
-    num = np.bincount(slot, weights=terms.num[recruits], minlength=p)
-    den = np.bincount(slot, weights=terms.den[recruits], minlength=p)
-    return _EstimatorTerms(num, den, terms.scale)
+def _replicate_terms(
+    forest: RecruitmentForest, method: str, pool: str, estimator: str, totals, cols: dict[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Float64 (numerator per column, shared denominator) terms of the count matrix's columns.
 
+    A replicate with counts c estimates (c @ num) / (c @ den). The columns
+    are the forest entries for the tree method and the pool members for the
+    neighbourhood method, where each member carries the summed terms of its
+    recruits. The terms are the estimator's integer terms
+    (``estimators._degree_terms``), all divided by one power of two that
+    brings the largest below 2**960, so they and every replicate sum stay
+    finite; an integer term below 2**53 stays exact either way.
+    """
+    inverse, a, b = _degree_terms(forest.degree, estimator, totals)
+    scale = 1 << max(0, max((x.bit_length() for x in a + b), default=0) - 960)
+    a = np.array([x / scale for x in a], dtype=np.float64)[inverse]
+    den = np.array([x / scale for x in b], dtype=np.float64)[inverse]
+    nums = {name: zc * a for name, zc in cols.items()}
+    if method == "neighbourhood":
+        pool_entries, _ = _nb_pool(forest, pool)
+        recruits, slot = _recruit_slots(forest, pool_entries)
 
-def _estimate_from_counts(counts: np.ndarray, terms: _EstimatorTerms) -> np.ndarray | float:
-    num = counts @ terms.num
-    den = (counts @ terms.den) * terms.scale
-    return num / den
+        def pooled(t: np.ndarray) -> np.ndarray:
+            return np.bincount(slot, weights=t[recruits], minlength=pool_entries.size)
 
-
-def _point_estimate(forest: RecruitmentForest, z: np.ndarray, estimator: str, totals) -> float:
-    ws = WeightedSample(z, forest.degree, np.ones(forest.n, dtype=np.int64))
-    if estimator == "sample_mean":
-        return sample_mean(ws)
-    if estimator == "vh":
-        return vh_estimate(ws)
-    return ipw_estimate(ws, totals)
+        nums = {name: pooled(t) for name, t in nums.items()}
+        den = pooled(den)
+    return nums, den
 
 
 def bootstrap_distributions(
@@ -259,29 +257,22 @@ def bootstrap_distributions(
     is attribute-agnostic. Replicate b is row b % BLOCK of the block drawn
     from substream (root, b // BLOCK).
     """
-    if cfg.estimator == "ipw" and totals is None:
-        raise DataError("ipw estimator requires population totals")
     cols = {name: _as_z(forest, zc) for name, zc in columns.items()}
-    terms = {name: _entry_terms(forest, zc, cfg.estimator, totals) for name, zc in cols.items()}
-    if cfg.method == "neighbourhood":
-        pool_entries, _ = _nb_pool(forest, cfg.selection_pool)
-        terms = {name: _pool_terms(t, forest, pool_entries) for name, t in terms.items()}
+    nums, den = _replicate_terms(forest, cfg.method, cfg.selection_pool, cfg.estimator, totals, cols)
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
     for k in range(-(-B // BLOCK)):
-        rng = generator(root, k)
-        if cfg.method == "neighbourhood":
-            counts, _ = _nb_counts(forest, cfg.selection_pool, rng, BLOCK)
-        else:
-            counts = _tree_counts(forest, cfg.tree_seed_mode, rng, BLOCK)
+        counts = _counts(forest, cfg.method, cfg.selection_pool, cfg.tree_seed_mode, generator(root, k), BLOCK)
         lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
-        for name, t in terms.items():
-            # evaluate the full block, so that no replicate depends on B
-            est[name][lo:hi] = _estimate_from_counts(counts, t)[: hi - lo]
-    return {
-        name: BootstrapDistribution(est[name], _point_estimate(forest, cols[name], cfg.estimator, totals))
-        for name in cols
+        # evaluate the full block, so that no replicate depends on B
+        den_sums = counts @ den
+        for name, num in nums.items():
+            est[name][lo:hi] = ((counts @ num) / den_sums)[: hi - lo]
+    ones = np.ones(forest.n, dtype=np.int64)
+    points = {
+        name: _estimate(WeightedSample(zc, forest.degree, ones), cfg.estimator, totals) for name, zc in cols.items()
     }
+    return {name: BootstrapDistribution(est[name], points[name]) for name in cols}
 
 
 def bootstrap_distribution(
@@ -360,16 +351,11 @@ def mc_bootstrap_moments(
     matrix products. Intended for cross-checking against exhaustive
     enumeration and as the fallback its budget error advises.
     """
-    z = _as_z(forest, z)
-    terms = _entry_terms(forest, z, estimator, totals)
-    if method == "neighbourhood":
-        counts, pool_entries = _nb_counts(forest, pool, rng, B)
-        terms = _pool_terms(terms, forest, pool_entries)
-    elif method == "tree":
-        counts = _tree_counts(forest, seed_mode, rng, B)
-    else:
+    if method not in METHODS:
         raise DataError(f"unknown bootstrap method: {method!r}")
-    est = np.asarray(_estimate_from_counts(counts, terms), dtype=np.float64)
+    nums, den = _replicate_terms(forest, method, pool, estimator, totals, {"z": _as_z(forest, z)})
+    counts = _counts(forest, method, pool, seed_mode, rng, B)
+    est = (counts @ nums["z"]) / (counts @ den)
     mean = float(est.mean())
     centered = est - mean
     variance = float((centered @ centered) / (B - 1))

@@ -93,6 +93,17 @@ def _parse_columns(text: str) -> tuple[str, ...]:
     return cols
 
 
+def _seed(text: str) -> int:
+    """A master seed: numpy derives streams from non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rdsvar", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rdsvar {__version__}")
@@ -116,7 +127,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coupons", type=int, help="maximum recruits per participant")
     p.add_argument("--pmf", help="recruit-count probabilities, e.g. 1/3,1/6,1/6,1/3")
     p.add_argument("--n", type=int, help="target sample size")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--seed", type=_seed, help="master seed (default 0)")
     p.add_argument("--regime", choices=["without_replacement", "with_replacement_walk"])
     p.add_argument("--no-reseed", action="store_true", default=None, help="fail instead of reseeding dead chains")
     p.add_argument("--lcc", action="store_true", default=None)
@@ -131,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=float, help="confidence level (default 0.95)")
     p.add_argument("--pool", choices=["recruiters_only", "all_participants"])
     p.add_argument("--tree-seed-mode", choices=["with_replacement", "without_replacement"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--population-size", type=int, help="N for the ipw estimator")
     p.add_argument("--total-degree", type=int, help="sum of degrees for the ipw estimator")
     p.add_argument("--edges", help="edge list to derive ipw totals from")
@@ -151,7 +162,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", help="comma-separated subset of neighbourhood,tree")
     p.add_argument("--levels", help="comma-separated confidence levels (default 0.95,0.80)")
     p.add_argument("--width-ref", type=int, help="simulations for expected widths (default 5000)")
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--seed", type=_seed, help="master seed (required)")
     p.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
     p.add_argument("--regime", choices=["without_replacement", "with_replacement_walk"])
     p.add_argument("--no-reseed", action="store_true", default=None)
@@ -207,7 +218,7 @@ def _config_value(action: argparse.Action, key: str, value):
         raise UsageError(f"config key {key!r} must be a string or a number, got {value!r}")
     try:
         value = action.type(str(value)) if action.type else str(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise UsageError(f"config key {key!r}: invalid value {value!r}") from None
     if action.choices is not None and value not in action.choices:
         raise UsageError(f"config key {key!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")

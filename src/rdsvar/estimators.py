@@ -6,7 +6,9 @@ rounded value of the exact rational estimate. Consequences relied on
 elsewhere: results are independent of observation order, expanding a
 multiplicity-m observation into m unit copies changes nothing, rescaling
 all degrees by a constant leaves the degree-weighted estimate bit-identical,
-and equal-degree samples collapse exactly to the plain sample mean.
+and equal-degree samples collapse exactly to the plain sample mean. The
+bootstrap evaluates its replicates from the same integer terms
+(``_degree_terms``), cast to float64.
 """
 
 from __future__ import annotations
@@ -80,20 +82,54 @@ def _require_nonempty(ws: WeightedSample) -> None:
         raise DataError("empty sample")
 
 
-def _inverse_weights(degrees: np.ndarray) -> list[int]:
-    """Integer weights proportional to 1/d: lcm(d) // d per observation."""
-    distinct = sorted(set(int(d) for d in degrees))
-    lcm = math.lcm(*distinct)
-    per_value = {d: lcm // d for d in distinct}
-    return [per_value[int(d)] for d in degrees]
+def _degree_terms(
+    degree: np.ndarray, estimator: str, totals: PopulationTotals | None = None
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """The estimator's exact integer terms, one pair per distinct degree.
+
+    Returns ``(inverse, a, b)``: observation i, with attribute z_i and
+    multiplicity m_i, adds z_i * a[inverse[i]] to the numerator and
+    b[inverse[i]] to the denominator, and the estimate is
+    sum(m * num) / sum(m * den). ``a`` and ``b`` are lists of Python ints
+    over the common denominator L = lcm of the distinct degrees:
+
+    * ``sample_mean``: a = 1, b = 1
+    * ``vh``: a = b = L / d, the cancelled ratio (sum z/d) / (sum 1/d)
+    * ``ipw``: a = T * L / d, b = N * L, i.e. (T / N) * mean(z / d) with
+      inclusion probability d / T and N the population size
+    """
+    if estimator == "ipw" and totals is None:
+        raise DataError("ipw estimator requires population totals")
+    distinct, inverse = np.unique(degree, return_inverse=True)
+    d = distinct.tolist()
+    if estimator == "sample_mean":
+        return inverse, [1] * len(d), [1] * len(d)
+    lcm = math.lcm(*d)
+    if estimator == "vh":
+        w = [lcm // di for di in d]
+        return inverse, w, w
+    if estimator == "ipw":
+        t, n = int(totals.total_degree), int(totals.n_population)
+        return inverse, [t * (lcm // di) for di in d], [n * lcm] * len(d)
+    raise DataError(f"unknown estimator: {estimator!r}")
+
+
+def _estimate(ws: WeightedSample, estimator: str, totals: PopulationTotals | None = None) -> float:
+    """Correctly rounded estimate: the exact ratio over per-degree integer sums."""
+    _require_nonempty(ws)
+    inverse, a, b = _degree_terms(ws.degree, estimator, totals)
+    m_all = np.zeros(len(a), dtype=np.int64)
+    m_one = np.zeros(len(a), dtype=np.int64)
+    np.add.at(m_all, inverse, ws.multiplicity)
+    np.add.at(m_one, inverse, ws.multiplicity * (ws.z == 1.0))
+    num = sum(m * ai for m, ai in zip(m_one.tolist(), a))
+    den = sum(m * bi for m, bi in zip(m_all.tolist(), b))
+    return num / den
 
 
 def sample_mean(ws: WeightedSample) -> float:
     """Multiplicity-weighted mean of z."""
-    _require_nonempty(ws)
-    zi = ws.z.astype(np.int64)
-    num = int((ws.multiplicity * zi).sum())
-    return num / ws.n_effective
+    return _estimate(ws, "sample_mean")
 
 
 def ipw_estimate(ws: WeightedSample, totals: PopulationTotals) -> float:
@@ -103,16 +139,7 @@ def ipw_estimate(ws: WeightedSample, totals: PopulationTotals) -> float:
     population-size factor normalizes the weighted sum to target the
     population proportion.
     """
-    _require_nonempty(ws)
-    w = _inverse_weights(ws.degree)
-    lcm = w[0] * int(ws.degree[0])
-    num = 0
-    for zv, m, wi in zip(ws.z, ws.multiplicity, w):
-        if zv:
-            num += int(m) * wi
-    num *= int(totals.total_degree)
-    den = lcm * ws.n_effective * int(totals.n_population)
-    return num / den
+    return _estimate(ws, "ipw", totals)
 
 
 def vh_estimate(ws: WeightedSample) -> float:
@@ -121,13 +148,4 @@ def vh_estimate(ws: WeightedSample) -> float:
     Computed in the cancelled ratio form (sum z/d) / (sum 1/d); the
     mean-degree factor of the usual estimated-weight formulation cancels.
     """
-    _require_nonempty(ws)
-    w = _inverse_weights(ws.degree)
-    num = 0
-    den = 0
-    for zv, m, wi in zip(ws.z, ws.multiplicity, w):
-        t = int(m) * wi
-        den += t
-        if zv:
-            num += t
-    return num / den
+    return _estimate(ws, "vh")

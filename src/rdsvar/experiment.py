@@ -155,10 +155,6 @@ def true_proportion(g: PopulationGraph, attrs: AttributeTable, column: str) -> f
     return float(col.sum()) / g.n_nodes
 
 
-def _vh_point(forest, z) -> float:
-    return vh_estimate(WeightedSample(z, forest.degree, np.ones(forest.n, dtype=np.int64)))
-
-
 @dataclass
 class _RepResult:
     index: int
@@ -189,7 +185,7 @@ def _run_one(index: int) -> _RepResult:
     except BudgetError:
         return _RepResult(index, {}, {}, {}, 0, 0, starved=True)
     z_cols = {a: attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
-    points = {a: _vh_point(forest, z) for a, z in z_cols.items()}
+    points: dict[str, float] = {}
     boot_var: dict[tuple[str, str], float] = {}
     cis: dict[tuple[str, str, float], tuple[float, float]] = {}
     for method in cfg.methods:
@@ -204,6 +200,7 @@ def _run_one(index: int) -> _RepResult:
             forest, bc, z_cols, root=substream(rep_root, _METHOD_KEY[method])
         )
         for a, dist in dists.items():
+            points[a] = dist.estimator_on_original  # the vh point estimate, the same for every method
             boot_var[(a, method)] = bootstrap_variance(dist)
             for lv in cfg.ci_levels:
                 cis[(a, method, lv)] = percentile_ci(dist, lv)
@@ -249,9 +246,9 @@ def _width_reference_estimates(
     out = {a: np.empty(cfg.n_width_reference) for a in cfg.attributes}
     for j in range(cfg.n_width_reference):
         forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, j))
+        ones = np.ones(forest.n, dtype=np.int64)
         for a, col in cols.items():
-            z = col[forest.node_index].astype(np.float64)
-            out[a][j] = _vh_point(forest, z)
+            out[a][j] = vh_estimate(WeightedSample(col[forest.node_index], forest.degree, ones))
     return out
 
 

@@ -371,8 +371,8 @@ def read_forest_csv(path) -> RecruitmentForest:
                 deg = int(row[col["degree"]])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: degree must be an integer") from None
-            if deg < 1:
-                raise DataError(f"{path}:{lineno}: degree must be positive")
+            if not 1 <= deg < 2**63:
+                raise DataError(f"{path}:{lineno}: degree must be an integer in [1, 2**63 - 1]")
             ids.append(row[col["id"]].strip())
             recruiter_raw.append(row[col["recruiter"]].strip())
             degrees.append(deg)

@@ -210,23 +210,45 @@ class TestBootstrapDistribution:
         forest = two_recruiter_forest
         z = np.array([0.0, 1.0, 0.0, 1.0])
         root = 31
-        cfg = rv.BootstrapConfig("neighbourhood", BLOCK, estimator="vh")
-        d = rv.bootstrap_distribution(forest, cfg, z, root=root)
+        totals = rv.PopulationTotals(7, 19)
+        estimators = {
+            "sample_mean": rv.sample_mean,
+            "vh": rv.vh_estimate,
+            "ipw": lambda ws: rv.ipw_estimate(ws, totals),
+        }
         counts, pool_entries = _nb_counts(forest, "recruiters_only", generator(root, 0), BLOCK)
         recruits = np.flatnonzero(forest.parent >= 0)
-        slot = np.searchsorted(pool_entries, forest.parent[recruits])
-        for b in range(BLOCK):
-            mult = counts[b, slot]
-            drawn = recruits[mult > 0]
-            ws = rv.WeightedSample(z[drawn], forest.degree[drawn], mult[mult > 0])
-            assert d.estimates[b] == pytest.approx(rv.vh_estimate(ws), abs=1e-12)
-        cfgT = rv.BootstrapConfig("tree", BLOCK, estimator="sample_mean")
-        dT = rv.bootstrap_distribution(forest, cfgT, z, root=root)
-        countsT = _tree_counts(forest, "with_replacement", generator(root, 0), BLOCK)
-        for b in range(BLOCK):
-            drawn = np.flatnonzero(countsT[b])
-            ws = rv.WeightedSample(z[drawn], forest.degree[drawn], countsT[b, drawn])
-            assert dT.estimates[b] == pytest.approx(rv.sample_mean(ws), abs=1e-12)
+        drawn = {"neighbourhood": np.zeros((BLOCK, forest.n), dtype=np.int64)}
+        drawn["neighbourhood"][:, recruits] = counts[:, np.searchsorted(pool_entries, forest.parent[recruits])]
+        drawn["tree"] = _tree_counts(forest, "with_replacement", generator(root, 0), BLOCK)
+        for method, mult in drawn.items():
+            for name, estimate in estimators.items():
+                cfg = rv.BootstrapConfig(method, BLOCK, estimator=name)
+                d = rv.bootstrap_distribution(forest, cfg, z, totals=totals, root=root)
+                for b in range(BLOCK):
+                    k = np.flatnonzero(mult[b])
+                    assert d.estimates[b] == estimate(rv.WeightedSample(z[k], forest.degree[k], mult[b, k]))
+
+    def test_degree_lcm_beyond_float_range(self):
+        # a seed recruiting 150 distinct primes in [1000, 4000): the degree
+        # lcm is far above 2**1024, so the terms only stay finite scaled
+        primes = [p for p in range(1000, 4000) if all(p % q for q in range(2, int(p**0.5) + 1))][:150]
+        n = len(primes) + 1
+        forest = rv.RecruitmentForest(
+            node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), seed_index=np.zeros(n),
+            wave=[0] + [1] * (n - 1), parent=[-1] + [0] * (n - 1), degree=[2] + primes,
+        )
+        z = (np.arange(n) % 3 == 0).astype(float)
+        totals = rv.PopulationTotals(1000, 10**6)
+        ws = rv.WeightedSample(z, forest.degree, np.ones(n, dtype=np.int64))
+        for method in ("neighbourhood", "tree"):
+            for name, exact in (("vh", rv.vh_estimate(ws)), ("ipw", rv.ipw_estimate(ws, totals))):
+                d = rv.bootstrap_distribution(forest, rv.BootstrapConfig(method, 50, estimator=name), z, totals, 4)
+                assert np.isfinite(d.estimates).all()
+                assert d.estimator_on_original == exact
+        # every neighbourhood replicate draws the seed's recruits once: the original sample
+        d = rv.bootstrap_distribution(forest, rv.BootstrapConfig("neighbourhood", 10, estimator="vh"), z, root=4)
+        assert d.estimates == pytest.approx(rv.vh_estimate(rv.WeightedSample(z[1:], primes, np.ones(n - 1))), rel=1e-12)
 
     def test_ipw_requires_totals(self, two_recruiter_forest):
         cfg = rv.BootstrapConfig("tree", 5, estimator="ipw")

@@ -230,18 +230,49 @@ def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys):
         validate_schema(err, "error.schema.json")
 
 
-def test_forest_row_missing_degree_is_data_error(study_files, tmp_path, capsys):
+def test_forest_row_missing_degree_is_data_error(tmp_path, capsys):
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text("id,flag\nA,0\nB,1\n")
+    forest_csv = tmp_path / "forest.csv"
+
+    def bootstrap() -> int:
+        return run_cli(
+            "bootstrap", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
+            "--method", "tree", "--B", "10", "--out", tmp_path,
+        )
+
+    for bad_row in ("B,A", "B,A,99999999999999999999999"):  # short row; degree above int64
+        forest_csv.write_text(f"id,recruiter,degree\nA,,2\n{bad_row}\n")
+        assert bootstrap() == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "DataError"
+        assert f"{forest_csv}:3" in err["error"]["message"]
+        validate_schema(err, "error.schema.json")
+    forest_csv.write_text(f"id,recruiter,degree\nA,,2\nB,A,{2**63 - 1}\n")
+    assert bootstrap() == 0
+    payload = json.loads((tmp_path / "bootstrap.json").read_text())
+    assert payload["point_estimate"] == 2 / (2**63 + 1)  # (1/d) / (1/2 + 1/d), d = 2**63 - 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "bootstrap", "experiment"])
+def test_negative_seed_is_usage_error(command, study_files, tmp_path, capsys):
     tmp, edges, attr_path, *_ = study_files
-    forest_csv = tmp_path / "short.csv"
-    forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M\n")
-    code = run_cli(
-        "bootstrap", "--forest", forest_csv, "--attrs", attr_path, "--attribute", "mix_half",
-        "--method", "tree", "--B", "10", "--out", tmp_path,
-    )
-    assert code == 2
+    forest_csv = tmp_path / "tiny.csv"
+    forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M,3\nO,M,1\n")
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text("id,flag\nM,0\nN,1\nO,0\n")
+    design = ["--edges", edges, "--seeds", "2", "--coupons", "1", "--pmf", "0,1", "--n", "10"]
+    argv = {
+        "simulate": design,
+        "bootstrap": [
+            "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag", "--method", "tree", "--B", "10",
+        ],
+        "experiment": [*design, "--attrs", attr_path, "--R", "2", "--B", "2", "--width-ref", "100"],
+    }[command]
+    assert run_cli(command, *argv, "--seed", "-1", "--out", tmp_path) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "DataError"
-    assert f"{forest_csv}:3" in err["error"]["message"]
+    assert err["error"]["type"] == "UsageError"
+    assert "--seed" in err["error"]["message"]
     validate_schema(err, "error.schema.json")
 
 

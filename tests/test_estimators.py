@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
@@ -87,6 +89,35 @@ def test_duplication_invariance_exact(rows):
     assert rv.sample_mean(compact) == rv.sample_mean(expanded)
     assert rv.vh_estimate(compact) == rv.vh_estimate(expanded)
     assert rv.ipw_estimate(compact, totals) == rv.ipw_estimate(expanded, totals)
+
+
+def fraction_reference(rows, estimator, totals):
+    """The estimator as a per-observation sum of exact fractions."""
+    num = den = Fraction(0)
+    for z, d, m in rows:
+        if estimator == "sample_mean":
+            num, den = num + m * z, den + m
+        elif estimator == "vh":
+            num, den = num + Fraction(m * z, d), den + Fraction(m, d)
+        else:
+            num, den = num + Fraction(m * z * totals.total_degree, d), den + m * totals.n_population
+    return float(num / den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(1, 10**6), st.integers(1, 4)), min_size=1, max_size=30
+    ),
+    n_population=st.integers(1, 10**6),
+)
+@example(rows=[(1, 2**63 - 1, 2), (0, 2**63 - 2, 1), (1, 3, 1)], n_population=7)
+def test_estimators_match_fraction_reference(rows, n_population):
+    sample = rv.WeightedSample.from_pairs(rows)
+    totals = rv.PopulationTotals(n_population, 2 * n_population)
+    assert rv.sample_mean(sample) == fraction_reference(rows, "sample_mean", totals)
+    assert rv.vh_estimate(sample) == fraction_reference(rows, "vh", totals)
+    assert rv.ipw_estimate(sample, totals) == fraction_reference(rows, "ipw", totals)
 
 
 @settings(max_examples=80, deadline=None)
