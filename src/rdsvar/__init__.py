@@ -41,10 +41,7 @@ from .exact import ExactDistribution, check_moment_identity, enumerate_neighbour
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
-    expected_width,
-    run_coverage,
     run_full,
-    run_relative_bias,
     true_proportion,
 )
 from .rng import generator, substream

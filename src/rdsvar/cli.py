@@ -43,9 +43,6 @@ from .graph import (
 from .simulate import RdsDesign, read_forest_csv, simulate_rds, write_forest_csv
 from .rng import generator
 
-WORKERS_ENV = "RDSVAR_WORKERS"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -163,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", help="comma-separated confidence levels (default 0.95,0.80)")
     p.add_argument("--width-ref", type=int, help="simulations for expected widths (default 5000)")
     p.add_argument("--seed", type=_seed, help="master seed (required)")
-    p.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, help="worker processes, at most the usable CPUs (default 1)")
     p.add_argument("--regime", choices=["without_replacement", "with_replacement_walk"])
     p.add_argument("--no-reseed", action="store_true", default=None)
     p.add_argument("--lcc", action="store_true", default=None)
@@ -382,14 +379,8 @@ def cmd_experiment(cfg: dict) -> list[str]:
     columns = _parse_columns(cfg["columns"]) if cfg.get("columns") else tuple(attrs.column_names)
     methods = _parse_columns(cfg["methods"]) if cfg.get("methods") else ("neighbourhood", "tree")
     levels = _parse_levels(cfg["levels"]) if cfg.get("levels") else (0.95, 0.80)
-    workers = cfg.get("workers")
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise UsageError(f"{WORKERS_ENV}={raw!r} is not an integer")
-    if int(workers) < 1:
+    workers = 1 if cfg.get("workers") is None else int(cfg["workers"])
+    if workers < 1:
         raise UsageError("--workers must be at least 1")
     ec = ExperimentConfig(
         design=design,
@@ -401,7 +392,7 @@ def cmd_experiment(cfg: dict) -> list[str]:
         ci_levels=levels,
         n_width_reference=int(cfg["width_ref"]) if cfg.get("width_ref") is not None else 5000,
     )
-    report = run_full(ec, g, attrs, workers=int(workers))
+    report = run_full(ec, g, attrs, workers=workers)
     csv_path = _outpath(cfg, "experiment_report.csv")
     write_text_atomic(csv_path, report.to_csv_text())
     payload = report.to_json_dict()

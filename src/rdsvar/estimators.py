@@ -29,6 +29,31 @@ __all__ = [
 ]
 
 
+_DEGREE_RANGE = "degree must be an integer in [1, 2**63 - 1]"
+
+
+def _as_degrees(values) -> np.ndarray:
+    """``values`` as an int64 array of degrees, each an integer in [1, 2**63 - 1].
+
+    Input numpy cannot cast to int64 losslessly (floats, uint64, Python ints
+    beyond int64) is checked value by value before the cast; int64 input
+    costs only the minimum.
+    """
+    arr = np.asarray(values)
+    if not np.can_cast(arr.dtype, np.int64):
+        for v in arr.ravel().tolist():
+            try:
+                ok = v == int(v) and 1 <= v < 2**63
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise DataError(f"{_DEGREE_RANGE}, got {v!r}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and int(arr.min()) < 1:
+        raise DataError(f"{_DEGREE_RANGE}, got {int(arr.min())}")
+    return arr
+
+
 @dataclass
 class WeightedSample:
     """Multiset of (z, degree) observations with integer multiplicities."""
@@ -39,15 +64,13 @@ class WeightedSample:
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=np.float64)
-        self.degree = np.asarray(self.degree, dtype=np.int64)
+        self.degree = _as_degrees(self.degree)
         self.multiplicity = np.asarray(self.multiplicity, dtype=np.int64)
         if not (self.z.shape == self.degree.shape == self.multiplicity.shape):
             raise DataError("z, degree, multiplicity must have equal length")
         if self.z.size:
             if not np.isin(self.z, (0.0, 1.0)).all():
                 raise DataError("z values must be 0 or 1")
-            if int(self.degree.min()) < 1:
-                raise DataError("degrees must be >= 1")
             if int(self.multiplicity.min()) < 1:
                 raise DataError("multiplicities must be >= 1")
 

@@ -1,12 +1,14 @@
 """Monte Carlo evaluation harness: coverage, interval width, variance bias.
 
-Each replication simulates one RDS sample, computes the inverse-degree
-weighted point estimate per attribute, and runs every configured
-bootstrap method once; a single resample per replicate serves all
-attributes. Replication i draws from substream (master, 0, i) and the
-width-reference simulations from (master, 1, j), so results are identical
-for any worker count: work is distributed by index and reduced in index
-order with exactly rounded sums.
+``run_full`` is the one runner. Each replication simulates one RDS sample,
+computes the inverse-degree weighted point estimate per attribute, and
+runs every configured bootstrap method once; a single resample per
+replicate serves all attributes. The width reference is the estimator's
+sampling distribution over fresh forests. Replication i draws from
+substream (master, 0, i) and width-reference forest j from (master, 1, j).
+Both kinds of work unit go through one index-keyed map, serial or one
+worker pool, that returns results in index order, and the reduction uses
+exactly rounded sums, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import csv
 import io
 import math
 import multiprocessing
+import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +43,7 @@ __all__ = [
     "ReportRow",
     "ExperimentReport",
     "true_proportion",
-    "run_coverage",
-    "run_relative_bias",
     "run_full",
-    "expected_width",
 ]
 
 REPORT_COLUMNS = [
@@ -85,6 +87,8 @@ class ExperimentConfig:
             raise DataError(f"methods must be a non-empty subset of {sorted(_METHOD_KEY)}")
         if any(not (0.0 < lv < 1.0) for lv in self.ci_levels):
             raise DataError("ci levels must lie in (0, 1)")
+        if self.n_width_reference < 100:
+            raise DataError("width reference needs at least 100 simulations")
 
 
 @dataclass
@@ -92,12 +96,12 @@ class ReportRow:
     attribute: str
     method: str
     level: float
-    coverage: float | None = None
-    mean_width: float | None = None
-    expected_width: float | None = None
-    mean_boot_var: float | None = None
-    mse: float | None = None
-    rel_bias: float | None = None
+    coverage: float
+    mean_width: float
+    expected_width: float
+    mean_boot_var: float
+    mse: float
+    rel_bias: float | None  # None when the MSE is 0
 
 
 @dataclass
@@ -157,13 +161,11 @@ def true_proportion(g: PopulationGraph, attrs: AttributeTable, column: str) -> f
 
 @dataclass
 class _RepResult:
-    index: int
     points: dict[str, float]
     boot_var: dict[tuple[str, str], float]
     cis: dict[tuple[str, str, float], tuple[float, float]]
     n_reseeds: int
     n_truncated: int
-    starved: bool = False
 
 
 _WORKER: dict = {}
@@ -175,7 +177,8 @@ def _init_worker(graph, attrs, cfg):
     _WORKER["cfg"] = cfg
 
 
-def _run_one(index: int) -> _RepResult:
+def _replication(index: int) -> _RepResult | None:
+    """One replication on substream (master, 0, index); None when its sample starves."""
     g: PopulationGraph = _WORKER["graph"]
     attrs: AttributeTable = _WORKER["attrs"]
     cfg: ExperimentConfig = _WORKER["cfg"]
@@ -183,7 +186,7 @@ def _run_one(index: int) -> _RepResult:
     try:
         forest = simulate_rds(g, cfg.design, generator(rep_root, 0))
     except BudgetError:
-        return _RepResult(index, {}, {}, {}, 0, 0, starved=True)
+        return None
     z_cols = {a: attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
     points: dict[str, float] = {}
     boot_var: dict[tuple[str, str], float] = {}
@@ -204,68 +207,49 @@ def _run_one(index: int) -> _RepResult:
             boot_var[(a, method)] = bootstrap_variance(dist)
             for lv in cfg.ci_levels:
                 cis[(a, method, lv)] = percentile_ci(dist, lv)
-    return _RepResult(index, points, boot_var, cis, forest.n_reseeds, forest.n_truncated)
+    return _RepResult(points, boot_var, cis, forest.n_reseeds, forest.n_truncated)
 
 
-def _chunks(n: int, parts: int) -> list[list[int]]:
-    out = [[] for _ in range(parts)]
-    for i in range(n):
-        out[i % parts].append(i)
-    return out
+def _width_forest(index: int) -> tuple[float, ...]:
+    """The vh estimate of every attribute on one fresh forest, substream (master, 1, index)."""
+    g: PopulationGraph = _WORKER["graph"]
+    attrs: AttributeTable = _WORKER["attrs"]
+    cfg: ExperimentConfig = _WORKER["cfg"]
+    forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, index))
+    ones = np.ones(forest.n, dtype=np.int64)
+    return tuple(
+        vh_estimate(WeightedSample(attrs.column(a)[forest.node_index], forest.degree, ones))
+        for a in cfg.attributes
+    )
 
 
-def _run_chunk(indices) -> list[_RepResult]:
-    return [_run_one(i) for i in indices]
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _collect(cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, workers: int) -> list[_RepResult]:
-    for a in cfg.attributes:
-        attrs.column(a)  # fail fast on unknown columns
-    cfg.design.validate_for(g)
-    R = cfg.n_replications
-    if workers <= 1:
+@contextmanager
+def _work_map(workers: int, g: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConfig):
+    """``map`` over work units by index, results in index order.
+
+    The builtin ``map`` at one process; otherwise ``Pool.map`` of one fork
+    pool of min(workers, usable CPUs) processes.
+    """
+    processes = min(workers, _usable_cpus())
+    if processes <= 1:
         _init_worker(g, attrs, cfg)
-        results = [_run_one(i) for i in range(R)]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        chunks = _chunks(R, min(workers, R))
-        with ctx.Pool(len(chunks), initializer=_init_worker, initargs=(g, attrs, cfg)) as pool:
-            parts = pool.map(_run_chunk, chunks)
-        flat = [r for part in parts for r in part]
-        results = sorted(flat, key=lambda r: r.index)
-    return results
-
-
-def _width_reference_estimates(
-    cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable
-) -> dict[str, np.ndarray]:
-    """Sampling distribution of the point estimator: one estimate per fresh forest."""
-    if cfg.n_width_reference < 100:
-        raise DataError("width reference needs at least 100 simulations")
-    cols = {a: attrs.column(a) for a in cfg.attributes}
-    out = {a: np.empty(cfg.n_width_reference) for a in cfg.attributes}
-    for j in range(cfg.n_width_reference):
-        forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, j))
-        ones = np.ones(forest.n, dtype=np.int64)
-        for a, col in cols.items():
-            out[a][j] = vh_estimate(WeightedSample(col[forest.node_index], forest.degree, ones))
-    return out
+        yield map
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes, initializer=_init_worker, initargs=(g, attrs, cfg)) as pool:
+        yield pool.map
 
 
 def _quantile_width(estimates: np.ndarray, level: float) -> float:
     """Nearest-rank interquantile width of a sampling distribution."""
     lo, hi = nearest_rank_bounds(estimates, level)
     return hi - lo
-
-
-def expected_width(
-    cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, column: str, level: float
-) -> float:
-    """Expected CI width: the interquantile range of the estimator's sampling distribution."""
-    if column not in cfg.attributes:
-        raise DataError(f"column {column!r} not among configured attributes")
-    est = _width_reference_estimates(cfg, g, attrs)[column]
-    return _quantile_width(est, level)
 
 
 def _mean(values) -> float:
@@ -277,50 +261,35 @@ def _reduce(
     cfg: ExperimentConfig,
     g: PopulationGraph,
     attrs: AttributeTable,
-    results: list[_RepResult],
-    widths: dict[tuple[str, float], float] | None,
-    want_coverage: bool,
-    want_bias: bool,
+    completed: list[_RepResult],
+    n_excluded: int,
+    width_ref: np.ndarray,
 ) -> ExperimentReport:
-    completed = [r for r in results if not r.starved]
-    n_excluded = len(results) - len(completed)
-    if n_excluded:
-        import warnings
-
-        warnings.warn(f"{n_excluded} starved replications excluded from summaries")
-    if len(completed) < 2:
-        raise DataError("fewer than 2 completed replications")
+    """One row per attribute x method x level; ``width_ref`` holds one column per attribute."""
     R = len(completed)
     truths = {a: true_proportion(g, attrs, a) for a in cfg.attributes}
     rows = []
-    for a in cfg.attributes:
+    for k, a in enumerate(cfg.attributes):
         mu = truths[a]
         mse = math.fsum((r.points[a] - mu) ** 2 for r in completed) / R
         for method in cfg.methods:
             mean_var = _mean(r.boot_var[(a, method)] for r in completed)
-            if mse > 0.0:
-                rel_bias = (mean_var - mse) / mse
-            else:
-                rel_bias = None
+            rel_bias = (mean_var - mse) / mse if mse > 0.0 else None
             for lv in cfg.ci_levels:
-                row = ReportRow(attribute=a, method=method, level=lv)
-                if want_coverage:
-                    hits = sum(
-                        1
-                        for r in completed
-                        if r.cis[(a, method, lv)][0] <= mu <= r.cis[(a, method, lv)][1]
+                cis = [r.cis[(a, method, lv)] for r in completed]
+                rows.append(
+                    ReportRow(
+                        attribute=a,
+                        method=method,
+                        level=lv,
+                        coverage=sum(1 for lo, hi in cis if lo <= mu <= hi) / R,
+                        mean_width=_mean(hi - lo for lo, hi in cis),
+                        expected_width=_quantile_width(width_ref[:, k], lv),
+                        mean_boot_var=mean_var,
+                        mse=mse,
+                        rel_bias=rel_bias,
                     )
-                    row.coverage = hits / R
-                    row.mean_width = _mean(
-                        r.cis[(a, method, lv)][1] - r.cis[(a, method, lv)][0] for r in completed
-                    )
-                if widths is not None:
-                    row.expected_width = widths[(a, lv)]
-                if want_bias:
-                    row.mean_boot_var = mean_var
-                    row.mse = mse
-                    row.rel_bias = rel_bias
-                rows.append(row)
+                )
     diagnostics = {
         "completed_replications": R,
         "excluded_starved": n_excluded,
@@ -352,27 +321,24 @@ def _echo_config(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_coverage(
-    cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, workers: int = 1
-) -> ExperimentReport:
-    """Coverage and mean width of percentile intervals across replications."""
-    results = _collect(cfg, g, attrs, workers)
-    return _reduce(cfg, g, attrs, results, None, want_coverage=True, want_bias=False)
-
-
-def run_relative_bias(
-    cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, workers: int = 1
-) -> ExperimentReport:
-    """Mean bootstrap variance, MSE of the point estimates, and their relative bias."""
-    results = _collect(cfg, g, attrs, workers)
-    return _reduce(cfg, g, attrs, results, None, want_coverage=False, want_bias=True)
-
-
 def run_full(
     cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, workers: int = 1
 ) -> ExperimentReport:
-    """Everything in one pass: coverage, widths (with reference), variance bias."""
-    results = _collect(cfg, g, attrs, workers)
-    ref = _width_reference_estimates(cfg, g, attrs)
-    widths = {(a, lv): _quantile_width(ref[a], lv) for a in cfg.attributes for lv in cfg.ci_levels}
-    return _reduce(cfg, g, attrs, results, widths, want_coverage=True, want_bias=True)
+    """Coverage, interval widths against the width reference, and variance bias.
+
+    The R replications run first; the width-reference forests are
+    simulated only when at least 2 of them completed.
+    """
+    for a in cfg.attributes:
+        attrs.column(a)  # fail fast on unknown columns
+    cfg.design.validate_for(g)
+    with _work_map(workers, g, attrs, cfg) as work_map:
+        results = list(work_map(_replication, range(cfg.n_replications)))
+        completed = [r for r in results if r is not None]
+        n_excluded = len(results) - len(completed)
+        if n_excluded:
+            warnings.warn(f"{n_excluded} starved replications excluded from summaries")
+        if len(completed) < 2:
+            raise DataError("fewer than 2 completed replications")
+        width_ref = np.array(list(work_map(_width_forest, range(cfg.n_width_reference))))
+    return _reduce(cfg, g, attrs, completed, n_excluded, width_ref)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, DataError
+from .estimators import _as_degrees
 from .graph import PopulationGraph
 from .rng import RngStream
 
@@ -99,13 +100,12 @@ class RecruitmentForest:
     _bfs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("node_index", "seed_index", "wave", "parent", "degree"):
+        for name in ("node_index", "seed_index", "wave", "parent"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        self.degree = _as_degrees(self.degree)
         n = len(self.node_id)
         if any(arr.shape != (n,) for arr in (self.node_index, self.seed_index, self.wave, self.parent, self.degree)):
             raise DataError("forest arrays must all have one row per entry")
-        if n and int(self.degree.min()) < 1:
-            raise DataError("reported degrees must be positive")
 
     @property
     def n(self) -> int:

@@ -175,6 +175,24 @@ def test_experiment_smoke_and_schema(study_files, tmp_path):
     assert len(csv_text.splitlines()) == 1 + 2 * 2 * 2
 
 
+def test_experiment_all_replications_starved_is_data_error(tmp_path, capsys):
+    edges = tmp_path / "path.txt"
+    edges.write_text("a b\nb c\n")
+    attrs_csv = tmp_path / "x.csv"
+    attrs_csv.write_text("id,x\na,1\nb,0\nc,1\n")
+    with pytest.warns(UserWarning, match="3 starved"):
+        code = run_cli(
+            "experiment", "--edges", edges, "--attrs", attrs_csv, "--seeds", "1", "--coupons", "1",
+            "--pmf", "1,0", "--n", "3", "--no-reseed", "--R", "3", "--B", "5", "--width-ref", "100",
+            "--seed", "1", "--out", tmp_path,
+        )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DataError"
+    assert "fewer than 2 completed replications" in err["error"]["message"]
+    validate_schema(err, "error.schema.json")
+
+
 def test_simulate_walk_regime_flag(study_files, tmp_path):
     tmp, edges, attr_path, g, attrs = study_files
     code = run_cli(

@@ -71,6 +71,16 @@ def test_zero_degree_rejected():
         ws((1, 0))
 
 
+@pytest.mark.parametrize("degree", [2**63, 2**64, 2.7, 0])
+@pytest.mark.parametrize("build", ["WeightedSample", "RecruitmentForest"])
+def test_degree_outside_int64_or_not_integral_is_data_error(build, degree):
+    with pytest.raises(DataError, match=r"degree must be an integer in \[1, 2\*\*63 - 1\]"):
+        if build == "WeightedSample":
+            rv.WeightedSample.from_pairs([(1, degree)])
+        else:
+            rv.RecruitmentForest(["a"], [-1], [0], [0], [-1], degree=[degree])
+
+
 @st.composite
 def weighted_samples(draw):
     n = draw(st.integers(1, 12))

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -45,10 +48,9 @@ def test_relative_bias_formula_identity(small_world):
         design=design_for(g), attributes=("coin",), n_replications=4, n_bootstrap=20,
         master_seed=5, methods=("neighbourhood",), ci_levels=(0.95,), n_width_reference=100,
     )
-    rep = rv.run_relative_bias(cfg, g, attrs)
+    rep = rv.run_full(cfg, g, attrs)
     (row,) = rep.rows
     assert row.rel_bias == (row.mean_boot_var - row.mse) / row.mse
-    assert row.coverage is None and row.mean_width is None
 
 
 def test_degenerate_attribute_full_coverage(small_world):
@@ -90,7 +92,7 @@ def test_coverage_counts_closed_interval(small_world):
         design=design_for(g), attributes=("always",), n_replications=2, n_bootstrap=5,
         master_seed=3, methods=("tree",), ci_levels=(0.5,), n_width_reference=100,
     )
-    rep = rv.run_coverage(cfg, g, attrs)
+    rep = rv.run_full(cfg, g, attrs)
     # degenerate CIs [1,1] contain mu=1 exactly: closed-interval rule
     assert rep.rows[0].coverage == 1.0
 
@@ -113,9 +115,44 @@ def test_expected_width_op(small_world):
         design=design_for(g), attributes=("coin",), n_replications=2, n_bootstrap=2,
         master_seed=13, n_width_reference=150,
     )
-    w95 = rv.expected_width(cfg, g, attrs, "coin", 0.95)
-    w80 = rv.expected_width(cfg, g, attrs, "coin", 0.80)
-    assert 0.0 <= w80 <= w95 <= 1.0
+    rep = rv.run_full(cfg, g, attrs)
+    for method in cfg.methods:
+        width = {r.level: r.expected_width for r in rep.rows if r.method == method}
+        assert 0.0 <= width[0.80] <= width[0.95] <= 1.0
+
+
+def test_pool_is_bounded_by_usable_cpus(small_world, monkeypatch):
+    # no process is started: the fake pool maps in this process
+    g, attrs = small_world
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(i) for i in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("coin",), n_replications=3, n_bootstrap=4,
+        master_seed=17, n_width_reference=100,
+    )
+    rep = rv.run_full(cfg, g, attrs, workers=64)
+    assert asked == [2]  # one pool per run, of min(workers, usable CPUs) processes
+    assert rep.to_json_dict() == rv.run_full(cfg, g, attrs, workers=1).to_json_dict()
 
 
 def test_single_resample_serves_all_attributes(small_world):
@@ -147,7 +184,7 @@ def test_all_replications_starved_raises(tmp_path):
     )
     with pytest.warns(UserWarning, match="starved"):
         with pytest.raises(DataError, match="completed"):
-            rv.run_coverage(cfg, g, attrs)
+            rv.run_full(cfg, g, attrs)
 
 
 def test_config_validation(small_world):
@@ -163,4 +200,9 @@ def test_config_validation(small_world):
         rv.ExperimentConfig(
             design=design_for(g), attributes=("x",), n_replications=5, n_bootstrap=5,
             master_seed=1, methods=("bogus",),
+        )
+    with pytest.raises(DataError, match="width reference"):
+        rv.ExperimentConfig(
+            design=design_for(g), attributes=("x",), n_replications=5, n_bootstrap=5,
+            master_seed=1, n_width_reference=99,
         )
