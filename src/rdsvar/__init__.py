@@ -21,7 +21,6 @@ from .simulate import (
     RecruitmentForest,
     draw_seeds_pps,
     read_forest_csv,
-    recruiters_of,
     simulate_rds,
     write_forest_csv,
 )

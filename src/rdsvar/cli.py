@@ -72,7 +72,7 @@ def write_json_atomic(path: str, payload: dict) -> None:
 def _parse_pmf(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(Fraction(tok.strip())) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"cannot parse pmf {text!r}; expected comma-separated numbers like 1/3,1/6,1/6,1/3")
 
 
@@ -189,7 +189,7 @@ def _merge_config(parser: _Parser, args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except FileNotFoundError:
             raise DataError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"{path}: invalid JSON config: {e}")
         if not isinstance(file_cfg, dict):
             raise DataError(f"{path}: config must be a JSON object")

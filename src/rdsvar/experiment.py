@@ -18,7 +18,6 @@ import io
 import math
 import multiprocessing
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -336,9 +335,7 @@ def run_full(
         results = list(work_map(_replication, range(cfg.n_replications)))
         completed = [r for r in results if r is not None]
         n_excluded = len(results) - len(completed)
-        if n_excluded:
-            warnings.warn(f"{n_excluded} starved replications excluded from summaries")
         if len(completed) < 2:
-            raise DataError("fewer than 2 completed replications")
+            raise DataError(f"fewer than 2 completed replications ({n_excluded} starved)")
         width_ref = np.array(list(work_map(_width_forest, range(cfg.n_width_reference))))
     return _reduce(cfg, g, attrs, completed, n_excluded, width_ref)

@@ -9,7 +9,7 @@ regardless of row order or edge orientation in the input file.
 from __future__ import annotations
 
 import csv
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,33 +104,36 @@ class AttributeTable:
         return self.values[:, j]
 
 
-def _from_edge_set(ids: set[str], edges: set[tuple[str, str]], duplicates: int) -> PopulationGraph:
-    node_ids = sorted(ids)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-    deg = np.zeros(n, dtype=np.int64)
-    pairs = np.empty((len(edges), 2), dtype=np.int64)
-    for k, (a, b) in enumerate(edges):
-        ia, ib = index[a], index[b]
-        pairs[k, 0], pairs[k, 1] = ia, ib
-        deg[ia] += 1
-        deg[ib] += 1
+@contextmanager
+def _open_text(path):
+    """Open a UTF-8 input file; bytes it cannot decode and rows the csv module rejects are DataErrors."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: {e}") from None
+
+
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group (src, dst) pairs into CSR rows over n sources, each row ascending in dst."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    cursor = indptr[:-1].copy()
-    for ia, ib in pairs:
-        indices[cursor[ia]] = ib
-        cursor[ia] += 1
-        indices[cursor[ib]] = ia
-        cursor[ib] += 1
-    # sort each neighbour list for canonical form
-    for i in range(n):
-        seg = indices[indptr[i] : indptr[i + 1]]
-        seg.sort()
-    g = PopulationGraph(node_ids, indptr, indices, duplicates_collapsed=duplicates)
-    g._id_to_index = index
-    return g
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The CSR rows ``rows`` concatenated in the given order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    offsets = np.arange(lengths.sum()) - np.repeat(ends - lengths, lengths)
+    return indices[np.repeat(starts, lengths) + offsets]
+
+
+def _from_pairs(node_ids: list[str], a: np.ndarray, b: np.ndarray, duplicates: int) -> PopulationGraph:
+    """Graph over sorted ``node_ids`` from distinct undirected int32 index pairs (a[k], b[k])."""
+    indptr, indices = _csr(len(node_ids), np.concatenate([a, b]), np.concatenate([b, a]))
+    return PopulationGraph(node_ids, indptr, indices, duplicates_collapsed=duplicates)
 
 
 def load_edge_list(path, delimiter: str | None = None) -> PopulationGraph:
@@ -144,7 +147,7 @@ def load_edge_list(path, delimiter: str | None = None) -> PopulationGraph:
     ids: set[str] = set()
     edges: set[tuple[str, str]] = set()
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -168,26 +171,28 @@ def load_edge_list(path, delimiter: str | None = None) -> PopulationGraph:
                 duplicates += 1
             else:
                 edges.add(key)
-    return _from_edge_set(ids, edges, duplicates)
+    node_ids = sorted(ids)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    pairs = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int32).reshape(-1, 2)
+    return _from_pairs(node_ids, pairs[:, 0], pairs[:, 1], duplicates)
 
 
 def _component_labels(g: PopulationGraph) -> tuple[np.ndarray, int]:
-    n = g.n_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = n_comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if labels[v] < 0:
-                    labels[v] = n_comp
-                    queue.append(int(v))
-        n_comp += 1
-    return labels, n_comp
+    """Component labels numbered in order of each component's smallest node."""
+    # each node points at a node no larger than itself; every round hooks
+    # the target across each edge under the smaller one and halves the
+    # pointer paths, until both ends of every edge point at the same node,
+    # which is then the smallest in their component
+    src = np.repeat(np.arange(g.n_nodes), g.degree)
+    root = np.arange(g.n_nodes)
+    while True:
+        a, b = root[src], root[g.indices]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, a, b)
+        root = root[root]
+    smallest, labels = np.unique(root, return_inverse=True)
+    return labels, int(smallest.size)
 
 
 def component_sizes(g: PopulationGraph) -> list[int]:
@@ -200,15 +205,11 @@ def component_sizes(g: PopulationGraph) -> list[int]:
 
 
 def _induced_subgraph(g: PopulationGraph, keep: np.ndarray) -> PopulationGraph:
-    keep_ids = {g.node_ids[i] for i in np.flatnonzero(keep)}
-    edges = set()
-    for i in np.flatnonzero(keep):
-        a = g.node_ids[i]
-        for j in g.neighbors(i):
-            if keep[j] and i < j:
-                b = g.node_ids[j]
-                edges.add((a, b) if a < b else (b, a))
-    return _from_edge_set(keep_ids, edges, 0)
+    new_index = np.cumsum(keep) - 1  # increasing, so lexicographic id order holds
+    src = np.repeat(np.arange(g.n_nodes), g.degree)
+    both = keep[src] & keep[g.indices]
+    indptr, indices = _csr(int(keep.sum()), new_index[src[both]], new_index[g.indices[both]].astype(np.int32))
+    return PopulationGraph([g.node_ids[i] for i in np.flatnonzero(keep)], indptr, indices)
 
 
 def largest_connected_component(g: PopulationGraph) -> PopulationGraph:
@@ -221,8 +222,8 @@ def largest_connected_component(g: PopulationGraph) -> PopulationGraph:
         return g
     labels, n_comp = _component_labels(g)
     counts = np.bincount(labels, minlength=n_comp)
-    # labels are assigned in increasing first-node order, so argmax picks the
-    # tied component containing the smallest node id
+    # labels are numbered by each component's smallest node, so argmax picks
+    # the tied component containing the smallest node id
     best = int(np.argmax(counts))
     keep = labels == best
     if keep.all():
@@ -236,7 +237,7 @@ def read_attribute_rows(path) -> tuple[list[str], dict[str, tuple[int, ...]]]:
     The file must have a header whose first column is "id"; remaining
     cells must be 0 or 1.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -372,7 +373,8 @@ def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream, max_a
                     leftover.extend((a, b))
             stubs = np.asarray(leftover, dtype=np.int64)
         if stubs.size == 0:
-            return _from_edge_set(set(ids), {(ids[a], ids[b]) for a, b in edges}, 0)
+            pairs = np.array(list(edges), dtype=np.int32).reshape(-1, 2)
+            return _from_pairs(ids, pairs[:, 0], pairs[:, 1], 0)
     raise DataError("configuration model failed: degree sequence not simple-graph realizable")
 
 

@@ -17,14 +17,13 @@ Recruitment proceeds first-in-first-out, giving breadth-first wave growth.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError, DataError
 from .estimators import _as_degrees
-from .graph import PopulationGraph
+from .graph import PopulationGraph, _csr, _gather_rows, _open_text
 from .rng import RngStream
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "RecruitmentForest",
     "draw_seeds_pps",
     "simulate_rds",
-    "recruiters_of",
     "write_forest_csv",
     "read_forest_csv",
 ]
@@ -117,19 +115,8 @@ class RecruitmentForest:
     def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, child_entries) with children listed in entry order."""
         if self._children is None:
-            n = self.n
-            counts = np.zeros(n, dtype=np.int64)
-            nonseed = self.parent >= 0
-            np.add.at(counts, self.parent[nonseed], 1)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            children = np.empty(int(indptr[-1]), dtype=np.int64)
-            cursor = indptr[:-1].copy()
-            for child in np.flatnonzero(nonseed):
-                p = self.parent[child]
-                children[cursor[p]] = child
-                cursor[p] += 1
-            self._children = (indptr, children)
+            nonseed = np.flatnonzero(self.parent >= 0)
+            self._children = _csr(self.n, self.parent[nonseed], nonseed)
         return self._children
 
     def out_degree(self) -> np.ndarray:
@@ -140,17 +127,11 @@ class RecruitmentForest:
         """Entries in breadth-first order from the seeds (parents first)."""
         if self._bfs is None:
             indptr, children = self.children_csr()
-            order = np.empty(self.n, dtype=np.int64)
-            seeds = self.seed_entries()
-            order[: seeds.size] = seeds
-            head, tail = 0, int(seeds.size)
-            while head < tail:
-                u = order[head]
-                head += 1
-                kid = children[indptr[u] : indptr[u + 1]]
-                order[tail : tail + kid.size] = kid
-                tail += kid.size
-            if tail != self.n:
+            waves = [self.seed_entries()]
+            while waves[-1].size:
+                waves.append(_gather_rows(indptr, children, waves[-1]))
+            order = np.concatenate(waves)
+            if order.size != self.n:
                 raise DataError("forest has entries unreachable from any seed")
             self._bfs = order
         return self._bfs
@@ -230,7 +211,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     sampled = np.zeros(g.n_nodes, dtype=bool)
     count = 0
 
-    queue: deque[int] = deque()
     seeds = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), design.n_seeds, rng)
     n_truncated = 0
     for si, node in enumerate(seeds):
@@ -239,13 +219,15 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
         wave_of.append(0)
         parent_of.append(-1)
         sampled[node] = True
-        queue.append(count)
         count += 1
     next_seed_index = design.n_seeds
     n_reseeds = 0
 
+    # entries are recruited first-in-first-out, so the queue is always the
+    # consecutive entries head..count-1
+    head = 0
     while count < target:
-        if not queue:
+        if head == count:
             if not design.reseed_on_death:
                 raise BudgetError(
                     f"sample starved: all chains dead at {count} of {target} entries"
@@ -260,18 +242,18 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
             wave_of.append(0)
             parent_of.append(-1)
             sampled[node] = True
-            queue.append(count)
             count += 1
             next_seed_index += 1
             n_reseeds += 1
             continue
-        entry = queue.popleft()
-        u = node_idx[entry]
+        entry = head
+        head += 1
         k = _draw_count(pmf, rng)
         if k == 0:
             continue
+        nbrs = g.neighbors(node_idx[entry])
         if wor:
-            avail = [int(v) for v in g.neighbors(u) if not sampled[v]]
+            avail = nbrs[~sampled[nbrs]].tolist()
             take = min(k, len(avail))
             if take == 0:
                 continue
@@ -284,7 +266,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 avail[j] = avail[last]
                 last -= 1
         else:
-            nbrs = g.neighbors(u)
             nn = nbrs.size
             picks = [int(nbrs[rng.integers(0, nn)]) for _ in range(k)]
         wv = wave_of[entry] + 1
@@ -298,7 +279,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
             wave_of.append(wv)
             parent_of.append(entry)
             sampled[node] = True
-            queue.append(count)
             count += 1
 
     arr = np.asarray(node_idx, dtype=np.int64)
@@ -312,11 +292,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
         n_reseeds=n_reseeds,
         n_truncated=n_truncated,
     )
-
-
-def recruiters_of(forest: RecruitmentForest) -> list[int]:
-    """Entry indices of participants with at least one recruit, in recruitment order."""
-    return [int(i) for i in forest.recruiter_entries()]
 
 
 FOREST_COLUMNS = ["id", "seed_index", "wave", "recruiter", "degree"]
@@ -349,7 +324,7 @@ def read_forest_csv(path) -> RecruitmentForest:
     references resolve to the latest earlier row with that id, so files
     must list recruiters before their recruits.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

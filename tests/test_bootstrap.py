@@ -92,7 +92,7 @@ class TestNeighbourhoodResample:
     def test_balanced_resample_size_constant(self):
         f = balanced_forest(1, 2, 2)
         z = np.zeros(f.n)
-        n_r = len(rv.recruiters_of(f))
+        n_r = f.recruiter_entries().size
         for seed in range(20):
             ws = rv.neighbourhood_resample(f, z, generator(seed))
             assert ws.n_effective == n_r * 2
@@ -256,7 +256,8 @@ class TestBootstrapDistribution:
             rv.bootstrap_distribution(two_recruiter_forest, cfg, np.zeros(4))
 
 
-@settings(max_examples=12, deadline=None)
+# derandomized: a 3-SE gate fails by chance on about 3 % of random seed sets
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6))
 def test_production_path_matches_oracle_moments(seed):
     # the block-keyed path of bootstrap_distribution, not just the single

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.cli import main
@@ -175,21 +179,37 @@ def test_experiment_smoke_and_schema(study_files, tmp_path):
     assert len(csv_text.splitlines()) == 1 + 2 * 2 * 2
 
 
-def test_experiment_all_replications_starved_is_data_error(tmp_path, capsys):
+def _starved_experiment_argv(tmp_path) -> list[str]:
+    """An experiment on the 3-node path whose seed never recruits: all 3 replications starve."""
     edges = tmp_path / "path.txt"
     edges.write_text("a b\nb c\n")
     attrs_csv = tmp_path / "x.csv"
     attrs_csv.write_text("id,x\na,1\nb,0\nc,1\n")
-    with pytest.warns(UserWarning, match="3 starved"):
-        code = run_cli(
-            "experiment", "--edges", edges, "--attrs", attrs_csv, "--seeds", "1", "--coupons", "1",
-            "--pmf", "1,0", "--n", "3", "--no-reseed", "--R", "3", "--B", "5", "--width-ref", "100",
-            "--seed", "1", "--out", tmp_path,
-        )
+    return [str(a) for a in (
+        "experiment", "--edges", edges, "--attrs", attrs_csv, "--seeds", "1", "--coupons", "1",
+        "--pmf", "1,0", "--n", "3", "--no-reseed", "--R", "3", "--B", "5", "--width-ref", "100",
+        "--seed", "1", "--out", tmp_path,
+    )]
+
+
+def test_experiment_all_replications_starved_is_data_error(tmp_path, capsys):
+    code = run_cli(*_starved_experiment_argv(tmp_path))
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "DataError"
-    assert "fewer than 2 completed replications" in err["error"]["message"]
+    assert "fewer than 2 completed replications (3 starved)" in err["error"]["message"]
+    validate_schema(err, "error.schema.json")
+
+
+def test_experiment_starved_stderr_is_one_error_json(tmp_path):
+    # the whole of stderr, as a shell sees it, is the error document
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdsvar.cli", *_starved_experiment_argv(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert "(3 starved)" in err["error"]["message"]
     validate_schema(err, "error.schema.json")
 
 
@@ -358,3 +378,93 @@ def test_cli_entrypoint_subprocess(study_files, tmp_path):
     )
     assert proc.returncode == 0
     assert rv.__version__ in proc.stdout
+
+
+# Error contract: malformed input files and config values end in exit 1, 2
+# or 3 with exactly one schema-valid error JSON on stderr, never a traceback
+# or a warning. Each command below fails by construction once its input
+# parses, so every example must take an error exit.
+_CELLS = st.one_of(
+    st.sampled_from(["", "a", "s", " x ", "0", "1", "3", "-1", "2.5", "1e400", "9" * 25, "#", '"', '"a,b"', "\x00", "nan"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _malformed_file(draw, header: str) -> bytes:
+    lines = [header.encode()] if header and draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.binary(max_size=6)))  # not necessarily UTF-8
+        else:
+            sep = draw(st.sampled_from([",", " ", "\t", ";"]))
+            lines.append(sep.join(draw(st.lists(_CELLS, max_size=5))).encode())
+    return b"\n".join(lines)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "coupons": st.one_of(st.just(1), _JSON_VALUES),
+        "n": st.one_of(st.just(2), _JSON_VALUES),
+        "pmf": st.one_of(st.sampled_from(["0,1", "1,1e400", "1e400", "1/0", "-1,2", "nan,1"]), _JSON_VALUES),
+    },
+    optional={
+        key: _JSON_VALUES for key in ("seed", "regime", "no_reseed", "no-reseed", "lcc", "edges", "bogus", "config")
+    },
+)
+
+
+def _run_captured(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _assert_error_contract(code: int, err: str) -> None:
+    assert code in (1, 2, 3)
+    payload = json.loads(err)
+    validate_schema(payload, "error.schema.json")
+    assert payload["error"]["exit_code"] == code
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(forest=_malformed_file("id,recruiter,degree"))
+def test_malformed_forest_csv_keeps_error_contract(tmp_path_factory, forest):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "forest.csv").write_bytes(forest)
+    (tmp / "attrs.csv").write_text("id,x\n")  # no ids: a forest that parses still fails
+    _assert_error_contract(*_run_captured([
+        "bootstrap", "--forest", tmp / "forest.csv", "--attrs", tmp / "attrs.csv", "--attribute", "x",
+        "--method", "tree", "--B", "5", "--out", tmp,
+    ]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edges=_malformed_file(""))
+def test_malformed_edge_list_keeps_error_contract(tmp_path_factory, edges):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "edges.txt").write_bytes(edges)
+    # no edge list this small holds 10**6 nodes, so a graph that loads still fails
+    _assert_error_contract(*_run_captured([
+        "simulate", "--edges", tmp / "edges.txt", "--lcc", "--seeds", "1", "--coupons", "1", "--pmf", "0,1",
+        "--n", "1000000", "--out", tmp,
+    ]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=st.one_of(_CONFIGS.map(lambda d: json.dumps(d).encode()), st.binary(max_size=12)))
+@example(config=b'{"coupons": 1, "n": 2, "pmf": "1,1e400"}')
+def test_malformed_config_keeps_error_contract(tmp_path_factory, config):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "edges.txt").write_text("a b\nb c\n")
+    (tmp / "config.json").write_bytes(config)
+    # --seeds 0 overrides the config and no design accepts it
+    _assert_error_contract(*_run_captured([
+        "simulate", "--config", tmp / "config.json", "--edges", tmp / "edges.txt", "--seeds", "0", "--out", tmp,
+    ]))

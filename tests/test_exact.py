@@ -83,7 +83,7 @@ def test_neighbourhood_budget_error():
 
 def test_neighbourhood_budget_counts_multisets():
     f = balanced_forest(2, 2, 2)  # 6 recruiters: C(11, 6) = 462 multisets, 6**6 = 46656 tuples
-    assert len(rv.recruiters_of(f)) == 6
+    assert f.recruiter_entries().size == 6
     z = np.arange(f.n) % 2
     rv.enumerate_neighbourhood(f, z, budget=500).validate()
     with pytest.raises(BudgetError, match="462"):

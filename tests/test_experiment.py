@@ -182,9 +182,8 @@ def test_all_replications_starved_raises(tmp_path):
         design=design, attributes=("x",), n_replications=3, n_bootstrap=5,
         master_seed=1, n_width_reference=100,
     )
-    with pytest.warns(UserWarning, match="starved"):
-        with pytest.raises(DataError, match="completed"):
-            rv.run_full(cfg, g, attrs)
+    with pytest.raises(DataError, match=r"fewer than 2 completed replications \(3 starved\)"):
+        rv.run_full(cfg, g, attrs)
 
 
 def test_config_validation(small_world):

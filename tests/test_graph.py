@@ -1,10 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
-from rdsvar.graph import component_sizes, load_summary
+from rdsvar.graph import _component_labels, component_sizes, load_summary
 
 
 def test_load_collapses_orientations_and_duplicates(tiny_edge_file):
@@ -107,6 +109,46 @@ def test_lcc_output_is_connected():
     g = rv.generate_configuration_graph(60, rv.PowerLawDegree(2.5, 1, 6), rng)
     lcc = rv.largest_connected_component(g)
     assert component_sizes(lcc) == [lcc.n_nodes]
+
+
+def _reference_components(g) -> list[int]:
+    """Breadth-first labels, numbered as the components are met in node order."""
+    labels = [-1] * g.n_nodes
+    n_comp = 0
+    for start in range(g.n_nodes):
+        if labels[start] >= 0:
+            continue
+        labels[start] = n_comp
+        queue = deque([start])
+        while queue:
+            for v in g.neighbors(queue.popleft()):
+                if labels[v] < 0:
+                    labels[v] = n_comp
+                    queue.append(int(v))
+        n_comp += 1
+    return labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda t: t[0] != t[1]), min_size=1, max_size=60))
+def test_csr_components_and_lcc_match_reference(tmp_path_factory, pairs):
+    path = tmp_path_factory.mktemp("graph") / "edges.txt"
+    path.write_text("".join(f"v{a} v{b}\n" for a, b in pairs))
+    g = rv.load_edge_list(path)
+    ids = sorted({f"v{x}" for pair in pairs for x in pair})
+    nbrs = {nid: set() for nid in ids}
+    for a, b in pairs:
+        nbrs[f"v{a}"].add(f"v{b}")
+        nbrs[f"v{b}"].add(f"v{a}")
+    assert g.node_ids == ids and g.indices.dtype == np.int32
+    assert [[g.node_ids[j] for j in g.neighbors(i)] for i in range(g.n_nodes)] == [sorted(nbrs[nid]) for nid in ids]
+    labels = _reference_components(g)
+    assert _component_labels(g)[0].tolist() == labels
+    counts = np.bincount(labels)
+    keep = [nid for nid, lab in zip(ids, labels) if lab == int(np.argmax(counts))]
+    lcc = rv.largest_connected_component(g)
+    assert lcc.node_ids == keep
+    assert [[lcc.node_ids[j] for j in lcc.neighbors(i)] for i in range(lcc.n_nodes)] == [sorted(nbrs[nid]) for nid in keep]
 
 
 def test_load_attributes_happy_path(tmp_path, tiny_edge_file):

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_design_validation():
 
 
 def test_recruiters_examples(two_recruiter_forest):
-    assert rv.recruiters_of(two_recruiter_forest) == [0, 1]
+    assert two_recruiter_forest.recruiter_entries().tolist() == [0, 1]
 
 
 def test_recruiters_isolated_seeds():
@@ -161,7 +162,7 @@ def test_recruiters_isolated_seeds():
         node_id=["A", "B"], node_index=[-1, -1], seed_index=[0, 1],
         wave=[0, 0], parent=[-1, -1], degree=[1, 1],
     )
-    assert rv.recruiters_of(f) == []
+    assert f.recruiter_entries().tolist() == []
 
 
 def test_recruiters_balanced_count():
@@ -169,7 +170,7 @@ def test_recruiters_balanced_count():
 
     c, h = 2, 2
     f = balanced_forest(1, c, h)
-    assert len(rv.recruiters_of(f)) == (c**h - 1) // (c - 1)
+    assert f.recruiter_entries().size == (c**h - 1) // (c - 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -207,6 +208,46 @@ def test_forest_invariants_property(seed, s, target, pmf_choice, regime):
                 assert f.node_index[i] in g.neighbors(int(f.node_index[p]))
     # determinism
     assert f == rv.simulate_rds(g, design, generator(seed))
+
+
+def _reference_children_and_bfs(f):
+    """Per-child lists in entry order and a FIFO breadth-first order from the seeds."""
+    children = [[] for _ in range(f.n)]
+    for i in range(f.n):
+        if f.parent[i] >= 0:
+            children[int(f.parent[i])].append(i)
+    order, queue = [], deque(int(s) for s in f.seed_entries())
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        queue.extend(children[u])
+    return children, order
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), reseed=st.booleans())
+def test_children_and_bfs_match_fifo_reference(tmp_path_factory, seed, reseed):
+    g = rv.generate_configuration_graph(200, rv.PowerLawDegree(2.2, 1, 12), np.random.default_rng(17))
+    pmf = (0.6, 0.2, 0.1, 0.1) if reseed else (1 / 3, 1 / 6, 1 / 6, 1 / 3)
+    f = rv.simulate_rds(g, rv.RdsDesign(n_seeds=3, max_coupons=3, recruit_count_pmf=pmf, target_n=120), generator(seed))
+    # the same forest reloaded from a CSV whose rows are in another valid order
+    rng = np.random.default_rng(seed)
+    kids, _ = _reference_children_and_bfs(f)
+    rows, ready = [], [int(s) for s in f.seed_entries()]
+    while ready:
+        i = ready.pop(int(rng.integers(len(ready))))
+        rows.append(i)
+        ready.extend(kids[i])
+    path = tmp_path_factory.mktemp("forest") / "f.csv"
+    path.write_text("id,recruiter,degree\n" + "".join(
+        f"{f.node_id[i]},{f.node_id[f.parent[i]] if f.parent[i] >= 0 else ''},{f.degree[i]}\n" for i in rows
+    ))
+    for forest in (f, rv.read_forest_csv(path)):
+        children, order = _reference_children_and_bfs(forest)
+        indptr, flat = forest.children_csr()
+        assert indptr.tolist() == [0, *np.cumsum([len(c) for c in children]).tolist()]
+        assert flat.dtype == np.int64 and flat.tolist() == [c for cs in children for c in cs]
+        assert forest.bfs_order().tolist() == order
 
 
 def test_forest_csv_roundtrip(tmp_path):
