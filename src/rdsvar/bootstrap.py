@@ -187,6 +187,10 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
     for u in order[forest.out_degree()[order] > 0]:
         kid = children[indptr[u] : indptr[u + 1]]
         k = int(kid.size)
+        if k == 1:
+            # a one-category multinomial draws no random numbers
+            counts[:, kid[0]] = counts[:, u]
+            continue
         if k not in pvals:
             pvals[k] = np.full(k, 1.0 / k)
         counts[:, kid] = rng.multinomial(counts[:, u] * k, pvals[k])

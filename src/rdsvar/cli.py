@@ -450,10 +450,26 @@ def run(cfg: dict) -> list[str]:
     return _COMMANDS[command](cfg)
 
 
+def _attach_pmf_value(argv: list[str]) -> list[str]:
+    """``--pmf -1,2`` as ``--pmf=-1,2``.
+
+    argparse takes a token that starts with a minus sign, and is not a
+    plain negative number, for an option, and would report the pmf value
+    missing instead of letting the pmf check name the negative entry.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--pmf" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--pmf={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_pmf_value(sys.argv[1:] if argv is None else list(argv)))
         cfg = _merge_config(parser, args)
         written = run(cfg)
     except (RdsVarError, OSError) as e:

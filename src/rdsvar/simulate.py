@@ -12,6 +12,31 @@ Two regimes:
   to degree.
 
 Recruitment proceeds first-in-first-out, giving breadth-first wave growth.
+The process is the serial loop "take the next queued entry, draw its
+recruit count, draw its recruits, append them to the queue", but it is
+simulated one segment at a time: the queued entries head..count-1, which
+is one wave. A segment draws every entry's count with one uniform each,
+and then its recruits:
+
+* walk regime: one uniform neighbour position per recruit;
+* without replacement: one uniform key per (entry, never-sampled
+  neighbour) pair. In the serial loop, entry e takes k_e neighbours
+  uniformly from those its predecessors in the wave left free. Here
+  entry e takes its k_e lowest-key neighbours that no earlier entry of
+  the wave took. Entry e's keys are independent of what the earlier
+  entries took, so its recruits are uniform among the neighbours left
+  free, in uniform order: the same law. The claims are resolved by
+  deferred acceptance, in which every node prefers the earliest entry.
+  Under one common priority the stable matching is unique, and it is the
+  outcome of claiming one entry at a time in entry order.
+
+The recruits join the queue in entry order. If they overshoot the
+target, the first ones are kept: the entry that reaches the target loses
+its excess, counted in ``n_truncated``, and the later entries of the
+segment never ran in the serial loop. Seeds and reseeds are drawn
+successively proportional to degree, by Efraimidis--Spirakis keys. The
+forests have the law of the serial loop, and earlier revisions that ran
+that loop give different forests at the same seeds.
 """
 
 from __future__ import annotations
@@ -58,8 +83,9 @@ class RdsDesign:
             raise DataError(
                 f"recruit_count_pmf must have max_coupons+1={self.max_coupons + 1} entries, got {len(pmf)}"
             )
-        if any(p < 0 for p in pmf):
-            raise DataError("recruit_count_pmf entries must be non-negative")
+        for k, p in enumerate(pmf):
+            if p < 0:
+                raise DataError(f"recruit_count_pmf entries must be non-negative, got {p!r} for {k} recruits")
         if abs(sum(pmf) - 1.0) > 1e-12:
             raise DataError(f"recruit_count_pmf must sum to 1 (got {sum(pmf)!r})")
         if not (1 <= self.n_seeds <= self.target_n):
@@ -152,21 +178,16 @@ class RecruitmentForest:
         )
 
 
-def _pps_draw_indices(candidates: np.ndarray, weights: np.ndarray, s: int, rng: RngStream) -> list[int]:
-    """Successive draws without replacement with probability proportional to weight."""
-    cand = np.array(candidates, dtype=np.int64)
-    w = np.array(weights, dtype=np.float64)
-    picked: list[int] = []
-    m = cand.size
-    for _ in range(s):
-        cums = np.cumsum(w[:m])
-        u = rng.random() * cums[-1]
-        j = min(int(np.searchsorted(cums, u, side="right")), m - 1)
-        picked.append(int(cand[j]))
-        cand[j], cand[m - 1] = cand[m - 1], cand[j]
-        w[j], w[m - 1] = w[m - 1], w[j]
-        m -= 1
-    return picked
+def _pps_order(weights: np.ndarray, s: int, rng: RngStream) -> np.ndarray:
+    """Positions of s distinct draws, successively with probability proportional to weight.
+
+    Taking the s largest keys V**(1/w), V uniform on (0, 1], in descending
+    key order has the law of successive sampling (Efraimidis and Spirakis,
+    IPL 2006); the keys are compared as log(V)/w.
+    """
+    keys = np.log1p(-rng.random(weights.size)) / weights
+    top = np.argpartition(keys, weights.size - s)[weights.size - s :]
+    return top[np.argsort(-keys[top], kind="stable")]
 
 
 def draw_seeds_pps(g: PopulationGraph, s: int, rng: RngStream) -> list[str]:
@@ -175,18 +196,60 @@ def draw_seeds_pps(g: PopulationGraph, s: int, rng: RngStream) -> list[str]:
         raise DataError(f"cannot draw {s} seeds from {g.n_nodes} nodes")
     if g.n_nodes and int(g.degree.min()) < 1:
         raise DataError("all degrees must be >= 1 for degree-proportional seeding")
-    idx = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), s, rng)
-    return [g.node_ids[i] for i in idx]
+    return [g.node_ids[i] for i in _pps_order(g.degree, s, rng)]
 
 
-def _draw_count(pmf: tuple[float, ...], rng: RngStream) -> int:
-    u = rng.random()
-    acc = 0.0
-    for k, p in enumerate(pmf):
-        acc += p
-        if u < acc:
-            return k
-    return len(pmf) - 1
+def _claim(entry: np.ndarray, node: np.ndarray, k: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Mask of the (entry, node) pairs taken when entries 0, 1, ... claim in turn.
+
+    The pairs are grouped by entry in ascending order and, within an entry,
+    in its order of preference; entry e takes its first ``k[e]`` nodes that
+    no earlier entry took. Computed by deferred acceptance: every entry
+    proposes its next pairs, as many as it lacks of ``k[e]``; every node
+    keeps its smallest-index proposer; the entries that lost a node
+    propose again, until none lacks a node and has pairs left to propose.
+    """
+    m = k.size
+    length = np.bincount(entry, minlength=m)
+    rank = np.arange(entry.size) - (np.cumsum(length) - length)[entry]
+    holder = np.full(n_nodes, m, dtype=np.int64)  # m: nobody
+    proposed_upto = np.minimum(k, length)
+    while True:
+        proposed = rank < proposed_upto[entry]
+        np.minimum.at(holder, node[proposed], entry[proposed])
+        taken = proposed & (holder[node] == entry)
+        nxt = np.minimum(proposed_upto + k - np.bincount(entry[taken], minlength=m), length)
+        if np.array_equal(nxt, proposed_upto):
+            return taken
+        proposed_upto = nxt
+
+
+def _recruit_walk(
+    g: PopulationGraph, cur: np.ndarray, k: np.ndarray, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """(entry of each recruit, recruit): k[e] independent uniform neighbours of each entry's node."""
+    who = np.repeat(np.arange(cur.size), k)
+    rows = cur[who]
+    return who, g.indices[g.indptr[rows] + rng.integers(0, g.degree[rows])]
+
+
+def _recruit_without_replacement(
+    g: PopulationGraph, cur: np.ndarray, k: np.ndarray, sampled: np.ndarray, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """(entry of each recruit, recruit): each entry in turn takes its k[e] lowest-key free neighbours.
+
+    Free means never sampled before the segment and not taken by an earlier
+    entry of it; every (entry, free neighbour) pair gets a uniform key.
+    """
+    active = np.flatnonzero(k > 0)
+    nbrs = _gather_rows(g.indptr, g.indices, cur[active])
+    who = np.repeat(active, g.degree[cur[active]])
+    free = ~sampled[nbrs]
+    nbrs, who = nbrs[free], who[free]
+    order = np.lexsort((rng.random(nbrs.size), who))
+    nbrs, who = nbrs[order], who[order]
+    taken = _claim(who, nbrs, k, g.n_nodes)
+    return who[taken], nbrs[taken]
 
 
 def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> RecruitmentForest:
@@ -202,29 +265,28 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     design.validate_for(g)
     wor = design.regime == WITHOUT_REPLACEMENT
     target = design.target_n
-    pmf = design.recruit_count_pmf
+    # u < cum_pmf[k] picks count k; the last bound is open, so that float
+    # round-off below a total of 1 also gives max_coupons
+    cum_pmf = np.cumsum(design.recruit_count_pmf)
+    cum_pmf[-1] = np.inf
 
-    node_idx: list[int] = []
-    seed_of: list[int] = []
-    wave_of: list[int] = []
-    parent_of: list[int] = []
+    node = np.empty(target, dtype=np.int64)
+    seed_of = np.empty(target, dtype=np.int64)
+    wave = np.empty(target, dtype=np.int64)
+    parent = np.empty(target, dtype=np.int64)
     sampled = np.zeros(g.n_nodes, dtype=bool)
-    count = 0
 
-    seeds = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), design.n_seeds, rng)
-    n_truncated = 0
-    for si, node in enumerate(seeds):
-        node_idx.append(node)
-        seed_of.append(si)
-        wave_of.append(0)
-        parent_of.append(-1)
-        sampled[node] = True
-        count += 1
-    next_seed_index = design.n_seeds
+    count = design.n_seeds
+    node[:count] = _pps_order(g.degree, count, rng)
+    seed_of[:count] = np.arange(count)
+    wave[:count] = 0
+    parent[:count] = -1
+    sampled[node[:count]] = True
     n_reseeds = 0
+    n_truncated = 0
 
     # entries are recruited first-in-first-out, so the queue is always the
-    # consecutive entries head..count-1
+    # consecutive entries head..count-1: one segment (a wave) at a time
     head = 0
     while count < target:
         if head == count:
@@ -232,63 +294,45 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 raise BudgetError(
                     f"sample starved: all chains dead at {count} of {target} entries"
                 )
-            if wor:
-                fresh = np.flatnonzero(~sampled)
-            else:
-                fresh = np.arange(g.n_nodes)
-            node = _pps_draw_indices(fresh, g.degree[fresh].astype(float), 1, rng)[0]
-            node_idx.append(node)
-            seed_of.append(next_seed_index)
-            wave_of.append(0)
-            parent_of.append(-1)
-            sampled[node] = True
+            fresh = np.flatnonzero(~sampled) if wor else np.arange(g.n_nodes)
+            node[count] = fresh[_pps_order(g.degree[fresh], 1, rng)[0]]
+            seed_of[count] = design.n_seeds + n_reseeds
+            wave[count] = 0
+            parent[count] = -1
+            sampled[node[count]] = True
             count += 1
-            next_seed_index += 1
             n_reseeds += 1
             continue
-        entry = head
-        head += 1
-        k = _draw_count(pmf, rng)
-        if k == 0:
-            continue
-        nbrs = g.neighbors(node_idx[entry])
+        seg = node[head:count]
+        k = np.searchsorted(cum_pmf, rng.random(seg.size), side="right")
         if wor:
-            avail = nbrs[~sampled[nbrs]].tolist()
-            take = min(k, len(avail))
-            if take == 0:
-                continue
-            # partial Fisher-Yates: uniform without replacement in draw order
-            picks = []
-            last = len(avail) - 1
-            for _ in range(take):
-                j = int(rng.integers(0, last + 1))
-                picks.append(avail[j])
-                avail[j] = avail[last]
-                last -= 1
+            who, picks = _recruit_without_replacement(g, seg, k, sampled, rng)
         else:
-            nn = nbrs.size
-            picks = [int(nbrs[rng.integers(0, nn)]) for _ in range(k)]
-        wv = wave_of[entry] + 1
-        sq = seed_of[entry]
-        for j, node in enumerate(picks):
-            if count >= target:
-                n_truncated += len(picks) - j
-                break
-            node_idx.append(node)
-            seed_of.append(sq)
-            wave_of.append(wv)
-            parent_of.append(entry)
-            sampled[node] = True
-            count += 1
+            who, picks = _recruit_walk(g, seg, k, rng)
+        room = target - count
+        if picks.size > room:
+            # the entry that reaches the target loses its excess; the later
+            # entries of the segment would never have run
+            reach = np.cumsum(np.bincount(who, minlength=seg.size))
+            n_truncated += int(reach[np.searchsorted(reach, room)]) - room
+            who, picks = who[:room], picks[:room]
+        new = slice(count, count + picks.size)
+        rec = head + who
+        head = count
+        node[new] = picks
+        seed_of[new] = seed_of[rec]
+        wave[new] = wave[rec] + 1
+        parent[new] = rec
+        sampled[picks] = True
+        count += picks.size
 
-    arr = np.asarray(node_idx, dtype=np.int64)
     return RecruitmentForest(
-        node_id=[g.node_ids[i] for i in node_idx],
-        node_index=arr,
-        seed_index=np.asarray(seed_of, dtype=np.int64),
-        wave=np.asarray(wave_of, dtype=np.int64),
-        parent=np.asarray(parent_of, dtype=np.int64),
-        degree=g.degree[arr],
+        node_id=[g.node_ids[i] for i in node.tolist()],
+        node_index=node,
+        seed_index=seed_of,
+        wave=wave,
+        parent=parent,
+        degree=g.degree[node],
         n_reseeds=n_reseeds,
         n_truncated=n_truncated,
     )

@@ -30,14 +30,14 @@ def synthetic_population(
 
 
 def _voter_smooth(g: PopulationGraph, z: np.ndarray, rounds: int, rng: RngStream) -> np.ndarray:
-    """A few voter-model sweeps: each node copies a random neighbour's value."""
-    z = z.copy()
+    """A few voter-model sweeps: each node copies a random neighbour's value.
+
+    One ``integers(0, degree)`` call per sweep picks every node's neighbour;
+    it consumes the stream exactly as one scalar call per node, in node
+    order, would.
+    """
     for _ in range(rounds):
-        nxt = z.copy()
-        for i in range(g.n_nodes):
-            nbrs = g.neighbors(i)
-            nxt[i] = z[nbrs[rng.integers(0, nbrs.size)]]
-        z = nxt
+        z = z[g.indices[g.indptr[:-1] + rng.integers(0, g.degree)]]
     return z
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,3 +276,95 @@ def test_production_path_matches_oracle_moments(seed):
     sd = float(d.estimates.std(ddof=1))
     tol = 3 * sd / B**0.5 + 1e-12
     assert abs(mc_mean - exact.mean_float) < tol
+
+
+def _tree_counts_reference(forest, seed_mode, rng, size):
+    """The tree kernel with one multinomial call per recruiter, single recruits included."""
+    seeds = forest.seed_entries()
+    s = int(seeds.size)
+    counts = np.zeros((size, forest.n), dtype=np.int64)
+    if seed_mode == "with_replacement":
+        counts[:, seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size)
+    else:
+        counts[:, seeds] = 1
+    indptr, children = forest.children_csr()
+    order = forest.bfs_order()
+    for u in order[forest.out_degree()[order] > 0]:
+        kid = children[indptr[u] : indptr[u + 1]]
+        counts[:, kid] = rng.multinomial(counts[:, u] * kid.size, np.full(kid.size, 1.0 / kid.size))
+    return counts
+
+
+def test_tree_counts_match_reference_loop():
+    g, _ = rv.make_study_population(300, seed=4)
+    design = rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 120)
+    rng = np.random.default_rng(21)
+    forests = [random_tiny_forest(rng, max_recruiters=12, max_recruits=3)[0] for _ in range(30)]
+    forests += [rv.simulate_rds(g, design, generator(9, i)) for i in range(5)]
+    for i, forest in enumerate(forests):
+        for mode in ("with_replacement", "without_replacement"):
+            fast, slow = generator(i), generator(i)
+            assert np.array_equal(_tree_counts(forest, mode, fast, 50), _tree_counts_reference(forest, mode, slow, 50))
+            assert fast.random() == slow.random()  # the streams stay in step
+
+
+def balanced_sample_mean_moments(forest, z, method, seed_mode="with_replacement"):
+    """Exact (mean, variance) of the bootstrap sample mean on a balanced forest.
+
+    Neighbourhood: the estimate is the mean of n_r iid draws of a recruiter
+    mean ybar_j. Tree: the resample size is fixed, so the estimate is the
+    sum S over the drawn occurrences divided by n; S of an occurrence of u is
+    z_u plus k iid draws of a child's S, so E S_u = z_u + k mean(E S_c) and
+    Var S_u = k (mean(Var S_c) + var(E S_c)), with population variances.
+    """
+    z = [Fraction(int(v)) for v in z]
+    indptr, children = forest.children_csr()
+    kids = [children[indptr[u] : indptr[u + 1]].tolist() for u in range(forest.n)]
+
+    def mean_var(values):
+        mean = sum(values, Fraction(0)) / len(values)
+        return mean, sum(((v - mean) ** 2 for v in values), Fraction(0)) / len(values)
+
+    if method == "neighbourhood":
+        ybar = [sum((z[c] for c in k), Fraction(0)) / len(k) for k in kids if k]
+        mean, var = mean_var(ybar)
+        return mean, var / len(ybar)
+    moments = [None] * forest.n  # (E S_u, Var S_u)
+    for u in forest.bfs_order()[::-1].tolist():
+        if not kids[u]:
+            moments[u] = (z[u], Fraction(0))
+            continue
+        m_of_e, v_of_e = mean_var([moments[c][0] for c in kids[u]])
+        m_of_v = sum((moments[c][1] for c in kids[u]), Fraction(0)) / len(kids[u])
+        moments[u] = (z[u] + len(kids[u]) * m_of_e, len(kids[u]) * (m_of_v + v_of_e))
+    seeds = forest.seed_entries().tolist()
+    n = forest.n
+    if seed_mode == "without_replacement":
+        return sum(moments[s][0] for s in seeds) / n, sum(moments[s][1] for s in seeds) / n**2
+    m_of_e, v_of_e = mean_var([moments[s][0] for s in seeds])
+    m_of_v = sum((moments[s][1] for s in seeds), Fraction(0)) / len(seeds)
+    return len(seeds) * m_of_e / n, len(seeds) * (m_of_v + v_of_e) / n**2
+
+
+def test_balanced_closed_forms_equal_enumeration():
+    rng = np.random.default_rng(3)
+    for s, c, h in ((1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 1), (1, 3, 2), (2, 3, 1)):
+        f = balanced_forest(s, c, h)
+        z = rng.integers(0, 2, size=f.n)
+        nb = rv.enumerate_neighbourhood(f, z, estimator="sample_mean")
+        assert balanced_sample_mean_moments(f, z, "neighbourhood") == (nb.mean, nb.variance)
+        for mode in ("with_replacement", "without_replacement"):
+            tree = rv.enumerate_tree(f, z, estimator="sample_mean", seed_mode=mode)
+            assert balanced_sample_mean_moments(f, z, "tree", mode) == (tree.mean, tree.variance)
+
+
+@pytest.mark.parametrize("s, c, h", [(1, 3, 6), (2, 2, 9)])
+def test_production_kernels_match_closed_forms_at_realistic_size(s, c, h):
+    # n = 1093 and 2046: the kernels that the experiments run, at their size
+    f = balanced_forest(s, c, h)
+    z = np.random.default_rng(c * h).integers(0, 2, size=f.n)
+    for method in ("neighbourhood", "tree"):
+        mean, var = balanced_sample_mean_moments(f, z, method)
+        mm = rv.mc_bootstrap_moments(f, z, method, "sample_mean", 2000, generator(60, s, c, h))
+        assert abs(mm.mean - float(mean)) < 4 * mm.se_mean
+        assert abs(mm.variance - float(var)) < 4 * mm.se_variance

@@ -468,3 +468,19 @@ def test_malformed_config_keeps_error_contract(tmp_path_factory, config):
     _assert_error_contract(*_run_captured([
         "simulate", "--config", tmp / "config.json", "--edges", tmp / "edges.txt", "--seeds", "0", "--out", tmp,
     ]))
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("spelling", [["--pmf", "-1,2"], ["--pmf=-1,2"]])
+def test_negative_pmf_is_named_in_either_spelling(tmp_path, command, spelling):
+    edges = tmp_path / "path.txt"
+    edges.write_text("a b\nb c\n")
+    attrs_csv = tmp_path / "x.csv"
+    attrs_csv.write_text("id,x\na,1\nb,0\nc,1\n")
+    extra = ["--attrs", attrs_csv, "--R", "2", "--B", "5", "--seed", "1"] if command == "experiment" else []
+    code, err = _run_captured([
+        command, "--edges", edges, "--seeds", "1", "--coupons", "1", *spelling, "--n", "2", *extra, "--out", tmp_path,
+    ])
+    _assert_error_contract(code, err)
+    assert code == 2
+    assert "non-negative, got -1.0 for 0 recruits" in json.loads(err)["error"]["message"]

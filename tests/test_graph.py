@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import rdsvar as rv
 from rdsvar.errors import DataError
 from rdsvar.graph import _component_labels, component_sizes, load_summary
+from rdsvar.rng import generator
+from rdsvar.synth import _voter_smooth
 
 
 def test_load_collapses_orientations_and_duplicates(tiny_edge_file):
@@ -226,3 +229,31 @@ def test_load_summary_contents(tiny_edge_file):
     assert s["duplicates_collapsed"] == 1
     assert s["component_sizes"] == [3]
     assert s["node_ids"] == ["a", "b", "c"]
+
+
+def _voter_smooth_reference(g, z, rounds, rng):
+    """One scalar draw per node per round, in node order."""
+    z = z.copy()
+    for _ in range(rounds):
+        nxt = z.copy()
+        for i in range(g.n_nodes):
+            nbrs = g.neighbors(i)
+            nxt[i] = z[nbrs[rng.integers(0, nbrs.size)]]
+        z = nxt
+    return z
+
+
+def test_voter_smooth_matches_scalar_loop():
+    for seed in range(5):
+        g = rv.synthetic_population(300, generator(seed, 0), d_max=20)
+        z = (np.random.default_rng(seed).random(g.n_nodes) < 0.3).astype(np.uint8)
+        fast, slow = generator(seed, 1), generator(seed, 1)
+        assert np.array_equal(_voter_smooth(g, z, 3, fast), _voter_smooth_reference(g, z, 3, slow))
+        assert fast.random() == slow.random()
+
+
+def test_study_population_attributes_pinned():
+    # the attribute values of the acceptance population, as first synthesized
+    _, attrs = rv.make_study_population(4000, seed=20250810)
+    digest = hashlib.sha256(np.ascontiguousarray(attrs.values).tobytes()).hexdigest()
+    assert digest == "7174da5dabbda27b34de3640ae71f975387a453a7328b79286634f2644590f6c"

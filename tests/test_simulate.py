@@ -1,5 +1,7 @@
+import itertools
 import math
-from collections import deque
+from collections import Counter, defaultdict, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import rdsvar as rv
 from rdsvar.errors import BudgetError, DataError
 from rdsvar.rng import generator
+from rdsvar.simulate import _claim
 
 
 def path_graph(tmp_path):
@@ -275,3 +278,143 @@ def test_forest_csv_unknown_recruiter(tmp_path):
     path.write_text("id,recruiter,degree\nM,,2\nN,Q,3\n")
     with pytest.raises(DataError, match="'Q'"):
         rv.read_forest_csv(path)
+
+
+# ------------------------------------------------- the law of the FIFO loop
+
+
+def fifo_forest_law(g, design):
+    """Exact law of the serial FIFO recruitment loop, as {outcome: Fraction}.
+
+    An outcome is ((node, recruiter entry, seed index) per entry, n_reseeds,
+    n_truncated). The loop: seeds drawn successively proportional to degree;
+    then entries in FIFO order, each drawing a recruit count k from the pmf
+    and taking min(k, free) uniformly ordered never-sampled neighbours
+    (without replacement) or k uniform neighbours (walk); the entry that
+    reaches the target loses its excess picks and the loop stops; an empty
+    queue draws one reseed proportional to degree (from never-sampled nodes
+    without replacement, from all nodes in the walk regime).
+    """
+    wor = design.regime == "without_replacement"
+    pmf = [Fraction(p) for p in design.recruit_count_pmf]
+    degree = g.degree.tolist()
+    nbrs = [g.neighbors(i).tolist() for i in range(g.n_nodes)]
+    target = design.target_n
+    law = defaultdict(Fraction)
+
+    def pps(candidates):
+        total = sum(degree[c] for c in candidates)
+        return [(c, Fraction(degree[c], total)) for c in candidates]
+
+    def seeds(entries, p):
+        if len(entries) == design.n_seeds:
+            run(entries, 0, 0, 0, p)
+            return
+        taken = {e[0] for e in entries}
+        for v, q in pps([v for v in range(g.n_nodes) if v not in taken]):
+            seeds(entries + ((v, -1, len(entries)),), p * q)
+
+    def run(entries, head, n_reseeds, n_truncated, p):
+        count = len(entries)
+        if count == target:
+            law[(entries, n_reseeds, n_truncated)] += p
+            return
+        sampled = {e[0] for e in entries}
+        if head == count:
+            fresh = [v for v in range(g.n_nodes) if not (wor and v in sampled)]
+            for v, q in pps(fresh):
+                reseed = (v, -1, design.n_seeds + n_reseeds)
+                run(entries + (reseed,), head, n_reseeds + 1, n_truncated, p * q)
+            return
+        node, _, seed = entries[head]
+        for k, pk in enumerate(pmf):
+            if pk == 0:
+                continue
+            if wor:
+                avail = [v for v in nbrs[node] if v not in sampled]
+                take = min(k, len(avail))
+                q = Fraction(1, math.perm(len(avail), take))
+                outcomes = itertools.permutations(avail, take)
+            else:
+                q = Fraction(1, len(nbrs[node]) ** k)
+                outcomes = itertools.product(nbrs[node], repeat=k)
+            for picks in outcomes:
+                kept = picks[: target - count]
+                recruits = tuple((v, head, seed) for v in kept)
+                run(entries + recruits, head + 1, n_reseeds, n_truncated + len(picks) - len(kept), p * pk * q)
+
+    seeds((), Fraction(1))
+    return dict(law)
+
+
+def _outcome(f):
+    return tuple(zip(f.node_index.tolist(), f.parent.tolist(), f.seed_index.tolist())), f.n_reseeds, f.n_truncated
+
+
+def _chi_square(law, observed, n):
+    """Pearson statistic and degrees of freedom, outcomes expected fewer than 5 times pooled."""
+    assert set(observed) <= set(law), "simulated an outcome the loop cannot produce"
+    cells, rest_exp, rest_obs = [], 0.0, 0
+    for key, p in law.items():
+        exp = float(p) * n
+        if exp < 5:
+            rest_exp += exp
+            rest_obs += observed.get(key, 0)
+        else:
+            cells.append((exp, observed.get(key, 0)))
+    if rest_exp > 0:
+        cells.append((rest_exp, rest_obs))
+    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
+
+
+# graph edges, design, draws, and the pinned degrees of freedom with the
+# chi-square 0.999 quantile at them
+LAW_CASES = {
+    # the two seeds share neighbours 1 and 2 (conflicts within a wave), k=0
+    # kills chains (reseeds), and k=2 with one place left truncates
+    "without_replacement": (
+        "0 1\n0 2\n1 2\n1 3\n2 4\n3 4\n",
+        rv.RdsDesign(2, 2, (0.25, 0.25, 0.5), 4),
+        20_000, 348, 435.25,
+    ),
+    "with_replacement_walk": (
+        "0 1\n0 2\n1 2\n2 3\n",
+        rv.RdsDesign(2, 2, (0.25, 0.25, 0.5), 4, regime="with_replacement_walk"),
+        20_000, 454, 552.84,
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(LAW_CASES))
+def test_simulator_matches_fifo_loop_law(tmp_path, regime):
+    edges, design, n, df_pinned, critical = LAW_CASES[regime]
+    path = tmp_path / "g.txt"
+    path.write_text(edges)
+    g = rv.load_edge_list(path)
+    law = fifo_forest_law(g, design)
+    assert sum(law.values()) == 1
+    observed = Counter(_outcome(rv.simulate_rds(g, design, generator(2026, i))) for i in range(n))
+    stat, df = _chi_square(law, observed, n)
+    assert df == df_pinned
+    assert stat < critical, f"chi-square {stat:.1f} at {df} degrees of freedom"
+
+
+def test_deferred_acceptance_equals_serial_greedy():
+    # random segments: entries with random caps claim random free
+    # neighbours under random keys, against one pass in entry order
+    g = rv.generate_configuration_graph(40, rv.PowerLawDegree(2.2, 1, 12), np.random.default_rng(5))
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(1, 12))
+        cur = rng.choice(g.n_nodes, size=m, replace=False)
+        sampled = rng.random(g.n_nodes) < rng.random()
+        k = rng.integers(0, 4, size=m)
+        prefs = [[int(v) for v in rng.permutation(g.neighbors(u)) if not sampled[v]] for u in cur]
+        entry = np.array([e for e, p in enumerate(prefs) for _ in p], dtype=np.int64)
+        node = np.array([v for p in prefs for v in p], dtype=np.int64)
+        taken, expected = set(), []
+        for e, p in enumerate(prefs):
+            mine = [v for v in p if v not in taken][: k[e]]
+            taken.update(mine)
+            expected.extend(v in mine for v in p)
+        assert _claim(entry, node, k, g.n_nodes).tolist() == expected
