@@ -11,38 +11,28 @@ Two regimes:
   probability proportional to degree) when seeds are drawn proportional
   to degree.
 
-Recruitment proceeds first-in-first-out, giving breadth-first wave growth.
-The process is the serial loop "take the next queued entry, draw its
-recruit count, draw its recruits, append them to the queue", but it is
-simulated one segment at a time: the queued entries head..count-1, which
-is one wave. A segment draws every entry's count with one uniform each,
-and then its recruits:
+Recruitment proceeds first-in-first-out, giving breadth-first wave growth:
+take the next queued entry, draw its recruit count, draw its recruits,
+append them to the queue. Seeds and reseeds are drawn successively
+proportional to degree.
 
-* walk regime: one uniform neighbour position per recruit;
-* without replacement: one uniform key per (entry, never-sampled
-  neighbour) pair. In the serial loop, entry e takes k_e neighbours
-  uniformly from those its predecessors in the wave left free. Here
-  entry e takes its k_e lowest-key neighbours that no earlier entry of
-  the wave took. Entry e's keys are independent of what the earlier
-  entries took, so its recruits are uniform among the neighbours left
-  free, in uniform order: the same law. The claims are resolved by
-  deferred acceptance, in which every node prefers the earliest entry.
-  Under one common priority the stable matching is unique, and it is the
-  outcome of claiming one entry at a time in entry order.
-
-The recruits join the queue in entry order. If they overshoot the
-target, the first ones are kept: the entry that reaches the target loses
-its excess, counted in ``n_truncated``, and the later entries of the
-segment never ran in the serial loop. Seeds and reseeds are drawn
-successively proportional to degree, by Efraimidis--Spirakis keys. The
-forests have the law of the serial loop, and earlier revisions that ran
-that loop give different forests at the same seeds.
+The loop runs on Python ints and lists, and takes its uniforms straight
+from the generator's bit generator (see ``_draws``) with the algorithms
+of ``Generator.random()`` and ``Generator.integers(0, n)``. It makes the
+draws of the loop that called those methods once per recruit count,
+recruit and seed: a seed gives the same forest, and leaves the generator
+in the same state, as that loop did.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Callable
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -178,16 +168,54 @@ class RecruitmentForest:
         )
 
 
-def _pps_order(weights: np.ndarray, s: int, rng: RngStream) -> np.ndarray:
-    """Positions of s distinct draws, successively with probability proportional to weight.
+def _draws(rng: RngStream):
+    """``(double, below)``: ``rng.random()`` and ``rng.integers(0, n)``, drawn cheaply.
 
-    Taking the s largest keys V**(1/w), V uniform on (0, 1], in descending
-    key order has the law of successive sampling (Efraimidis and Spirakis,
-    IPL 2006); the keys are compared as log(V)/w.
+    Both read the generator's bit generator through its ctypes interface.
+    ``double()`` is one ``next_double``. ``below(n)``, for 1 <= n <= 2**32,
+    is Lemire's multiply-shift on ``next_uint32`` words with his rejection
+    step, and draws no word for n = 1. These are the algorithms of the two
+    Generator methods, so the draws, and the generator's state afterwards,
+    are exactly those of one method call per draw, at a fraction of the
+    per-call cost. Hold ``rng.bit_generator.lock`` while drawing, as the
+    Generator methods do.
     """
-    keys = np.log1p(-rng.random(weights.size)) / weights
-    top = np.argpartition(keys, weights.size - s)[weights.size - s :]
-    return top[np.argsort(-keys[top], kind="stable")]
+    iface = rng.bit_generator.ctypes
+    state, next_uint32 = iface.state, iface.next_uint32
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next_uint32(state) * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    return partial(iface.next_double, state), below
+
+
+def _pps_draw_indices(
+    candidates: np.ndarray, weights: np.ndarray, s: int, double: Callable[[], float]
+) -> list[int]:
+    """Successive draws without replacement with probability proportional to weight.
+
+    ``double()`` gives one uniform on [0, 1) per draw.
+    """
+    cand = np.array(candidates, dtype=np.int64)
+    w = np.array(weights, dtype=np.float64)
+    picked: list[int] = []
+    m = cand.size
+    for _ in range(s):
+        cums = np.cumsum(w[:m])
+        u = double() * cums[-1]
+        j = min(int(np.searchsorted(cums, u, side="right")), m - 1)
+        picked.append(int(cand[j]))
+        cand[j], cand[m - 1] = cand[m - 1], cand[j]
+        w[j], w[m - 1] = w[m - 1], w[j]
+        m -= 1
+    return picked
 
 
 def draw_seeds_pps(g: PopulationGraph, s: int, rng: RngStream) -> list[str]:
@@ -196,60 +224,8 @@ def draw_seeds_pps(g: PopulationGraph, s: int, rng: RngStream) -> list[str]:
         raise DataError(f"cannot draw {s} seeds from {g.n_nodes} nodes")
     if g.n_nodes and int(g.degree.min()) < 1:
         raise DataError("all degrees must be >= 1 for degree-proportional seeding")
-    return [g.node_ids[i] for i in _pps_order(g.degree, s, rng)]
-
-
-def _claim(entry: np.ndarray, node: np.ndarray, k: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Mask of the (entry, node) pairs taken when entries 0, 1, ... claim in turn.
-
-    The pairs are grouped by entry in ascending order and, within an entry,
-    in its order of preference; entry e takes its first ``k[e]`` nodes that
-    no earlier entry took. Computed by deferred acceptance: every entry
-    proposes its next pairs, as many as it lacks of ``k[e]``; every node
-    keeps its smallest-index proposer; the entries that lost a node
-    propose again, until none lacks a node and has pairs left to propose.
-    """
-    m = k.size
-    length = np.bincount(entry, minlength=m)
-    rank = np.arange(entry.size) - (np.cumsum(length) - length)[entry]
-    holder = np.full(n_nodes, m, dtype=np.int64)  # m: nobody
-    proposed_upto = np.minimum(k, length)
-    while True:
-        proposed = rank < proposed_upto[entry]
-        np.minimum.at(holder, node[proposed], entry[proposed])
-        taken = proposed & (holder[node] == entry)
-        nxt = np.minimum(proposed_upto + k - np.bincount(entry[taken], minlength=m), length)
-        if np.array_equal(nxt, proposed_upto):
-            return taken
-        proposed_upto = nxt
-
-
-def _recruit_walk(
-    g: PopulationGraph, cur: np.ndarray, k: np.ndarray, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """(entry of each recruit, recruit): k[e] independent uniform neighbours of each entry's node."""
-    who = np.repeat(np.arange(cur.size), k)
-    rows = cur[who]
-    return who, g.indices[g.indptr[rows] + rng.integers(0, g.degree[rows])]
-
-
-def _recruit_without_replacement(
-    g: PopulationGraph, cur: np.ndarray, k: np.ndarray, sampled: np.ndarray, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """(entry of each recruit, recruit): each entry in turn takes its k[e] lowest-key free neighbours.
-
-    Free means never sampled before the segment and not taken by an earlier
-    entry of it; every (entry, free neighbour) pair gets a uniform key.
-    """
-    active = np.flatnonzero(k > 0)
-    nbrs = _gather_rows(g.indptr, g.indices, cur[active])
-    who = np.repeat(active, g.degree[cur[active]])
-    free = ~sampled[nbrs]
-    nbrs, who = nbrs[free], who[free]
-    order = np.lexsort((rng.random(nbrs.size), who))
-    nbrs, who = nbrs[order], who[order]
-    taken = _claim(who, nbrs, k, g.n_nodes)
-    return who[taken], nbrs[taken]
+    idx = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), s, rng.random)
+    return [g.node_ids[i] for i in idx]
 
 
 def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> RecruitmentForest:
@@ -265,74 +241,85 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     design.validate_for(g)
     wor = design.regime == WITHOUT_REPLACEMENT
     target = design.target_n
-    # u < cum_pmf[k] picks count k; the last bound is open, so that float
+    s = design.n_seeds
+    # u < cum[k] picks count k; the last bound is open, so that float
     # round-off below a total of 1 also gives max_coupons
-    cum_pmf = np.cumsum(design.recruit_count_pmf)
-    cum_pmf[-1] = np.inf
+    cum = list(accumulate(design.recruit_count_pmf))
+    cum[-1] = math.inf
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)
+    double, below = _draws(rng)
 
-    node = np.empty(target, dtype=np.int64)
-    seed_of = np.empty(target, dtype=np.int64)
-    wave = np.empty(target, dtype=np.int64)
-    parent = np.empty(target, dtype=np.int64)
-    sampled = np.zeros(g.n_nodes, dtype=bool)
+    with rng.bit_generator.lock:
+        node = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), s, double)
+        parent = [-1] * s
+        seed_of = list(range(s))
+        wave = [0] * s
+        sampled = bytearray(g.n_nodes)
+        for v in node:
+            sampled[v] = 1
+        n_reseeds = 0
+        n_truncated = 0
 
-    count = design.n_seeds
-    node[:count] = _pps_order(g.degree, count, rng)
-    seed_of[:count] = np.arange(count)
-    wave[:count] = 0
-    parent[:count] = -1
-    sampled[node[:count]] = True
-    n_reseeds = 0
-    n_truncated = 0
+        # entries are recruited first-in-first-out, so the queue is always the
+        # consecutive entries head..count-1
+        head, count = 0, s
+        while count < target:
+            if head == count:
+                if not design.reseed_on_death:
+                    raise BudgetError(
+                        f"sample starved: all chains dead at {count} of {target} entries"
+                    )
+                fresh = np.flatnonzero(~np.frombuffer(sampled, dtype=bool)) if wor else np.arange(g.n_nodes)
+                v = _pps_draw_indices(fresh, g.degree[fresh].astype(float), 1, double)[0]
+                node.append(v)
+                parent.append(-1)
+                seed_of.append(s + n_reseeds)
+                wave.append(0)
+                sampled[v] = 1
+                count += 1
+                n_reseeds += 1
+                continue
+            entry = head
+            head += 1
+            k = bisect_right(cum, double())
+            if k == 0:
+                continue
+            u = node[entry]
+            lo = indptr[u]
+            if wor:
+                # partial Fisher-Yates: uniform without replacement in draw order
+                avail = [v for v in indices[lo : indptr[u + 1]] if not sampled[v]]
+                last = len(avail)
+                picks = []
+                while last and len(picks) < k:
+                    j = below(last)
+                    last -= 1
+                    picks.append(avail[j])
+                    avail[j] = avail[last]
+            else:
+                nn = indptr[u + 1] - lo
+                picks = [indices[lo + below(nn)] for _ in range(k)]
+            room = target - count
+            if len(picks) > room:
+                n_truncated += len(picks) - room
+                del picks[room:]
+            sq, wv = seed_of[entry], wave[entry] + 1
+            for v in picks:
+                node.append(v)
+                parent.append(entry)
+                seed_of.append(sq)
+                wave.append(wv)
+                sampled[v] = 1
+            count += len(picks)
 
-    # entries are recruited first-in-first-out, so the queue is always the
-    # consecutive entries head..count-1: one segment (a wave) at a time
-    head = 0
-    while count < target:
-        if head == count:
-            if not design.reseed_on_death:
-                raise BudgetError(
-                    f"sample starved: all chains dead at {count} of {target} entries"
-                )
-            fresh = np.flatnonzero(~sampled) if wor else np.arange(g.n_nodes)
-            node[count] = fresh[_pps_order(g.degree[fresh], 1, rng)[0]]
-            seed_of[count] = design.n_seeds + n_reseeds
-            wave[count] = 0
-            parent[count] = -1
-            sampled[node[count]] = True
-            count += 1
-            n_reseeds += 1
-            continue
-        seg = node[head:count]
-        k = np.searchsorted(cum_pmf, rng.random(seg.size), side="right")
-        if wor:
-            who, picks = _recruit_without_replacement(g, seg, k, sampled, rng)
-        else:
-            who, picks = _recruit_walk(g, seg, k, rng)
-        room = target - count
-        if picks.size > room:
-            # the entry that reaches the target loses its excess; the later
-            # entries of the segment would never have run
-            reach = np.cumsum(np.bincount(who, minlength=seg.size))
-            n_truncated += int(reach[np.searchsorted(reach, room)]) - room
-            who, picks = who[:room], picks[:room]
-        new = slice(count, count + picks.size)
-        rec = head + who
-        head = count
-        node[new] = picks
-        seed_of[new] = seed_of[rec]
-        wave[new] = wave[rec] + 1
-        parent[new] = rec
-        sampled[picks] = True
-        count += picks.size
-
+    arr = np.asarray(node, dtype=np.int64)
     return RecruitmentForest(
-        node_id=[g.node_ids[i] for i in node.tolist()],
-        node_index=node,
-        seed_index=seed_of,
-        wave=wave,
-        parent=parent,
-        degree=g.degree[node],
+        node_id=[g.node_ids[i] for i in node],
+        node_index=arr,
+        seed_index=np.asarray(seed_of, dtype=np.int64),
+        wave=np.asarray(wave, dtype=np.int64),
+        parent=np.asarray(parent, dtype=np.int64),
+        degree=g.degree[arr],
         n_reseeds=n_reseeds,
         n_truncated=n_truncated,
     )

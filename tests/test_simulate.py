@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import rdsvar as rv
 from rdsvar.errors import BudgetError, DataError
 from rdsvar.rng import generator
-from rdsvar.simulate import _claim
+from rdsvar.simulate import _draws
 
 
 def path_graph(tmp_path):
@@ -399,22 +399,114 @@ def test_simulator_matches_fifo_loop_law(tmp_path, regime):
     assert stat < critical, f"chi-square {stat:.1f} at {df} degrees of freedom"
 
 
-def test_deferred_acceptance_equals_serial_greedy():
-    # random segments: entries with random caps claim random free
-    # neighbours under random keys, against one pass in entry order
-    g = rv.generate_configuration_graph(40, rv.PowerLawDegree(2.2, 1, 12), np.random.default_rng(5))
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        m = int(rng.integers(1, 12))
-        cur = rng.choice(g.n_nodes, size=m, replace=False)
-        sampled = rng.random(g.n_nodes) < rng.random()
-        k = rng.integers(0, 4, size=m)
-        prefs = [[int(v) for v in rng.permutation(g.neighbors(u)) if not sampled[v]] for u in cur]
-        entry = np.array([e for e, p in enumerate(prefs) for _ in p], dtype=np.int64)
-        node = np.array([v for p in prefs for v in p], dtype=np.int64)
-        taken, expected = set(), []
-        for e, p in enumerate(prefs):
-            mine = [v for v in p if v not in taken][: k[e]]
-            taken.update(mine)
-            expected.extend(v in mine for v in p)
-        assert _claim(entry, node, k, g.n_nodes).tolist() == expected
+# ------------------------------------- the draws of the one-call-per-draw loop
+
+
+def scalar_draw_loop(g, design, rng):
+    """The FIFO loop with one Generator method call per draw, as a reference.
+
+    Returns (node, parent, seed index, n_reseeds, n_truncated) per entry, or
+    the starvation message.
+    """
+    wor = design.regime == "without_replacement"
+
+    def pps(cand, s):
+        cand, w = cand.copy(), g.degree[cand].astype(float)
+        picked = []
+        for m in range(cand.size, cand.size - s, -1):
+            cums = np.cumsum(w[:m])
+            j = min(int(np.searchsorted(cums, rng.random() * cums[-1], side="right")), m - 1)
+            picked.append(int(cand[j]))
+            cand[[j, m - 1]], w[[j, m - 1]] = cand[[m - 1, j]], w[[m - 1, j]]
+        return picked
+
+    node = pps(np.arange(g.n_nodes), design.n_seeds)
+    parent, seed = [-1] * len(node), list(range(len(node)))
+    n_reseeds = n_truncated = head = 0
+    while len(node) < design.target_n:
+        if head == len(node):
+            if not design.reseed_on_death:
+                return f"sample starved: all chains dead at {len(node)} of {design.target_n} entries"
+            fresh = np.array([v for v in range(g.n_nodes) if not (wor and v in node)], dtype=np.int64)
+            node += pps(fresh, 1)
+            parent.append(-1)
+            seed.append(design.n_seeds + n_reseeds)
+            n_reseeds += 1
+            continue
+        u, acc, k = rng.random(), 0.0, design.max_coupons
+        for c, p in enumerate(design.recruit_count_pmf):
+            acc += p
+            if u < acc:
+                k = c
+                break
+        entry, head = head, head + 1
+        nbrs = g.neighbors(node[entry]).tolist()
+        if wor:
+            avail = [v for v in nbrs if v not in node]
+            picks = []
+            for _ in range(min(k, len(avail))):
+                picks.append(avail.pop(j := int(rng.integers(0, len(avail)))))
+                if j < len(avail):
+                    avail.insert(j, avail.pop())
+        else:
+            picks = [nbrs[int(rng.integers(0, len(nbrs)))] for _ in range(k)]
+        room = design.target_n - len(node)
+        n_truncated += max(len(picks) - room, 0)
+        node += picks[:room]
+        parent += [entry] * len(picks[:room])
+        seed += [seed[entry]] * len(picks[:room])
+    return node, parent, seed, n_reseeds, n_truncated
+
+
+def random_simple_graph(tmp_path, rng):
+    n = int(rng.integers(2, 30))
+    pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, size=(2 * n, 2)) if a != b}
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"v{a} v{b}\n" for a, b in sorted(pairs)) or "v0 v1\n")
+    return rv.largest_connected_component(rv.load_edge_list(path))
+
+
+def test_simulator_draws_equal_scalar_draw_loop(tmp_path):
+    # forests, starvation, and the generator state afterwards, on random
+    # graphs and designs in both regimes and on every bit generator
+    rng = np.random.default_rng(17)
+    bit_generators = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+    seen = Counter()
+    for case in range(400):
+        g = random_simple_graph(tmp_path, rng)
+        regime = ("without_replacement", "with_replacement_walk")[case % 2]
+        c = int(rng.integers(1, 4))
+        pmf = rng.dirichlet(np.ones(c + 1))
+        s = int(rng.integers(1, min(3, g.n_nodes) + 1))
+        top = g.n_nodes if regime == "without_replacement" else 3 * g.n_nodes
+        design = rv.RdsDesign(s, c, tuple(pmf), int(rng.integers(s, top + 1)), regime, bool(case % 3))
+        bits = bit_generators[case % 4]
+        ours, ref = np.random.Generator(bits(case)), np.random.Generator(bits(case))
+        expected = scalar_draw_loop(g, design, ref)
+        if isinstance(expected, str):
+            with pytest.raises(BudgetError, match=expected):
+                rv.simulate_rds(g, design, ours)
+            seen["starved"] += 1
+        else:
+            f = rv.simulate_rds(g, design, ours)
+            got = (f.node_index.tolist(), f.parent.tolist(), f.seed_index.tolist(), f.n_reseeds, f.n_truncated)
+            assert got == expected, case
+            seen["reseeded"] += f.n_reseeds > 0
+            seen["truncated"] += f.n_truncated > 0
+        assert ours.random() == ref.random(), case
+    assert min(seen["starved"], seen["reseeded"], seen["truncated"]) >= 20, seen
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_draws_equal_generator_methods(bits):
+    # n = 2**31 + 1 rejects about half of its words, n = 2**32 takes them whole
+    sizes = [1, 2, 3, 7, 1000, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+    ours, ref = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+    double, below = _draws(ours)
+    pick = np.random.default_rng(6)
+    for _ in range(3000):
+        n = sizes[int(pick.integers(0, len(sizes)))]
+        if pick.random() < 0.3:
+            assert double() == ref.random()
+        assert below(n) == int(ref.integers(0, n)), n
+    assert ours.random() == ref.random()
