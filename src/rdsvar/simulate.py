@@ -178,7 +178,8 @@ def _draws(rng: RngStream):
     Generator methods, so the draws, and the generator's state afterwards,
     are exactly those of one method call per draw, at a fraction of the
     per-call cost. Hold ``rng.bit_generator.lock`` while drawing, as the
-    Generator methods do.
+    Generator methods do, and draw only while ``rng`` is alive: the two
+    functions point into its bit generator's state.
     """
     iface = rng.bit_generator.ctypes
     state, next_uint32 = iface.state, iface.next_uint32
