@@ -1,15 +1,18 @@
-"""Run the benchmark over several seeds and write BENCH_<label>.json.
+"""Run the benchmark over several seeds and write BENCH_<label>.json per checkout.
 
-Usage: python scripts/bench.py [--checkout DIR] [--seeds N] [--seconds S] [--label LABEL] [--out DIR]
+Usage: python scripts/bench.py [--checkout DIR ...] [--seeds N] [--label LABEL]
 
-For each workload in the checkout's BENCHMARK.json, the checkout's own
-benchmark command (``perfbench/run.py``) runs once per seed 1..N at
-``--trace 0`` and once at ``--trace 1`` (seed 1). The output file holds
-each workload's provenance line, every run's result, and the median and
-quartiles of each end-to-end metric over the seeds. The label defaults
-to the checkout's git sha; the file goes to ``--out`` (default: this
-repository's root). Run it on an otherwise idle machine: the runs take
-about (N + 1) x S seconds per workload.
+For each workload in BENCHMARK.json, each checkout's own benchmark command
+(``perfbench/run.py``) runs once per seed 1..N at ``--trace 0`` and then
+once at ``--trace 1`` (seed 1). The checkouts take turns seed by seed,
+and turns at going first, so that a drift in the machine's speed falls on
+all of them alike: give the parent and the change as two ``--checkout``
+options to measure them in alternating pairs. Each checkout's file holds the workload's provenance
+line, every run's result, and the median and quartiles of each end-to-end
+metric over the seeds. A file is labelled with its checkout's git sha
+(``--label`` names it instead, for a single checkout) and goes to this
+repository's root. Run it on an otherwise idle machine: the runs take
+about (N + 1) x run_seconds seconds per workload and checkout.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def run_harness(checkout: Path, command: list[str], workload: str, seed: int, se
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise SystemExit(f"bench: {' '.join(argv)} failed ({proc.returncode}): {proc.stderr.strip()}")
+        raise SystemExit(f"bench: {' '.join(argv)} in {checkout} failed ({proc.returncode}): {proc.stderr.strip()}")
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {
         "seed": seed,
@@ -58,51 +61,60 @@ def summarize(runs: list[dict], units: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--checkout", type=Path, default=ROOT, help="root of the checkout to measure (default: this one)")
+    ap.add_argument("--checkout", type=Path, action="append",
+                    help="root of a checkout to measure; repeat to alternate (default: this one)")
     ap.add_argument("--seeds", type=int, default=5, help="untraced runs use seeds 1..N (default 5)")
-    ap.add_argument("--seconds", type=float, help="run length (default: the benchmark's run_seconds)")
-    ap.add_argument("--label", help="file label (default: the checkout's git sha)")
-    ap.add_argument("--out", type=Path, default=ROOT, help="directory for BENCH_<label>.json")
+    ap.add_argument("--label", help="file label for a single checkout (default: its git sha)")
     args = ap.parse_args(argv)
     if args.seeds < 1:
         ap.error("--seeds must be at least 1")
-    checkout = args.checkout.resolve()
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    checkouts = [c.resolve() for c in args.checkout or [ROOT]]
+    if args.label and len(checkouts) > 1:
+        ap.error("--label names the file of a single checkout")
+    specs = [json.loads((c / "BENCHMARK.json").read_text()) for c in checkouts]
+    spec = specs[0]
+    if any((s["workloads"], s["run_seconds"]) != (spec["workloads"], spec["run_seconds"]) for s in specs):
+        ap.error("the checkouts' BENCHMARK.json differ in their workloads or run_seconds")
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
 
-    workloads = {}
+    results = [{} for _ in checkouts]
     for w in spec["workloads"]:
-        runs = []
+        runs = [[] for _ in checkouts]
         for seed in range(1, args.seeds + 1):
-            runs.append(run_harness(checkout, spec["command"], w["name"], seed, seconds, 0))
-            print(f"bench: {w['name']} seed {seed}: {runs[-1]['metrics']}", file=sys.stderr)
-        traced = run_harness(checkout, spec["command"], w["name"], 1, seconds, 1)
-        provenance = runs[0]["provenance"]
-        for r in runs + [traced]:
-            del r["provenance"]
-        workloads[w["name"]] = {
-            "provenance": provenance,
-            "runs": runs,
-            "summary": summarize(runs, units),
-            "trace": traced,
-        }
+            # the checkouts take turns going first
+            for i in range(len(checkouts))[:: 1 if seed % 2 else -1]:
+                c = checkouts[i]
+                runs[i].append(run_harness(c, specs[i]["command"], w["name"], seed, spec["run_seconds"], 0))
+                print(f"bench: {c.name} {w['name']} seed {seed}: {runs[i][-1]['metrics']}", file=sys.stderr)
+        for i, c in enumerate(checkouts):
+            traced = run_harness(c, specs[i]["command"], w["name"], 1, spec["run_seconds"], 1)
+            provenance = runs[i][0]["provenance"]
+            for r in runs[i] + [traced]:
+                del r["provenance"]
+            results[i][w["name"]] = {
+                "provenance": provenance,
+                "runs": runs[i],
+                "summary": summarize(runs[i], units),
+                "trace": traced,
+            }
 
-    sha = next(iter(workloads.values()))["provenance"]["git_sha"]
-    label = args.label or (sha[:12] if sha else None)
-    if not label:
-        ap.error("the checkout has no git sha; pass --label")
-    payload = {
-        "label": label,
-        "git_sha": sha,
-        "command": spec["command"],
-        "seeds": list(range(1, args.seeds + 1)),
-        "seconds": seconds,
-        "workloads": workloads,
-    }
-    path = args.out / f"BENCH_{label}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(path)
+    shas = [next(iter(workloads.values()))["provenance"]["git_sha"] for workloads in results]
+    for c, spec_c, workloads, sha in zip(checkouts, specs, results, shas):
+        label = args.label or (sha[:12] if sha else None)
+        if not label:
+            raise SystemExit(f"bench: {c} has no git sha; measure it alone with --label")
+        payload = {
+            "label": label,
+            "git_sha": sha,
+            "command": spec_c["command"],
+            "seeds": list(range(1, args.seeds + 1)),
+            "seconds": spec["run_seconds"],
+            "alternated_with": [other for other in shas if other != sha],
+            "workloads": workloads,
+        }
+        path = ROOT / f"BENCH_{label}.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        print(path)
     return 0
 
 

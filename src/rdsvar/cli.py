@@ -450,17 +450,27 @@ def run(cfg: dict) -> list[str]:
     return _COMMANDS[command](cfg)
 
 
-def _attach_pmf_value(argv: list[str]) -> list[str]:
-    """``--pmf -1,2`` as ``--pmf=-1,2``.
+def _attach_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``--opt -value`` as ``--opt=-value``, for every option that takes one value.
 
     argparse takes a token that starts with a minus sign, and is not a
-    plain negative number, for an option, and would report the pmf value
-    missing instead of letting the pmf check name the negative entry.
+    plain negative number, for an option, and would report the value
+    missing instead of letting the value's own check say what is wrong
+    with it (a negative pmf entry or confidence level, say).
     """
+    commands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    takes_value = {
+        s
+        for sub in commands
+        for p in sub.choices.values()
+        for a in p._actions
+        if a.nargs is None
+        for s in a.option_strings
+    }
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--pmf" and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"--pmf={tok}"
+        if out and out[-1] in takes_value and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -469,7 +479,7 @@ def _attach_pmf_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_pmf_value(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_attach_dash_values(parser, sys.argv[1:] if argv is None else list(argv)))
         cfg = _merge_config(parser, args)
         written = run(cfg)
     except (RdsVarError, OSError) as e:

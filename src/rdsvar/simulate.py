@@ -16,22 +16,23 @@ take the next queued entry, draw its recruit count, draw its recruits,
 append them to the queue. Seeds and reseeds are drawn successively
 proportional to degree.
 
-The loop runs on Python ints and lists, and takes its uniforms straight
-from the generator's bit generator (see ``_draws``) with the algorithms
-of ``Generator.random()`` and ``Generator.integers(0, n)``. It makes the
-draws of the loop that called those methods once per recruit count,
-recruit and seed: a seed gives the same forest, and leaves the generator
-in the same state, as that loop did.
+The loop makes exactly the draws of a loop that calls
+``Generator.random()`` once per recruit count and seed and
+``Generator.integers(0, n)`` once per recruit: a seed gives the same
+forest, and leaves the generator in the same state, as that loop did.
+It reads them from the bit generator's raw words, drawn ahead in bulk and
+decoded with numpy's algorithms (see ``_Tape``), so a draw costs a list
+lookup and a few integer operations instead of a method call; the
+recruit count of every word is looked up once, in one ``searchsorted``.
+Afterwards the bit generator is rewound to just past the words read, so
+the generator must not be shared with another thread during the call.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -168,53 +169,99 @@ class RecruitmentForest:
         )
 
 
-def _draws(rng: RngStream):
-    """``(double, below)``: ``rng.random()`` and ``rng.integers(0, n)``, drawn cheaply.
+class _Tape:
+    """The bit generator's raw words, drawn ahead in bulk and read as the Generator's draws.
 
-    Both read the generator's bit generator through its ctypes interface.
-    ``double()`` is one ``next_double``. ``below(n)``, for 1 <= n <= 2**32,
-    is Lemire's multiply-shift on ``next_uint32`` words with his rejection
-    step, and draws no word for n = 1. These are the algorithms of the two
-    Generator methods, so the draws, and the generator's state afterwards,
-    are exactly those of one method call per draw, at a fraction of the
-    per-call cost. Hold ``rng.bit_generator.lock`` while drawing, as the
-    Generator methods do, and draw only while ``rng`` is alive: the two
-    functions point into its bit generator's state.
+    ``Generator.random()`` is the bit generator's ``next_double``, and
+    ``Generator.integers(0, n)`` is Lemire's multiply-shift, with his
+    rejection step, on ``next_uint32`` words (no word for n = 1). numpy's
+    64-bit bit generators (PCG64, PCG64DXSM, Philox, SFC64) make a double
+    of one raw word x as (x >> 11) * 2**-53, and serve 32-bit words as the
+    low and then the high half of one raw word, the high half waiting in a
+    buffer that doubles leave alone. MT19937 makes a double of two raw
+    32-bit words a, b as ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, and a
+    32-bit word of one.
+
+    Read at position i, a double is ``double[i]`` and gives the recruit
+    count ``counts[i]``; a 32-bit word is ``lo[i]``, its buffered partner
+    ``hi[i]``. Reading a double advances ``step`` positions, a fresh 32-bit
+    word one. ``rewind`` puts the bit generator where the Generator methods
+    would have left it after the draws read.
     """
-    iface = rng.bit_generator.ctypes
-    state, next_uint32 = iface.state, iface.next_uint32
 
-    def below(n: int) -> int:
-        if n == 1:
-            return 0
-        m = next_uint32(state) * n
-        if (m & 0xFFFFFFFF) < n:
-            threshold = (0x100000000 - n) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = next_uint32(state) * n
-        return m >> 32
+    def __init__(self, bg, cum: np.ndarray, size: int):
+        self.bg = bg
+        self.start = bg.state
+        self.halves = "has_uint32" in self.start
+        if not self.halves and self.start.get("bit_generator") != "MT19937":
+            raise DataError(f"unsupported bit generator: {type(bg).__name__}")
+        self.step = 1 if self.halves else 2
+        self.has = bool(self.start.get("has_uint32"))
+        self.half = self.start.get("uinteger", 0)
+        self.cum = cum
+        # MT19937 reads twice as many raw words: it has 32-bit ones
+        self.chunk = size * self.step
+        self.raw = bg.random_raw(self.chunk)
+        self._decode()
 
-    return partial(iface.next_double, state), below
+    def _decode(self) -> None:
+        raw = self.raw
+        if self.halves:
+            self.double = (raw >> 11) * 2.0**-53
+            self.lo, self.hi = (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
+        else:
+            self.double = ((raw[:-1] >> 5) * 67108864.0 + (raw[1:] >> 6)) * 2.0**-53
+            self.lo = self.hi = raw.tolist()
+        self.counts = self.cum.searchsorted(self.double, side="right").tolist()
+
+    def more(self) -> tuple[list[int], list[int], list[int]]:
+        """Draw another chunk; returns the longer (counts, lo, hi)."""
+        self.raw = np.concatenate([self.raw, self.bg.random_raw(self.chunk)])
+        self._decode()
+        return self.counts, self.lo, self.hi
+
+    def rewind(self, read: int, has: bool, half: int) -> None:
+        """Leave the bit generator after ``read`` raw words, with the 32-bit buffer (has, half)."""
+        self.bg.state = self.start
+        self.bg.random_raw(read)
+        if self.halves:
+            state = self.bg.state
+            state["has_uint32"], state["uinteger"] = int(has), half
+            self.bg.state = state
 
 
-def _pps_draw_indices(
-    candidates: np.ndarray, weights: np.ndarray, s: int, double: Callable[[], float]
-) -> list[int]:
+def _tape_size(design: RdsDesign) -> int:
+    """Raw 64-bit words that a forest is expected to read, with a fifth to spare.
+
+    Seeds, reseeds and recruiters read a double each, and two 32-bit words
+    share a raw word.
+    """
+    mean_count = sum(k * p for k, p in enumerate(design.recruit_count_pmf))
+    return int(1.2 * design.target_n * (1 + mean_count / 2)) + 64
+
+
+def _pps_draw_indices(candidates: np.ndarray, weights: np.ndarray, us) -> list[int]:
     """Successive draws without replacement with probability proportional to weight.
 
-    ``double()`` gives one uniform on [0, 1) per draw.
+    Draw i takes the uniform ``us[i]`` on [0, 1), and the drawn candidate
+    swaps places with the last remaining one. The weights are integers, so
+    their running sums are exact in float64 and are updated in place.
     """
-    cand = np.array(candidates, dtype=np.int64)
-    w = np.array(weights, dtype=np.float64)
+    cums = np.cumsum(weights, dtype=np.float64)
+    m = cums.size
+    total = int(cums[-1]) if m else 0
+    moved: dict[int, int] = {}  # position -> the candidate's first position, once swapped
     picked: list[int] = []
-    m = cand.size
-    for _ in range(s):
-        cums = np.cumsum(w[:m])
-        u = double() * cums[-1]
-        j = min(int(np.searchsorted(cums, u, side="right")), m - 1)
-        picked.append(int(cand[j]))
-        cand[j], cand[m - 1] = cand[m - 1], cand[j]
-        w[j], w[m - 1] = w[m - 1], w[j]
+    for u in us:
+        # the sums past the remaining candidates are inf, so never <= u * total
+        j = min(int(cums.searchsorted(u * total, side="right")), m - 1)
+        a, b = moved.get(j, j), moved.get(m - 1, m - 1)
+        picked.append(int(candidates[a]))
+        wa, wb = int(weights[a]), int(weights[b])
+        cums[j : m - 1] += wb - wa
+        cums[m - 1] = math.inf
+        moved[j] = b
+        total -= wa
         m -= 1
     return picked
 
@@ -225,7 +272,7 @@ def draw_seeds_pps(g: PopulationGraph, s: int, rng: RngStream) -> list[str]:
         raise DataError(f"cannot draw {s} seeds from {g.n_nodes} nodes")
     if g.n_nodes and int(g.degree.min()) < 1:
         raise DataError("all degrees must be >= 1 for degree-proportional seeding")
-    idx = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), s, rng.random)
+    idx = _pps_draw_indices(np.arange(g.n_nodes), g.degree, rng.random(s))
     return [g.node_ids[i] for i in idx]
 
 
@@ -245,13 +292,19 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     s = design.n_seeds
     # u < cum[k] picks count k; the last bound is open, so that float
     # round-off below a total of 1 also gives max_coupons
-    cum = list(accumulate(design.recruit_count_pmf))
+    cum = np.array(list(accumulate(design.recruit_count_pmf)))
     cum[-1] = math.inf
     indptr, indices = memoryview(g.indptr), memoryview(g.indices)
-    double, below = _draws(rng)
+    tape = _Tape(rng.bit_generator, cum, _tape_size(design))
+    counts, lo32, hi32 = tape.counts, tape.lo, tape.hi
+    step, halves, has, half = tape.step, tape.halves, tape.has, tape.half
+    # an entry reads a double and at most max_coupons 32-bit words, bar rejections
+    margin = step + design.max_coupons + 1
+    limit = len(lo32) - margin
 
-    with rng.bit_generator.lock:
-        node = _pps_draw_indices(np.arange(g.n_nodes), g.degree.astype(float), s, double)
+    w = s * step
+    try:
+        node = _pps_draw_indices(np.arange(g.n_nodes), g.degree, tape.double[0:w:step])
         parent = [-1] * s
         seed_of = list(range(s))
         wave = [0] * s
@@ -265,13 +318,17 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
         # consecutive entries head..count-1
         head, count = 0, s
         while count < target:
+            if w > limit:
+                counts, lo32, hi32 = tape.more()
+                limit = len(lo32) - margin
             if head == count:
                 if not design.reseed_on_death:
                     raise BudgetError(
                         f"sample starved: all chains dead at {count} of {target} entries"
                     )
                 fresh = np.flatnonzero(~np.frombuffer(sampled, dtype=bool)) if wor else np.arange(g.n_nodes)
-                v = _pps_draw_indices(fresh, g.degree[fresh].astype(float), 1, double)[0]
+                v = _pps_draw_indices(fresh, g.degree[fresh], tape.double[w : w + 1])[0]
+                w += step
                 node.append(v)
                 parent.append(-1)
                 seed_of.append(s + n_reseeds)
@@ -280,42 +337,65 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 count += 1
                 n_reseeds += 1
                 continue
+            k = counts[w]
+            w += step
             entry = head
             head += 1
-            k = bisect_right(cum, double())
-            if k == 0:
+            if not k:
                 continue
             u = node[entry]
             lo = indptr[u]
             if wor:
                 # partial Fisher-Yates: uniform without replacement in draw order
                 avail = [v for v in indices[lo : indptr[u + 1]] if not sampled[v]]
-                last = len(avail)
-                picks = []
-                while last and len(picks) < k:
-                    j = below(last)
-                    last -= 1
-                    picks.append(avail[j])
-                    avail[j] = avail[last]
+                n = len(avail)
+                k = min(k, n)
             else:
-                nn = indptr[u + 1] - lo
-                picks = [indices[lo + below(nn)] for _ in range(k)]
+                n = indptr[u + 1] - lo
             room = target - count
-            if len(picks) > room:
-                n_truncated += len(picks) - room
-                del picks[room:]
             sq, wv = seed_of[entry], wave[entry] + 1
-            for v in picks:
-                node.append(v)
-                parent.append(entry)
-                seed_of.append(sq)
-                wave.append(wv)
-                sampled[v] = 1
-            count += len(picks)
+            for i in range(k):
+                j = 0
+                if n > 1:
+                    # Lemire: j = m >> 32 for m = word * n, unless the low
+                    # half of m falls below (2**32 - n) % n
+                    while True:
+                        if has:
+                            r, has = half, False
+                        elif halves:
+                            r, half, has = lo32[w], hi32[w], True
+                            w += 1
+                        else:
+                            r = lo32[w]
+                            w += 1
+                        m = r * n
+                        if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (0x100000000 - n) % n:
+                            break
+                        counts, lo32, hi32 = tape.more()
+                        limit = len(lo32) - margin
+                    j = m >> 32
+                if wor:
+                    n -= 1
+                    v = avail[j]
+                    avail[j] = avail[n]
+                else:
+                    v = indices[lo + j]
+                if i < room:
+                    node.append(v)
+                    parent.append(entry)
+                    seed_of.append(sq)
+                    wave.append(wv)
+                    sampled[v] = 1
+            if k > room:
+                n_truncated += k - room
+                k = room
+            count += k
+    finally:
+        tape.rewind(w, has, half)
 
     arr = np.asarray(node, dtype=np.int64)
     return RecruitmentForest(
-        node_id=[g.node_ids[i] for i in node],
+        node_id=list(map(g.node_ids.__getitem__, node)),
         node_index=arr,
         seed_index=np.asarray(seed_of, dtype=np.int64),
         wave=np.asarray(wave, dtype=np.int64),

@@ -470,17 +470,27 @@ def test_malformed_config_keeps_error_contract(tmp_path_factory, config):
     ]))
 
 
-@pytest.mark.parametrize("command", ["simulate", "experiment"])
-@pytest.mark.parametrize("spelling", [["--pmf", "-1,2"], ["--pmf=-1,2"]])
-def test_negative_pmf_is_named_in_either_spelling(tmp_path, command, spelling):
+@pytest.mark.parametrize(
+    "command, option, message",
+    [
+        ("simulate", "--pmf=-1,2", "non-negative, got -1.0 for 0 recruits"),
+        ("experiment", "--pmf=-1,2", "non-negative, got -1.0 for 0 recruits"),
+        ("experiment", "--levels=-0.5,0.9", "ci levels must lie in (0, 1)"),
+    ],
+)
+@pytest.mark.parametrize("attached", [False, True])
+def test_negative_value_is_named_in_either_spelling(tmp_path, command, option, message, attached):
+    # "--pmf -1,2" reaches the pmf check as "--pmf=-1,2" does
+    spelling = [option] if attached else option.split("=", 1)
     edges = tmp_path / "path.txt"
     edges.write_text("a b\nb c\n")
     attrs_csv = tmp_path / "x.csv"
     attrs_csv.write_text("id,x\na,1\nb,0\nc,1\n")
     extra = ["--attrs", attrs_csv, "--R", "2", "--B", "5", "--seed", "1"] if command == "experiment" else []
     code, err = _run_captured([
-        command, "--edges", edges, "--seeds", "1", "--coupons", "1", *spelling, "--n", "2", *extra, "--out", tmp_path,
+        command, "--edges", edges, "--seeds", "1", "--coupons", "1", "--pmf", "0,1", "--n", "2", *extra,
+        *spelling, "--out", tmp_path,
     ])
     _assert_error_contract(code, err)
     assert code == 2
-    assert "non-negative, got -1.0 for 0 recruits" in json.loads(err)["error"]["message"]
+    assert message in json.loads(err)["error"]["message"]

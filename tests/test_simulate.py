@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter, defaultdict, deque
+from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import rdsvar as rv
 from rdsvar.errors import BudgetError, DataError
 from rdsvar.rng import generator
-from rdsvar.simulate import _draws
+from rdsvar.simulate import _Tape
 
 
 def path_graph(tmp_path):
@@ -470,7 +471,7 @@ def test_simulator_draws_equal_scalar_draw_loop(tmp_path):
     # forests, starvation, and the generator state afterwards, on random
     # graphs and designs in both regimes and on every bit generator
     rng = np.random.default_rng(17)
-    bit_generators = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+    bit_generators = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM)
     seen = Counter()
     for case in range(400):
         g = random_simple_graph(tmp_path, rng)
@@ -480,8 +481,11 @@ def test_simulator_draws_equal_scalar_draw_loop(tmp_path):
         s = int(rng.integers(1, min(3, g.n_nodes) + 1))
         top = g.n_nodes if regime == "without_replacement" else 3 * g.n_nodes
         design = rv.RdsDesign(s, c, tuple(pmf), int(rng.integers(s, top + 1)), regime, bool(case % 3))
-        bits = bit_generators[case % 4]
+        bits = bit_generators[case % len(bit_generators)]
         ours, ref = np.random.Generator(bits(case)), np.random.Generator(bits(case))
+        if case % 3 == 0:
+            # leave half a raw word in the 32-bit buffer
+            assert ours.integers(0, 7) == ref.integers(0, 7)
         expected = scalar_draw_loop(g, design, ref)
         if isinstance(expected, str):
             with pytest.raises(BudgetError, match=expected):
@@ -497,16 +501,144 @@ def test_simulator_draws_equal_scalar_draw_loop(tmp_path):
     assert min(seen["starved"], seen["reseeded"], seen["truncated"]) >= 20, seen
 
 
-@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_draws_equal_generator_methods(bits):
+class WordRng:
+    """``Generator.random()`` and ``Generator.integers(0, n)`` read from given 64-bit words.
+
+    numpy's algorithms for its 64-bit bit generators: a double is one word x
+    as (x >> 11) * 2**-53; 32-bit words are the low and then the high half
+    of one word, the high half buffered; integers(0, n) is Lemire's
+    multiply-shift with his rejection step, with no word for n = 1.
+    """
+
+    def __init__(self, words):
+        self.words, self.pos, self.half, self.rejections = words, 0, None, 0
+
+    def _next64(self):
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def _next32(self):
+        if self.half is not None:
+            r, self.half = self.half, None
+            return r
+        x = self._next64()
+        self.half = x >> 32
+        return x & 0xFFFFFFFF
+
+    def random(self):
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low, high):
+        n = high - low
+        if n == 1:
+            return low
+        m = self._next32() * n
+        while (m & 0xFFFFFFFF) < (2**32 - n) % n:
+            self.rejections += 1
+            m = self._next32() * n
+        return low + (m >> 32)
+
+
+class WordBits:
+    """A bit generator stand-in that serves given 64-bit words as its raw output."""
+
+    def __init__(self, words):
+        self.words, self.pos, self.has, self.half = words, 0, 0, 0
+
+    @property
+    def state(self):
+        return {"bit_generator": "WordBits", "pos": self.pos, "has_uint32": self.has, "uinteger": self.half}
+
+    @state.setter
+    def state(self, state):
+        self.pos, self.has, self.half = state["pos"], state["has_uint32"], state["uinteger"]
+
+    def random_raw(self, size):
+        self.pos += size
+        assert self.pos <= len(self.words)
+        return np.array(self.words[self.pos - size : self.pos], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+def test_word_reader_equals_generator_methods(bits):
     # n = 2**31 + 1 rejects about half of its words, n = 2**32 takes them whole
     sizes = [1, 2, 3, 7, 1000, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
-    ours, ref = np.random.Generator(bits(5)), np.random.Generator(bits(5))
-    double, below = _draws(ours)
+    ours, ref = WordRng(bits(5).random_raw(20_000).tolist()), np.random.Generator(bits(5))
     pick = np.random.default_rng(6)
     for _ in range(3000):
         n = sizes[int(pick.integers(0, len(sizes)))]
         if pick.random() < 0.3:
-            assert double() == ref.random()
-        assert below(n) == int(ref.integers(0, n)), n
+            assert ours.random() == ref.random()
+        assert ours.integers(0, n) == int(ref.integers(0, n)), n
     assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
+)
+def test_tape_decodes_the_generator_draws(bits):
+    tape = _Tape(bits(5), np.array([0.3, np.inf]), 400)
+    ref = np.random.Generator(bits(5))
+    n = 400 // tape.step
+    doubles = tape.double[: n * tape.step : tape.step]
+    assert doubles.tolist() == ref.random(n).tolist()
+    assert tape.counts[: n * tape.step : tape.step] == (doubles >= 0.3).astype(int).tolist()
+    ref = np.random.Generator(bits(5))
+    words = [x for pair in zip(tape.lo, tape.hi) for x in pair] if tape.halves else tape.lo
+    assert words == ref.integers(0, 2**32, size=len(words), dtype=np.uint32).tolist()
+
+
+def test_simulator_reads_past_its_first_chunk(tmp_path, monkeypatch):
+    # recruiters that mostly recruit nobody, and the reseeds after them, read
+    # about twice the words that the first chunk holds
+    chunks = Counter()
+    more = _Tape.more
+
+    def counted(self):
+        chunks["more"] += 1
+        return more(self)
+
+    monkeypatch.setattr(_Tape, "more", counted)
+    g = random_simple_graph(tmp_path, np.random.default_rng(4))
+    for regime in ("without_replacement", "with_replacement_walk"):
+        design = rv.RdsDesign(1, 1, (0.9, 0.1), min(g.n_nodes, 600) if regime == "without_replacement" else 600, regime)
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        expected = scalar_draw_loop(g, design, ref)
+        f = rv.simulate_rds(g, design, ours)
+        assert (f.node_index.tolist(), f.parent.tolist(), f.seed_index.tolist(), f.n_reseeds, f.n_truncated) == expected
+        assert ours.random() == ref.random()
+    assert chunks["more"] >= 1
+
+
+def test_simulator_rejects_unknown_bit_generators(tmp_path):
+    rng = SimpleNamespace(bit_generator=SimpleNamespace(state={"bit_generator": "Other"}))
+    with pytest.raises(DataError, match="unsupported bit generator"):
+        rv.simulate_rds(path_graph(tmp_path), rv.RdsDesign(1, 1, (0.5, 0.5), 2), rng)
+
+
+def test_simulator_rejections_and_refills_follow_the_words(tmp_path):
+    # a zero 32-bit word is rejected for every n > 1 that is not a power of
+    # two; words rich in zero halves make the simulator redraw, and draw its
+    # words ahead again, many times per forest
+    rng = np.random.default_rng(23)
+    rejected = 0
+    for case in range(120):
+        g = random_simple_graph(tmp_path, rng)
+        regime = ("without_replacement", "with_replacement_walk")[case % 2]
+        c = int(rng.integers(1, 4))
+        s = int(rng.integers(1, min(3, g.n_nodes) + 1))
+        top = g.n_nodes if regime == "without_replacement" else 3 * g.n_nodes
+        design = rv.RdsDesign(s, c, tuple(rng.dirichlet(np.ones(c + 1))), int(rng.integers(s, top + 1)), regime)
+        raw = rng.integers(0, 2**64, size=50_000, dtype=np.uint64)
+        raw[rng.random(raw.size) < 0.3] &= np.uint64(0xFFFFFFFF00000000)
+        raw[rng.random(raw.size) < 0.3] &= np.uint64(0x00000000FFFFFFFF)
+        words = raw.tolist()
+        ref, bits = WordRng(words), WordBits(words)
+        expected = scalar_draw_loop(g, design, ref)
+        f = rv.simulate_rds(g, design, SimpleNamespace(bit_generator=bits))
+        got = (f.node_index.tolist(), f.parent.tolist(), f.seed_index.tolist(), f.n_reseeds, f.n_truncated)
+        assert got == expected, case
+        assert bits.pos == ref.pos and bool(bits.has) == (ref.half is not None), case
+        assert not bits.has or bits.half == ref.half, case
+        rejected += ref.rejections
+    assert rejected >= 100, rejected
