@@ -13,11 +13,14 @@ Two methods:
 
 Each method has one draw kernel, ``_nb_counts`` and ``_tree_counts``, that
 returns a count matrix for a batch of replicates. For the tree method the
-counts propagate level by level: m occurrences of a recruiter with k
-recruits spawn m*k independent uniform child draws, i.e. the child counts
-are multinomial(m*k, uniform) -- the same random object as the recursive
-description, grouped by node. The single-sample resamplers are the kernels
-at batch size 1.
+counts propagate one BFS wave at a time: m occurrences of a recruiter with
+k recruits spawn m*k independent uniform child draws, i.e. the child
+counts are multinomial(m*k, uniform). Each wave makes one multinomial call
+per distinct k among its recruiters, over all of them and all replicates
+at once (``RecruitmentForest.recruiter_groups``), and a recruiter with one
+recruit copies its count without a draw -- the same random object as the
+recursive description, grouped by node and wave. The single-sample
+resamplers are the kernels at batch size 1.
 
 Multiplicities are accumulated rather than materializing duplicate
 records. A bootstrap distribution draws its replicates in blocks of
@@ -173,28 +176,27 @@ def neighbourhood_resample(
 
 
 def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size: int) -> np.ndarray:
-    """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n)."""
+    """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n).
+
+    The counts are held entry-major, so every gather and scatter is a
+    contiguous row, and returned as the transposed view.
+    """
     seeds = forest.seed_entries()
     s = int(seeds.size)
-    counts = np.zeros((size, forest.n), dtype=np.int64)
+    counts = np.zeros((forest.n, size), dtype=np.int64)
     if seed_mode == "with_replacement":
-        counts[:, seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size)
+        counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
     else:
-        counts[:, seeds] = 1
-    indptr, children = forest.children_csr()
-    order = forest.bfs_order()
-    pvals: dict[int, np.ndarray] = {}
-    for u in order[forest.out_degree()[order] > 0]:
-        kid = children[indptr[u] : indptr[u + 1]]
-        k = int(kid.size)
+        counts[seeds] = 1
+    for recruiters, recruits in forest.recruiter_groups():
+        k = recruits.shape[1]
         if k == 1:
-            # a one-category multinomial draws no random numbers
-            counts[:, kid[0]] = counts[:, u]
-            continue
-        if k not in pvals:
-            pvals[k] = np.full(k, 1.0 / k)
-        counts[:, kid] = rng.multinomial(counts[:, u] * k, pvals[k])
-    return counts
+            counts[recruits[:, 0]] = counts[recruiters]
+        else:
+            # (m, size, k): row (j, b) splits recruiter j's k * count draws over its k recruits
+            draws = rng.multinomial(counts[recruiters] * k, np.full(k, 1.0 / k))
+            counts[recruits] = draws.transpose(0, 2, 1)
+    return counts.T
 
 
 def tree_resample(
@@ -272,11 +274,8 @@ def bootstrap_distributions(
         den_sums = counts @ den
         for name, num in nums.items():
             est[name][lo:hi] = ((counts @ num) / den_sums)[: hi - lo]
-    ones = np.ones(forest.n, dtype=np.int64)
-    points = {
-        name: _estimate(WeightedSample(zc, forest.degree, ones), cfg.estimator, totals) for name, zc in cols.items()
-    }
-    return {name: BootstrapDistribution(est[name], points[name]) for name in cols}
+    points = _estimate(forest.degree, np.ones(forest.n, dtype=np.int64), cols.values(), cfg.estimator, totals)
+    return {name: BootstrapDistribution(est[name], point) for name, point in zip(cols, points)}
 
 
 def bootstrap_distribution(

@@ -100,11 +100,6 @@ class PopulationTotals:
             raise DataError("total degree below population size (needs all degrees >= 1)")
 
 
-def _require_nonempty(ws: WeightedSample) -> None:
-    if ws.z.size == 0:
-        raise DataError("empty sample")
-
-
 def _degree_terms(
     degree: np.ndarray, estimator: str, totals: PopulationTotals | None = None
 ) -> tuple[np.ndarray, list[int], list[int]]:
@@ -137,22 +132,32 @@ def _degree_terms(
     raise DataError(f"unknown estimator: {estimator!r}")
 
 
-def _estimate(ws: WeightedSample, estimator: str, totals: PopulationTotals | None = None) -> float:
-    """Correctly rounded estimate: the exact ratio over per-degree integer sums."""
-    _require_nonempty(ws)
-    inverse, a, b = _degree_terms(ws.degree, estimator, totals)
-    m_all = np.zeros(len(a), dtype=np.int64)
-    m_one = np.zeros(len(a), dtype=np.int64)
-    np.add.at(m_all, inverse, ws.multiplicity)
-    np.add.at(m_one, inverse, ws.multiplicity * (ws.z == 1.0))
-    num = sum(m * ai for m, ai in zip(m_one.tolist(), a))
-    den = sum(m * bi for m, bi in zip(m_all.tolist(), b))
-    return num / den
+def _estimate(
+    degree: np.ndarray, multiplicity: np.ndarray, columns, estimator: str, totals: PopulationTotals | None = None
+) -> list[float]:
+    """Correctly rounded estimates of several z columns over one set of observations.
+
+    Observation i has degree[i], multiplicity[i] and attribute column[i]
+    in every column. Each estimate is the exact ratio over per-degree
+    integer sums; the degree terms and multiplicity sums are found once
+    for all columns.
+    """
+    if degree.size == 0:
+        raise DataError("empty sample")
+    inverse, a, b = _degree_terms(degree, estimator, totals)
+    # row 0 sums every observation's multiplicity per degree, row c + 1 those with z = 1 in column c
+    weights = [multiplicity] + [multiplicity * (np.asarray(z) == 1.0) for z in columns]
+    sums = np.zeros((len(weights), len(a)), dtype=np.int64)
+    for row, w in zip(sums, weights):
+        np.add.at(row, inverse, w)
+    den_sums, *num_sums = sums.tolist()
+    den = sum(m * bi for m, bi in zip(den_sums, b))
+    return [sum(m * ai for m, ai in zip(col, a)) / den for col in num_sums]
 
 
 def sample_mean(ws: WeightedSample) -> float:
     """Multiplicity-weighted mean of z."""
-    return _estimate(ws, "sample_mean")
+    return _estimate(ws.degree, ws.multiplicity, [ws.z], "sample_mean")[0]
 
 
 def ipw_estimate(ws: WeightedSample, totals: PopulationTotals) -> float:
@@ -162,7 +167,7 @@ def ipw_estimate(ws: WeightedSample, totals: PopulationTotals) -> float:
     population-size factor normalizes the weighted sum to target the
     population proportion.
     """
-    return _estimate(ws, "ipw", totals)
+    return _estimate(ws.degree, ws.multiplicity, [ws.z], "ipw", totals)[0]
 
 
 def vh_estimate(ws: WeightedSample) -> float:
@@ -171,4 +176,4 @@ def vh_estimate(ws: WeightedSample) -> float:
     Computed in the cancelled ratio form (sum z/d) / (sum 1/d); the
     mean-degree factor of the usual estimated-weight formulation cancels.
     """
-    return _estimate(ws, "vh")
+    return _estimate(ws.degree, ws.multiplicity, [ws.z], "vh")[0]

@@ -32,7 +32,7 @@ from .bootstrap import (
     percentile_ci,
 )
 from .errors import BudgetError, DataError
-from .estimators import WeightedSample, vh_estimate
+from .estimators import _estimate
 from .graph import AttributeTable, PopulationGraph
 from .rng import generator, substream
 from .simulate import RdsDesign, simulate_rds
@@ -215,11 +215,8 @@ def _width_forest(index: int) -> tuple[float, ...]:
     attrs: AttributeTable = _WORKER["attrs"]
     cfg: ExperimentConfig = _WORKER["cfg"]
     forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, index))
-    ones = np.ones(forest.n, dtype=np.int64)
-    return tuple(
-        vh_estimate(WeightedSample(attrs.column(a)[forest.node_index], forest.degree, ones))
-        for a in cfg.attributes
-    )
+    z_cols = [attrs.column(a)[forest.node_index] for a in cfg.attributes]
+    return tuple(_estimate(forest.degree, np.ones(forest.n, dtype=np.int64), z_cols, "vh"))
 
 
 def _usable_cpus() -> int:

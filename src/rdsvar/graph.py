@@ -330,17 +330,38 @@ def _draw_degree_sequence(n_nodes: int, law, rng: RngStream) -> np.ndarray:
     raise DataError(f"unknown degree law: {law!r}")
 
 
+def _is_graphical(degrees: np.ndarray) -> bool:
+    """Erdős–Gallai: whether some simple graph has this degree sequence.
+
+    With d sorted in descending order, the sum must be even and, for every
+    k = 1..n, sum(d[:k]) <= k(k - 1) + sum(min(d[k:], k)). The entries of
+    d at or above k are its first j_k, so the right-hand tail is k for
+    each of d[k:j_k] plus the plain sum of d[max(j_k, k):].
+    """
+    ascending = np.sort(degrees)
+    n = ascending.size
+    k = np.arange(1, n + 1, dtype=np.int64)
+    prefix = np.cumsum(ascending[::-1])
+    j = n - np.searchsorted(ascending, k, side="left")
+    tail = k * np.maximum(j - k, 0) + prefix[-1] - np.r_[0, prefix][np.maximum(j, k)]
+    return int(prefix[-1]) % 2 == 0 and bool(np.all(prefix <= k * (k - 1) + tail))
+
+
 def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream, max_attempts: int = 100) -> PopulationGraph:
     """Simple undirected graph via configuration-model stub pairing.
 
     Self-loops and multi-edges are rejected by reshuffling the clashing
-    stubs; a full restart happens when the clash pool stops shrinking.
+    stubs; a full restart happens when the clash pool stops shrinking. A
+    drawn degree sequence that no simple graph realizes is rejected before
+    any pairing.
     Deterministic given ``rng``. Node ids are zero-padded decimal strings
     so lexicographic and numeric order coincide.
     """
     if n_nodes < 2:
         raise DataError("need at least 2 nodes")
     degrees = _draw_degree_sequence(n_nodes, degree_law, rng)
+    if not _is_graphical(degrees):
+        raise DataError(f"degree sequence not simple-graph realizable: {sorted(degrees.tolist(), reverse=True)[:20]}")
     width = len(str(n_nodes - 1))
     ids = [str(i).zfill(width) for i in range(n_nodes)]
 
@@ -375,7 +396,7 @@ def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream, max_a
         if stubs.size == 0:
             pairs = np.array(list(edges), dtype=np.int32).reshape(-1, 2)
             return _from_pairs(ids, pairs[:, 0], pairs[:, 1], 0)
-    raise DataError("configuration model failed: degree sequence not simple-graph realizable")
+    raise DataError(f"configuration model failed to pair the stubs in {max_attempts} attempts")
 
 
 def load_summary(g: PopulationGraph) -> dict:

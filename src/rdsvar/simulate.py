@@ -112,7 +112,8 @@ class RecruitmentForest:
     n_reseeds: int = 0
     n_truncated: int = 0
     _children: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    _bfs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _bfs: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _groups: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("node_index", "seed_index", "wave", "parent"):
@@ -140,8 +141,8 @@ class RecruitmentForest:
         indptr, _ = self.children_csr()
         return np.diff(indptr)
 
-    def bfs_order(self) -> np.ndarray:
-        """Entries in breadth-first order from the seeds (parents first)."""
+    def _breadth_first(self) -> tuple[np.ndarray, np.ndarray]:
+        """(entries in breadth-first order, the BFS depth of each)."""
         if self._bfs is None:
             indptr, children = self.children_csr()
             waves = [self.seed_entries()]
@@ -150,8 +151,37 @@ class RecruitmentForest:
             order = np.concatenate(waves)
             if order.size != self.n:
                 raise DataError("forest has entries unreachable from any seed")
-            self._bfs = order
+            self._bfs = (order, np.repeat(np.arange(len(waves)), [w.size for w in waves]))
         return self._bfs
+
+    def bfs_order(self) -> np.ndarray:
+        """Entries in breadth-first order from the seeds (parents first)."""
+        return self._breadth_first()[0]
+
+    def recruiter_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Recruiters grouped by (BFS depth, recruit count k), shallow waves first.
+
+        One ``(recruiters, recruits)`` pair per group: the group's m
+        recruiters in BFS order, and their recruits as an (m, k) array whose
+        row j lists recruiter j's k recruits in entry order. Within a wave
+        the groups go by ascending k. The depths come from the recruitment
+        links, not the ``wave`` column, which a hand-built forest need not
+        keep consistent.
+        """
+        if self._groups is None:
+            order, depth = self._breadth_first()
+            indptr, children = self.children_csr()
+            k = np.diff(indptr)[order]
+            keep = k > 0
+            order, depth, k = order[keep], depth[keep], k[keep]
+            by = np.lexsort((k, depth))  # stable: BFS order within a group
+            order, depth, k = order[by], depth[by], k[by]
+            starts = np.flatnonzero((np.diff(depth, prepend=-1) != 0) | (np.diff(k, prepend=0) != 0)).tolist()
+            self._groups = []
+            for a, b in zip(starts, starts[1:] + [order.size]):
+                u = order[a:b]
+                self._groups.append((u, children[indptr[u][:, None] + np.arange(k[a])]))
+        return self._groups
 
     def recruiter_entries(self) -> np.ndarray:
         """Entry indices with at least one recruit, in recruitment order."""

@@ -278,72 +278,117 @@ def test_production_path_matches_oracle_moments(seed):
     assert abs(mc_mean - exact.mean_float) < tol
 
 
-def _tree_counts_reference(forest, seed_mode, rng, size):
-    """The tree kernel with one multinomial call per recruiter, single recruits included."""
-    seeds = forest.seed_entries()
-    s = int(seeds.size)
-    counts = np.zeros((size, forest.n), dtype=np.int64)
-    if seed_mode == "with_replacement":
-        counts[:, seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size)
-    else:
-        counts[:, seeds] = 1
-    indptr, children = forest.children_csr()
-    order = forest.bfs_order()
-    for u in order[forest.out_degree()[order] > 0]:
-        kid = children[indptr[u] : indptr[u + 1]]
-        counts[:, kid] = rng.multinomial(counts[:, u] * kid.size, np.full(kid.size, 1.0 / kid.size))
-    return counts
+def _relabelled(forest, perm):
+    """The forest with entry i moved to position perm[i] and a wave column of zeros."""
+    at = np.argsort(perm)  # at[j]: the entry that lands at position j
+    parent = forest.parent[at]
+    return rv.RecruitmentForest(
+        node_id=[forest.node_id[i] for i in at.tolist()], node_index=forest.node_index[at],
+        seed_index=forest.seed_index[at], wave=np.zeros(forest.n),
+        parent=np.where(parent >= 0, perm[parent], -1), degree=forest.degree[at],
+    )
 
 
-def test_tree_counts_match_reference_loop():
+def test_tree_counts_conserve_occurrences():
+    # in every replicate a recruiter's k recruits share exactly k times its
+    # count, a single recruit copies it, and the seeds hold s occurrences
     g, _ = rv.make_study_population(300, seed=4)
     design = rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 120)
     rng = np.random.default_rng(21)
     forests = [random_tiny_forest(rng, max_recruiters=12, max_recruits=3)[0] for _ in range(30)]
+    # entry order and the wave column play no part: children may precede their parents
+    forests += [_relabelled(f, rng.permutation(f.n)) for f in forests[:10]]
     forests += [rv.simulate_rds(g, design, generator(9, i)) for i in range(5)]
     for i, forest in enumerate(forests):
+        seeds = forest.seed_entries()
+        indptr, children = forest.children_csr()
         for mode in ("with_replacement", "without_replacement"):
-            fast, slow = generator(i), generator(i)
-            assert np.array_equal(_tree_counts(forest, mode, fast, 50), _tree_counts_reference(forest, mode, slow, 50))
-            assert fast.random() == slow.random()  # the streams stay in step
+            counts = _tree_counts(forest, mode, generator(i), 50)
+            assert counts.shape == (50, forest.n) and counts.min() >= 0
+            if mode == "with_replacement":
+                assert (counts[:, seeds].sum(axis=1) == seeds.size).all()
+            else:
+                assert (counts[:, seeds] == 1).all()
+            for u in forest.recruiter_entries():
+                kid = children[indptr[u] : indptr[u + 1]]
+                assert (counts[:, kid].sum(axis=1) == kid.size * counts[:, u]).all()
+                if kid.size == 1:
+                    assert (counts[:, kid[0]] == counts[:, u]).all()
+
+
+def tree_linear_moments(forest, z, seed_mode="with_replacement"):
+    """Exact (mean, variance) of S = counts @ z under the tree bootstrap, on any forest.
+
+    S of an occurrence of u is z_u plus the sum of k iid draws of a
+    uniformly chosen recruit's S, so E S_u = z_u + k mean(E S_c) and
+    Var S_u = k (mean(Var S_c) + var(E S_c)), with population variances.
+    The seeds are s iid picks from the seeds' S (with replacement) or each
+    seed once. With z = 1, S is the resample size.
+    """
+    z = [Fraction(int(v)) for v in z]
+    indptr, children = forest.children_csr()
+    moments = [None] * forest.n  # (E S_u, Var S_u)
+
+    def draws(k, nodes):
+        """(mean, variance) of the sum of k iid uniform picks from ``nodes``."""
+        means = [moments[c][0] for c in nodes]
+        m_of_e = sum(means, Fraction(0)) / len(nodes)
+        v_of_e = sum(((e - m_of_e) ** 2 for e in means), Fraction(0)) / len(nodes)
+        m_of_v = sum((moments[c][1] for c in nodes), Fraction(0)) / len(nodes)
+        return k * m_of_e, k * (m_of_v + v_of_e)
+
+    for u in forest.bfs_order()[::-1].tolist():
+        kids = children[indptr[u] : indptr[u + 1]].tolist()
+        mean, var = draws(len(kids), kids) if kids else (0, 0)
+        moments[u] = (z[u] + mean, Fraction(var))
+    seeds = forest.seed_entries().tolist()
+    if seed_mode == "without_replacement":
+        return sum(moments[s][0] for s in seeds), sum(moments[s][1] for s in seeds)
+    return draws(len(seeds), seeds)
+
+
+@pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
+def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
+    # simulated n = 1000 forests mix recruit counts within a wave, so every
+    # wave makes several grouped draws; S = counts @ z and the resample size
+    # (z = 1) each have exact moments on any forest
+    g, attrs = rv.make_study_population(4000, seed=20250810)
+    design = rv.RdsDesign(10, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 1000)
+    B = 4000
+    for i in range(2):
+        forest = rv.simulate_rds(g, design, generator(778, 0, i))
+        groups = forest.recruiter_groups()
+        assert forest.n == 1000 and len({r.shape[1] for _, r in groups}) == 3
+        assert len(groups) > len({int(forest.wave[r[0]]) for r, _ in groups})
+        counts = _tree_counts(forest, mode, generator(70, i), B)
+        for z in (attrs.column("rare_tenth")[forest.node_index], np.ones(forest.n, dtype=np.int64)):
+            mean, var = tree_linear_moments(forest, z, mode)
+            S = (counts @ z).astype(np.float64)
+            centered = S - S.mean()
+            mc_var = float(centered @ centered) / (B - 1)
+            se_mean = (mc_var / B) ** 0.5
+            se_var = (max(float(np.mean(centered**4)) - mc_var**2, 0.0) / B) ** 0.5
+            assert abs(S.mean() - float(mean)) < 4 * se_mean
+            assert abs(mc_var - float(var)) < 4 * se_var
 
 
 def balanced_sample_mean_moments(forest, z, method, seed_mode="with_replacement"):
     """Exact (mean, variance) of the bootstrap sample mean on a balanced forest.
 
     Neighbourhood: the estimate is the mean of n_r iid draws of a recruiter
-    mean ybar_j. Tree: the resample size is fixed, so the estimate is the
-    sum S over the drawn occurrences divided by n; S of an occurrence of u is
-    z_u plus k iid draws of a child's S, so E S_u = z_u + k mean(E S_c) and
-    Var S_u = k (mean(Var S_c) + var(E S_c)), with population variances.
+    mean ybar_j. Tree: the resample size is fixed at n, so the estimate is
+    S / n for the linear statistic S of ``tree_linear_moments``.
     """
-    z = [Fraction(int(v)) for v in z]
+    if method == "tree":
+        mean, var = tree_linear_moments(forest, z, seed_mode)
+        return mean / forest.n, var / forest.n**2
     indptr, children = forest.children_csr()
-    kids = [children[indptr[u] : indptr[u + 1]].tolist() for u in range(forest.n)]
-
-    def mean_var(values):
-        mean = sum(values, Fraction(0)) / len(values)
-        return mean, sum(((v - mean) ** 2 for v in values), Fraction(0)) / len(values)
-
-    if method == "neighbourhood":
-        ybar = [sum((z[c] for c in k), Fraction(0)) / len(k) for k in kids if k]
-        mean, var = mean_var(ybar)
-        return mean, var / len(ybar)
-    moments = [None] * forest.n  # (E S_u, Var S_u)
-    for u in forest.bfs_order()[::-1].tolist():
-        if not kids[u]:
-            moments[u] = (z[u], Fraction(0))
-            continue
-        m_of_e, v_of_e = mean_var([moments[c][0] for c in kids[u]])
-        m_of_v = sum((moments[c][1] for c in kids[u]), Fraction(0)) / len(kids[u])
-        moments[u] = (z[u] + len(kids[u]) * m_of_e, len(kids[u]) * (m_of_v + v_of_e))
-    seeds = forest.seed_entries().tolist()
-    n = forest.n
-    if seed_mode == "without_replacement":
-        return sum(moments[s][0] for s in seeds) / n, sum(moments[s][1] for s in seeds) / n**2
-    m_of_e, v_of_e = mean_var([moments[s][0] for s in seeds])
-    m_of_v = sum((moments[s][1] for s in seeds), Fraction(0)) / len(seeds)
-    return len(seeds) * m_of_e / n, len(seeds) * (m_of_v + v_of_e) / n**2
+    ybar = [
+        Fraction(int(np.sum(z[children[indptr[u] : indptr[u + 1]]])), int(indptr[u + 1] - indptr[u]))
+        for u in forest.recruiter_entries()
+    ]
+    mean = sum(ybar, Fraction(0)) / len(ybar)
+    return mean, sum(((y - mean) ** 2 for y in ybar), Fraction(0)) / len(ybar) ** 2
 
 
 def test_balanced_closed_forms_equal_enumeration():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
+from rdsvar.estimators import _estimate
 
 
 def ws(*pairs):
@@ -179,3 +180,22 @@ def test_vh_matches_estimated_inclusion_weight_form():
         1 / pi[i] for i in range(n)
     )
     assert rv.vh_estimate(sample) == pytest.approx(explicit, abs=1e-14)
+
+
+def test_columns_share_one_set_of_degree_terms():
+    # the multi-column form gives each column's single-column estimate exactly
+    rng = np.random.default_rng(5)
+    totals = rv.PopulationTotals(500, 4000)
+    one = {
+        "sample_mean": rv.sample_mean,
+        "vh": rv.vh_estimate,
+        "ipw": lambda w: rv.ipw_estimate(w, totals),
+    }
+    for _ in range(50):
+        n = int(rng.integers(1, 60))
+        degree = rng.integers(1, 40, size=n)
+        mult = rng.integers(1, 5, size=n)
+        cols = [rng.integers(0, 2, size=n) for _ in range(4)]
+        for name, estimate in one.items():
+            expected = [estimate(rv.WeightedSample(z, degree, mult)) for z in cols]
+            assert _estimate(degree, mult, cols, name, totals) == expected

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
-from rdsvar.graph import _component_labels, component_sizes, load_summary
+from rdsvar.graph import _component_labels, _is_graphical, component_sizes, load_summary
 from rdsvar.rng import generator
 from rdsvar.synth import _voter_smooth
 
@@ -200,6 +201,28 @@ def test_configuration_two_nodes_single_edge():
 def test_configuration_odd_degree_sum_rejected():
     with pytest.raises(DataError, match="odd"):
         rv.generate_configuration_graph(3, rv.FixedDegree(1), np.random.default_rng(0))
+
+
+def test_configuration_unrealizable_sequence_rejected_at_once():
+    # PowerLawDegree(2.2, 1, 3) on 4 nodes draws [1, 3, 1, 3] from this stream:
+    # two degree-3 nodes need three neighbours each among the other three
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match="not simple-graph realizable"):
+        rv.generate_configuration_graph(4, rv.PowerLawDegree(2.2, 1, 3), np.random.default_rng(1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _erdos_gallai_loop(d):
+    d = sorted(d, reverse=True)
+    return sum(d) % 2 == 0 and all(
+        sum(d[:k]) <= k * (k - 1) + sum(min(x, k) for x in d[k:]) for k in range(1, len(d) + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=14))
+def test_erdos_gallai_matches_its_definition(degrees):
+    assert _is_graphical(np.array(degrees, dtype=np.int64)) == _erdos_gallai_loop(degrees)
 
 
 def test_configuration_power_law_degrees_in_bounds():
