@@ -171,7 +171,7 @@ class RecruitmentForest:
         if self._groups is None:
             order, depth = self._breadth_first()
             indptr, children = self.children_csr()
-            k = np.diff(indptr)[order]
+            k = self.out_degree()[order]
             keep = k > 0
             order, depth, k = order[keep], depth[keep], k[keep]
             by = np.lexsort((k, depth))  # stable: BFS order within a group
