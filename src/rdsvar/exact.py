@@ -5,6 +5,11 @@ is enumerated with exact rational probabilities, so enumerated moments are
 exact and comparisons against simulation need only Monte Carlo error
 bounds. Enumeration budgets keep this to toy problem sizes; past the
 budget the error advises falling back to ``mc_bootstrap_moments``.
+
+Past the budgets, two closed forms stay exact at O(n) Fraction cost: the
+mean and variance of the tree bootstrap's linear statistic counts @ z on
+any forest (with z = 1, the resample size), and of the sample mean under
+either bootstrap on a balanced forest.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .bootstrap import _as_z
 from .errors import BudgetError, DataError
 from .estimators import PopulationTotals
 from .simulate import RecruitmentForest
@@ -75,18 +81,17 @@ class ExactDistribution:
                 }
                 for v, p in self.outcomes
             ],
-            "mean": float(self.mean),
-            "variance": float(self.variance),
-            "mean_exact": str(self.mean),
-            "variance_exact": str(self.variance),
+            **_moments_json(self.mean, self.variance),
         }
+
+
+def _moments_json(mean: Fraction, variance: Fraction) -> dict:
+    return {"mean": float(mean), "variance": float(variance), "mean_exact": str(mean), "variance_exact": str(variance)}
 
 
 def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: PopulationTotals | None):
     """Per-entry numerator/denominator terms; estimate = sum(c*num)/(sum(c*den)*scale)."""
-    zi = [int(v) for v in np.asarray(z)]
-    if len(zi) != forest.n or any(v not in (0, 1) for v in zi):
-        raise DataError("z must be one 0/1 value per forest entry")
+    zi = _as_z(forest, z).astype(np.int64).tolist()
     d = [int(x) for x in forest.degree]
     if estimator == "sample_mean":
         return [Fraction(v) for v in zi], [Fraction(1)] * forest.n, Fraction(1)
@@ -285,109 +290,105 @@ def enumerate_tree(
 
 
 def _balanced_shape(forest: RecruitmentForest) -> tuple[int, int, int]:
-    """(s, c, h) of a balanced forest, or raise."""
+    """(s, c, h) of a balanced forest, or raise.
+
+    The depths come from the recruitment links, not the ``wave`` column,
+    which a hand-built forest need not keep consistent.
+    """
     out_deg = forest.out_degree()
-    rec = np.flatnonzero(out_deg > 0)
-    if rec.size == 0:
+    cs = set(out_deg[out_deg > 0].tolist())
+    if not cs:
         raise DataError("identity only asserted for balanced forests (no recruiters here)")
-    cs = set(int(x) for x in out_deg[rec])
     if len(cs) != 1:
         raise DataError("identity only asserted for balanced forests (mixed recruit counts)")
-    c = cs.pop()
-    h = int(forest.wave.max())
-    full = (forest.wave < h) == (out_deg > 0)
-    if not bool(full.all()) or h < 1:
+    order, depth = forest._breadth_first()
+    h = int(depth.max())
+    if not bool(((depth < h) == (out_deg[order] > 0)).all()):
         raise DataError("identity only asserted for balanced forests (trees not full)")
-    return int(forest.seed_entries().size), c, h
+    return int(forest.seed_entries().size), cs.pop(), h
 
 
-def _per_tree_enumeration(forest: RecruitmentForest, z) -> tuple[Fraction, Fraction]:
-    """Moments of the sample mean when each tree's recruiters are drawn separately.
+def _tree_linear_moments(forest: RecruitmentForest, z, seed_mode: str = "with_replacement"):
+    """Exact (mean, variance) of S = counts @ z under the tree bootstrap, on any forest.
 
-    Draws ell_j recruiters with replacement within tree j (ell_j = that
-    tree's recruiter count) and pools the selected recruits across trees.
+    S of an occurrence of u is z_u plus the S of k iid uniform picks from
+    u's k recruits, so E S_u = z_u + sum(E S_c) and
+    Var S_u = sum(Var S_c) + sum((E S_c - mean(E S_c))**2) over those
+    recruits c. The seeds are s iid picks from the seeds' S (with
+    replacement) or each seed once. With z = 1, S is the resample size.
+    O(n) Fraction operations.
     """
+    num, _, _ = _exact_terms(forest, z, "sample_mean", None)
+    indptr, children = forest.children_csr()
+    moments: list = [None] * forest.n  # (E S_u, Var S_u)
+
+    def picks(nodes):
+        """(mean, variance) of the sum of len(nodes) iid uniform picks from ``nodes``."""
+        means = [moments[c][0] for c in nodes]
+        m = sum(means, Fraction(0)) / len(nodes)
+        dev = sum(((e - m) ** 2 for e in means), Fraction(0))
+        return len(nodes) * m, sum((moments[c][1] for c in nodes), Fraction(0)) + dev
+
+    for u in forest.bfs_order()[::-1].tolist():
+        kids = children[indptr[u] : indptr[u + 1]].tolist()
+        mean, var = picks(kids) if kids else (Fraction(0), Fraction(0))
+        moments[u] = (num[u] + mean, var)
+    seeds = forest.seed_entries().tolist()
+    if seed_mode == "with_replacement":
+        return picks(seeds)
+    if seed_mode == "without_replacement":
+        return sum(moments[e][0] for e in seeds), sum(moments[e][1] for e in seeds)
+    raise DataError(f"unknown tree seed mode: {seed_mode!r}")
+
+
+def _balanced_sample_mean_moments(
+    forest: RecruitmentForest, z, method: str, seed_mode: str = "with_replacement"
+) -> tuple[Fraction, Fraction]:
+    """Exact (mean, variance) of the bootstrap sample mean on a balanced forest.
+
+    Neighbourhood: each of the n_r draws adds c recruits, so the estimate
+    is the mean of n_r iid draws of a recruiter's recruit mean ybar_j.
+    Tree: the resample size is fixed at n, so the estimate is S / n for
+    the S of ``_tree_linear_moments``. The forest is not checked.
+    """
+    if method == "tree":
+        mean, var = _tree_linear_moments(forest, z, seed_mode)
+        return mean / forest.n, var / forest.n**2
     num, den, _ = _exact_terms(forest, z, "sample_mean", None)
-    out_deg = forest.out_degree()
-    per_tree: list[list[tuple[Fraction, Fraction, Fraction]]] = []
-    for j in sorted(set(int(x) for x in forest.seed_index)):
-        pool = [
-            int(e)
-            for e in np.flatnonzero((forest.seed_index == j) & (out_deg > 0))
-        ]
-        if not pool:
-            raise DataError("identity needs at least one recruiter per tree")
-        agg_num, agg_den = _nb_aggregates(forest, pool, num, den)
-        ell = len(pool)
-        total = Fraction(len(pool) ** ell)
-        per_tree.append(
-            [(n_, d_, Fraction(w) / total) for n_, d_, w in _pool_draw_outcomes(agg_num, agg_den, ell)]
-        )
-    combos = [(Fraction(0), Fraction(0), Fraction(1))]
-    for tree_outcomes in per_tree:
-        combos = [
-            (n1 + n2, d1 + d2, p1 * p2)
-            for n1, d1, p1 in combos
-            for n2, d2, p2 in tree_outcomes
-        ]
-    acc: dict[Fraction, Fraction] = {}
-    for n_, d_, p_ in combos:
-        est = n_ / d_
-        acc[est] = acc.get(est, Fraction(0)) + p_
-    dist = ExactDistribution.from_outcomes(acc)
-    return dist.mean, dist.variance
+    ybar = [a / b for a, b in zip(*_nb_aggregates(forest, forest.recruiter_entries(), num, den))]
+    mean = sum(ybar, Fraction(0)) / len(ybar)
+    return mean, sum(((y - mean) ** 2 for y in ybar), Fraction(0)) / len(ybar) ** 2
 
 
 def check_moment_identity(forest: RecruitmentForest, z) -> dict:
-    """Compare enumerated neighbourhood-bootstrap moments with closed forms.
+    """Bootstrap moments of the sample mean on a balanced forest, enumerated and in closed form.
 
-    For a balanced forest the enumerated expectation of the bootstrap
-    sample mean must equal the mean of z over non-seed entries exactly.
-    The printed variance decomposition (squared deviations plus the
-    sibling cross term with (n-1)/n**2 factors) is evaluated as written
-    and reported as a diagnostic beside both the pooled-draw and the
-    per-tree-draw enumerations; it is not asserted.
+    Reports the enumerated neighbourhood moments, their closed form, the
+    tree bootstrap's closed form (seeds drawn with replacement), the mean
+    of z over non-seed entries, and exact differences as Fraction strings.
+    On a balanced forest the enumerated neighbourhood mean equals the
+    closed form and the non-seed mean, and the enumerated variance equals
+    the closed form: each of those differences is "0". The tree bootstrap
+    is not enumerated here, as that costs far more than the neighbourhood
+    enumeration; the tests hold its closed form to ``enumerate_tree``.
     """
     s, c, h = _balanced_shape(forest)
-    zi = [int(v) for v in np.asarray(z)]
-    pooled = enumerate_neighbourhood(forest, z, "recruiters_only", "sample_mean")
-    pt_mean, pt_var = _per_tree_enumeration(forest, z)
-
-    nonseed = [zi[i] for i in range(forest.n) if forest.parent[i] >= 0]
-    non_seed_mean = Fraction(sum(nonseed), len(nonseed))
-
-    n = forest.n
-    zbar = Fraction(sum(zi), n)
-    term_dev = sum(((Fraction(v) - zbar) ** 2 for v in zi), Fraction(0))
-    term_sq = Fraction(sum(v * v for v in zi))
-    indptr, children = forest.children_csr()
-    cross = 0
-    for u in range(n):
-        kid = [int(x) for x in children[indptr[u] : indptr[u + 1]]]
-        for a in kid:
-            for b in kid:
-                if a != b:
-                    cross += zi[a] * zi[b]
-    var_formula = term_dev / n**2 + Fraction(n - 1, n**4) * (term_sq + cross)
-
-    n_r = int(forest.recruiter_entries().size)
+    nb = enumerate_neighbourhood(forest, z, "recruiters_only", "sample_mean")
+    nb_mean, nb_var = _balanced_sample_mean_moments(forest, z, "neighbourhood")
+    tree_mean, tree_var = _balanced_sample_mean_moments(forest, z, "tree")
+    nonseed = _as_z(forest, z)[forest.parent >= 0]
+    non_seed_mean = Fraction(int(nonseed.sum()), nonseed.size)
     return {
-        "balanced": {"s": s, "c": c, "h": h, "n": n, "n_r": n_r},
-        "enumerated": {
-            "pooled": {"mean": float(pooled.mean), "variance": float(pooled.variance)},
-            "per_tree": {"mean": float(pt_mean), "variance": float(pt_var)},
-        },
+        "balanced": {"s": s, "c": c, "h": h, "n": forest.n, "n_r": int(forest.recruiter_entries().size)},
         "non_seed_mean": float(non_seed_mean),
-        "formula_terms": {
-            "sum_squared_deviations": float(term_dev),
-            "sum_squares": float(term_sq),
-            "sibling_cross_sum": float(Fraction(cross)),
-            "variance_formula": float(var_formula),
-        },
-        "abs_diff": {
-            "pooled_mean_vs_non_seed_mean": float(abs(pooled.mean - non_seed_mean)),
-            "per_tree_mean_vs_non_seed_mean": float(abs(pt_mean - non_seed_mean)),
-            "pooled_variance_vs_formula": float(abs(pooled.variance - var_formula)),
-            "per_tree_variance_vs_formula": float(abs(pt_var - var_formula)),
+        "non_seed_mean_exact": str(non_seed_mean),
+        "neighbourhood_enumerated": _moments_json(nb.mean, nb.variance),
+        "neighbourhood_closed_form": _moments_json(nb_mean, nb_var),
+        "tree_closed_form": _moments_json(tree_mean, tree_var),
+        "exact_diff": {
+            "neighbourhood_mean_enumerated_minus_closed_form": str(nb.mean - nb_mean),
+            "neighbourhood_variance_enumerated_minus_closed_form": str(nb.variance - nb_var),
+            "neighbourhood_mean_enumerated_minus_non_seed_mean": str(nb.mean - non_seed_mean),
+            "variance_tree_minus_neighbourhood_closed_form": str(tree_var - nb_var),
         },
     }

@@ -10,11 +10,13 @@ accordingly (>= 4 of 5 where the full data asks >= 10 of 12).
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import rdsvar as rv
+from rdsvar.exact import _balanced_sample_mean_moments
 from rdsvar.rng import generator
 from rdsvar.synth import plant_attributes, synthetic_population
 from conftest import balanced_forest, random_tiny_forest
@@ -75,23 +77,30 @@ def test_criterion_2_balanced_expectation_identity():
     t0 = time.time()
     rng = np.random.default_rng(77)
     worst = 0.0
-    cases = 0
+    cases = nb_closed = tree_closed = 0
     for s in (1, 2):
         for h in (1, 2):
             n = s * (2 ** (h + 1) - 1)
             for _ in range(3):
                 f = balanced_forest(s, 2, h, degrees=rng.integers(1, 9, size=n))
                 z = rng.integers(0, 2, size=n)
-                rep = rv.check_moment_identity(f, z)
-                worst = max(worst, rep["abs_diff"]["pooled_mean_vs_non_seed_mean"])
+                diff = rv.check_moment_identity(f, z)["exact_diff"]
+                worst = max(worst, abs(float(Fraction(diff["neighbourhood_mean_enumerated_minus_non_seed_mean"]))))
+                nb_closed += diff["neighbourhood_mean_enumerated_minus_closed_form"] == "0" and (
+                    diff["neighbourhood_variance_enumerated_minus_closed_form"] == "0"
+                )
+                for mode in ("with_replacement", "without_replacement"):
+                    tree = rv.enumerate_tree(f, z, seed_mode=mode)
+                    tree_closed += _balanced_sample_mean_moments(f, z, "tree", mode) == (tree.mean, tree.variance)
                 cases += 1
     elapsed = time.time() - t0
-    ok = worst < 1e-12 and elapsed < 1.0
+    ok = worst < 1e-12 and nb_closed == cases and tree_closed == 2 * cases and elapsed < 1.0
     report(
         2,
         ok,
         f"(balanced expectation) {cases} balanced forests, max |E* - nonseed mean| = "
-        f"{worst:.2e} (< 1e-12), {elapsed:.2f}s (< 1s)",
+        f"{worst:.2e} (< 1e-12); closed form == enumeration in mean and variance: neighbourhood "
+        f"{nb_closed}/{cases}, tree {tree_closed}/{2 * cases} (both seed modes); {elapsed:.2f}s (< 1s)",
     )
 
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import rdsvar as rv
 from rdsvar.bootstrap import BLOCK, _nb_counts, _tree_counts
 from rdsvar.errors import DataError
+from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
 from rdsvar.rng import generator
 from conftest import balanced_forest, random_tiny_forest
 
@@ -316,37 +316,6 @@ def test_tree_counts_conserve_occurrences():
                     assert (counts[:, kid[0]] == counts[:, u]).all()
 
 
-def tree_linear_moments(forest, z, seed_mode="with_replacement"):
-    """Exact (mean, variance) of S = counts @ z under the tree bootstrap, on any forest.
-
-    S of an occurrence of u is z_u plus the sum of k iid draws of a
-    uniformly chosen recruit's S, so E S_u = z_u + k mean(E S_c) and
-    Var S_u = k (mean(Var S_c) + var(E S_c)), with population variances.
-    The seeds are s iid picks from the seeds' S (with replacement) or each
-    seed once. With z = 1, S is the resample size.
-    """
-    z = [Fraction(int(v)) for v in z]
-    indptr, children = forest.children_csr()
-    moments = [None] * forest.n  # (E S_u, Var S_u)
-
-    def draws(k, nodes):
-        """(mean, variance) of the sum of k iid uniform picks from ``nodes``."""
-        means = [moments[c][0] for c in nodes]
-        m_of_e = sum(means, Fraction(0)) / len(nodes)
-        v_of_e = sum(((e - m_of_e) ** 2 for e in means), Fraction(0)) / len(nodes)
-        m_of_v = sum((moments[c][1] for c in nodes), Fraction(0)) / len(nodes)
-        return k * m_of_e, k * (m_of_v + v_of_e)
-
-    for u in forest.bfs_order()[::-1].tolist():
-        kids = children[indptr[u] : indptr[u + 1]].tolist()
-        mean, var = draws(len(kids), kids) if kids else (0, 0)
-        moments[u] = (z[u] + mean, Fraction(var))
-    seeds = forest.seed_entries().tolist()
-    if seed_mode == "without_replacement":
-        return sum(moments[s][0] for s in seeds), sum(moments[s][1] for s in seeds)
-    return draws(len(seeds), seeds)
-
-
 @pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
 def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
     # simulated n = 1000 forests mix recruit counts within a wave, so every
@@ -362,7 +331,7 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
         assert len(groups) > len({int(forest.wave[r[0]]) for r, _ in groups})
         counts = _tree_counts(forest, mode, generator(70, i), B)
         for z in (attrs.column("rare_tenth")[forest.node_index], np.ones(forest.n, dtype=np.int64)):
-            mean, var = tree_linear_moments(forest, z, mode)
+            mean, var = _tree_linear_moments(forest, z, mode)
             S = (counts @ z).astype(np.float64)
             centered = S - S.mean()
             mc_var = float(centered @ centered) / (B - 1)
@@ -372,35 +341,16 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
             assert abs(mc_var - float(var)) < 4 * se_var
 
 
-def balanced_sample_mean_moments(forest, z, method, seed_mode="with_replacement"):
-    """Exact (mean, variance) of the bootstrap sample mean on a balanced forest.
-
-    Neighbourhood: the estimate is the mean of n_r iid draws of a recruiter
-    mean ybar_j. Tree: the resample size is fixed at n, so the estimate is
-    S / n for the linear statistic S of ``tree_linear_moments``.
-    """
-    if method == "tree":
-        mean, var = tree_linear_moments(forest, z, seed_mode)
-        return mean / forest.n, var / forest.n**2
-    indptr, children = forest.children_csr()
-    ybar = [
-        Fraction(int(np.sum(z[children[indptr[u] : indptr[u + 1]]])), int(indptr[u + 1] - indptr[u]))
-        for u in forest.recruiter_entries()
-    ]
-    mean = sum(ybar, Fraction(0)) / len(ybar)
-    return mean, sum(((y - mean) ** 2 for y in ybar), Fraction(0)) / len(ybar) ** 2
-
-
 def test_balanced_closed_forms_equal_enumeration():
     rng = np.random.default_rng(3)
     for s, c, h in ((1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 1), (1, 3, 2), (2, 3, 1)):
         f = balanced_forest(s, c, h)
         z = rng.integers(0, 2, size=f.n)
         nb = rv.enumerate_neighbourhood(f, z, estimator="sample_mean")
-        assert balanced_sample_mean_moments(f, z, "neighbourhood") == (nb.mean, nb.variance)
+        assert _balanced_sample_mean_moments(f, z, "neighbourhood") == (nb.mean, nb.variance)
         for mode in ("with_replacement", "without_replacement"):
             tree = rv.enumerate_tree(f, z, estimator="sample_mean", seed_mode=mode)
-            assert balanced_sample_mean_moments(f, z, "tree", mode) == (tree.mean, tree.variance)
+            assert _balanced_sample_mean_moments(f, z, "tree", mode) == (tree.mean, tree.variance)
 
 
 @pytest.mark.parametrize("s, c, h", [(1, 3, 6), (2, 2, 9)])
@@ -409,7 +359,7 @@ def test_production_kernels_match_closed_forms_at_realistic_size(s, c, h):
     f = balanced_forest(s, c, h)
     z = np.random.default_rng(c * h).integers(0, 2, size=f.n)
     for method in ("neighbourhood", "tree"):
-        mean, var = balanced_sample_mean_moments(f, z, method)
+        mean, var = _balanced_sample_mean_moments(f, z, method)
         mm = rv.mc_bootstrap_moments(f, z, method, "sample_mean", 2000, generator(60, s, c, h))
         assert abs(mm.mean - float(mean)) < 4 * mm.se_mean
         assert abs(mm.variance - float(var)) < 4 * mm.se_variance

@@ -344,8 +344,11 @@ def test_oracle_identity_flag(tmp_path):
     )
     assert code == 0
     payload = json.loads((tmp_path / "oracle.json").read_text())
+    validate_schema(payload, "oracle_report.schema.json")
     ident = payload["moment_identity"]
-    assert ident["abs_diff"]["pooled_mean_vs_non_seed_mean"] < 1e-12
+    assert ident["neighbourhood_enumerated"] == ident["neighbourhood_closed_form"]
+    assert ident["neighbourhood_enumerated"]["mean_exact"] == ident["non_seed_mean_exact"] == "1/2"
+    assert ident["exact_diff"]["neighbourhood_variance_enumerated_minus_closed_form"] == "0"
 
 
 def test_enumeration_budget_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,13 @@ def test_vh_and_ipw_enumeration(two_recruiter_forest):
     assert (Fraction(1, 4), Fraction(1, 4)) in d_vh.outcomes
 
 
+NB_EXACT_DIFFS = (
+    "neighbourhood_mean_enumerated_minus_closed_form",
+    "neighbourhood_variance_enumerated_minus_closed_form",
+    "neighbourhood_mean_enumerated_minus_non_seed_mean",
+)
+
+
 class TestMomentIdentity:
     def test_balanced_mean_equals_non_seed_mean(self):
         rng = np.random.default_rng(3)
@@ -123,7 +131,7 @@ class TestMomentIdentity:
                 f = balanced_forest(s, 2, h, degrees=rng.integers(1, 7, size=(2 ** (h + 1) - 1) * s))
                 z = rng.integers(0, 2, size=f.n)
                 report = rv.check_moment_identity(f, z)
-                assert report["abs_diff"]["pooled_mean_vs_non_seed_mean"] == 0.0
+                assert all(report["exact_diff"][key] == "0" for key in NB_EXACT_DIFFS)
                 assert report["balanced"] == {
                     "s": s,
                     "c": 2,
@@ -135,20 +143,51 @@ class TestMomentIdentity:
     def test_constant_z_zero_variance(self):
         f = balanced_forest(2, 2, 1)
         report = rv.check_moment_identity(f, np.ones(f.n, dtype=int))
-        assert report["enumerated"]["pooled"]["variance"] == 0.0
-        assert report["enumerated"]["per_tree"]["variance"] == 0.0
+        assert report["neighbourhood_enumerated"]["variance"] == 0.0
+        assert report["neighbourhood_closed_form"]["variance_exact"] == "0"
+        assert report["tree_closed_form"]["variance_exact"] == "0"
 
-    def test_reports_formula_terms(self):
+    def test_reports_closed_forms(self):
         f = balanced_forest(2, 2, 1)
         z = [1, 1, 0, 0, 1, 0]
         report = rv.check_moment_identity(f, z)
-        for key in ("sum_squared_deviations", "sum_squares", "sibling_cross_sum", "variance_formula"):
-            assert key in report["formula_terms"]
-        assert set(report["enumerated"]) == {"pooled", "per_tree"}
+        nb = rv.enumerate_neighbourhood(f, z)
+        tree = rv.enumerate_tree(f, z)
+        moments = ("neighbourhood_enumerated", "neighbourhood_closed_form", "tree_closed_form")
+        for key, dist in zip(moments, (nb, nb, tree)):
+            assert (report[key]["mean_exact"], report[key]["variance_exact"]) == (str(dist.mean), str(dist.variance))
+        assert report["non_seed_mean_exact"] == "1/2"
+        assert report["exact_diff"] == {
+            **{key: "0" for key in NB_EXACT_DIFFS},
+            "variance_tree_minus_neighbourhood_closed_form": str(tree.variance - nb.variance),
+        }
 
     def test_unbalanced_rejected(self, two_recruiter_forest):
         with pytest.raises(DataError, match="balanced"):
             rv.check_moment_identity(two_recruiter_forest, [0, 1, 0, 1])
+        # S -> {A, B}, A -> {A1, A2}, B a leaf: depths come from the
+        # recruitment links, so a wave column that puts B at the last level
+        # does not make the forest balanced
+        unbalanced = rv.RecruitmentForest(
+            node_id=["S", "A", "B", "A1", "A2"], node_index=[-1] * 5, seed_index=[0] * 5,
+            wave=[0, 1, 2, 2, 2], parent=[-1, 0, 0, 1, 1], degree=[1] * 5,
+        )
+        with pytest.raises(DataError, match="balanced"):
+            rv.check_moment_identity(unbalanced, [0, 1, 0, 1, 1])
+
+    def test_wave_column_does_not_unbalance_a_forest(self):
+        f = balanced_forest(1, 2, 2)
+        flat = replace(f, wave=np.zeros(f.n, dtype=np.int64))
+        z = np.arange(f.n) % 2
+        assert rv.check_moment_identity(flat, z) == rv.check_moment_identity(f, z)
+
+
+def test_non_binary_z_rejected():
+    # a value that truncates to 0 or 1 is still not 0 or 1
+    f = balanced_forest(1, 2, 1)
+    for call in (rv.enumerate_neighbourhood, rv.enumerate_tree, rv.check_moment_identity):
+        with pytest.raises(DataError, match="0 or 1"):
+            call(f, [0, 0.7, 0.7])
 
 
 def test_mc_agreement_sweep():
