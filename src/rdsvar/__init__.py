@@ -19,7 +19,6 @@ from .graph import (
 from .simulate import (
     RdsDesign,
     RecruitmentForest,
-    draw_seeds_pps,
     read_forest_csv,
     simulate_rds,
     write_forest_csv,

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .estimators import PopulationTotals, WeightedSample, _degree_terms, _estimate
+from .estimators import PopulationTotals, WeightedSample, _as_z, _degree_terms, _estimate
 from .rng import RngStream, generator
 from .simulate import RecruitmentForest
 
@@ -106,15 +106,6 @@ class BootstrapDistribution:
         return int(self.estimates.shape[0])
 
 
-def _as_z(forest: RecruitmentForest, z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (forest.n,):
-        raise DataError(f"z must have one value per forest entry ({forest.n}), got {z.shape}")
-    if z.size and not np.isin(z, (0.0, 1.0)).all():
-        raise DataError("z values must be 0 or 1")
-    return z
-
-
 def _nb_pool(forest: RecruitmentForest, pool: str) -> tuple[np.ndarray, int]:
     """(pool entry indices, n_r). n_r is the number of draws for either pool."""
     recruiters = forest.recruiter_entries()
@@ -166,7 +157,7 @@ def neighbourhood_resample(
     drawn. Seeds are nobody's recruit and therefore never appear in the
     returned sample.
     """
-    z = _as_z(forest, z)
+    z = _as_z(z, forest.n)
     counts, pool_entries = _nb_counts(forest, pool, rng, 1)
     recruits, slot = _recruit_slots(forest, pool_entries)
     mult = np.zeros(forest.n, dtype=np.int64)
@@ -203,7 +194,7 @@ def tree_resample(
     forest: RecruitmentForest, z, rng: RngStream, seed_mode: str = "with_replacement"
 ) -> WeightedSample:
     """One tree bootstrap sample: every drawn occurrence, seeds included."""
-    z = _as_z(forest, z)
+    z = _as_z(z, forest.n)
     if forest.n == 0:
         raise DataError("empty forest")
     counts = _tree_counts(forest, seed_mode, rng, 1)[0]
@@ -263,7 +254,7 @@ def bootstrap_distributions(
     is attribute-agnostic. Replicate b is row b % BLOCK of the block drawn
     from substream (root, b // BLOCK).
     """
-    cols = {name: _as_z(forest, zc) for name, zc in columns.items()}
+    cols = {name: _as_z(zc, forest.n) for name, zc in columns.items()}
     nums, den = _replicate_terms(forest, cfg.method, cfg.selection_pool, cfg.estimator, totals, cols)
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
@@ -356,7 +347,7 @@ def mc_bootstrap_moments(
     """
     if method not in METHODS:
         raise DataError(f"unknown bootstrap method: {method!r}")
-    nums, den = _replicate_terms(forest, method, pool, estimator, totals, {"z": _as_z(forest, z)})
+    nums, den = _replicate_terms(forest, method, pool, estimator, totals, {"z": _as_z(z, forest.n)})
     counts = _counts(forest, method, pool, seed_mode, rng, B)
     est = (counts @ nums["z"]) / (counts @ den)
     mean = float(est.mean())

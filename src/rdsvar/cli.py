@@ -247,11 +247,10 @@ def _echo(cfg: dict) -> dict:
 
 def _design_from(cfg: dict) -> RdsDesign:
     _require(cfg, "seeds", "coupons", "pmf", "n")
-    pmf = _parse_pmf(cfg["pmf"]) if isinstance(cfg["pmf"], str) else tuple(float(x) for x in cfg["pmf"])
     return RdsDesign(
         n_seeds=int(cfg["seeds"]),
         max_coupons=int(cfg["coupons"]),
-        recruit_count_pmf=pmf,
+        recruit_count_pmf=_parse_pmf(cfg["pmf"]),
         target_n=int(cfg["n"]),
         regime=cfg.get("regime") or "without_replacement",
         reseed_on_death=not cfg.get("no_reseed"),

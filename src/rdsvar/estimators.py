@@ -54,6 +54,19 @@ def _as_degrees(values) -> np.ndarray:
     return arr
 
 
+def _as_z(values, n: int | None = None) -> np.ndarray:
+    """``values`` as a float64 array of binary attribute values, with shape (n,) when n is given."""
+    try:
+        z = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError("z values must be 0 or 1") from None
+    if n is not None and z.shape != (n,):
+        raise DataError(f"z must have one value per forest entry ({n}), got {z.shape}")
+    if z.size and not np.isin(z, (0.0, 1.0)).all():
+        raise DataError("z values must be 0 or 1")
+    return z
+
+
 @dataclass
 class WeightedSample:
     """Multiset of (z, degree) observations with integer multiplicities."""
@@ -63,16 +76,13 @@ class WeightedSample:
     multiplicity: np.ndarray
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
+        self.z = _as_z(self.z)
         self.degree = _as_degrees(self.degree)
         self.multiplicity = np.asarray(self.multiplicity, dtype=np.int64)
         if not (self.z.shape == self.degree.shape == self.multiplicity.shape):
             raise DataError("z, degree, multiplicity must have equal length")
-        if self.z.size:
-            if not np.isin(self.z, (0.0, 1.0)).all():
-                raise DataError("z values must be 0 or 1")
-            if int(self.multiplicity.min()) < 1:
-                raise DataError("multiplicities must be >= 1")
+        if self.multiplicity.size and int(self.multiplicity.min()) < 1:
+            raise DataError("multiplicities must be >= 1")
 
     @classmethod
     def from_pairs(cls, pairs) -> "WeightedSample":

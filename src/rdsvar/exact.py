@@ -21,9 +21,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bootstrap import _as_z
 from .errors import BudgetError, DataError
-from .estimators import PopulationTotals
+from .estimators import PopulationTotals, _as_z
 from .simulate import RecruitmentForest
 
 __all__ = [
@@ -91,7 +90,7 @@ def _moments_json(mean: Fraction, variance: Fraction) -> dict:
 
 def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: PopulationTotals | None):
     """Per-entry numerator/denominator terms; estimate = sum(c*num)/(sum(c*den)*scale)."""
-    zi = _as_z(forest, z).astype(np.int64).tolist()
+    zi = _as_z(z, forest.n).astype(np.int64).tolist()
     d = [int(x) for x in forest.degree]
     if estimator == "sample_mean":
         return [Fraction(v) for v in zi], [Fraction(1)] * forest.n, Fraction(1)
@@ -376,7 +375,7 @@ def check_moment_identity(forest: RecruitmentForest, z) -> dict:
     nb = enumerate_neighbourhood(forest, z, "recruiters_only", "sample_mean")
     nb_mean, nb_var = _balanced_sample_mean_moments(forest, z, "neighbourhood")
     tree_mean, tree_var = _balanced_sample_mean_moments(forest, z, "tree")
-    nonseed = _as_z(forest, z)[forest.parent >= 0]
+    nonseed = _as_z(z, forest.n)[forest.parent >= 0]
     non_seed_mean = Fraction(int(nonseed.sum()), nonseed.size)
     return {
         "balanced": {"s": s, "c": c, "h": h, "n": forest.n, "n_r": int(forest.recruiter_entries().size)},

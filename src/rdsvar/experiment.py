@@ -19,7 +19,7 @@ import math
 import multiprocessing
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -45,18 +45,6 @@ __all__ = [
     "run_full",
 ]
 
-REPORT_COLUMNS = [
-    "attribute",
-    "method",
-    "level",
-    "coverage",
-    "mean_width",
-    "expected_width",
-    "mean_boot_var",
-    "mse",
-    "rel_bias",
-]
-
 _REPLICATION_DOMAIN = 0
 _WIDTH_DOMAIN = 1
 _METHOD_KEY = {"neighbourhood": 1, "tree": 2}
@@ -72,8 +60,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("neighbourhood", "tree")
     ci_levels: tuple[float, ...] = (0.95, 0.80)
     n_width_reference: int = 5000
-    selection_pool: str = "recruiters_only"
-    tree_seed_mode: str = "with_replacement"
 
     def __post_init__(self):
         if self.n_replications < 2:
@@ -103,6 +89,9 @@ class ReportRow:
     rel_bias: float | None  # None when the MSE is 0
 
 
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
+
+
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
@@ -115,16 +104,8 @@ class ExperimentReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.attribute,
-                    r.method,
-                    repr(float(r.level)),
-                    *("NA" if v is None else repr(float(v)) for v in (
-                        r.coverage, r.mean_width, r.expected_width, r.mean_boot_var, r.mse, r.rel_bias
-                    )),
-                ]
-            )
+            attribute, method, *numbers = astuple(r)
+            writer.writerow([attribute, method, *("NA" if v is None else repr(float(v)) for v in numbers)])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -133,20 +114,7 @@ class ExperimentReport:
             "config": self.config_echo,
             "truths": self.truths,
             "diagnostics": self.diagnostics,
-            "rows": [
-                {
-                    "attribute": r.attribute,
-                    "method": r.method,
-                    "level": r.level,
-                    "coverage": r.coverage,
-                    "mean_width": r.mean_width,
-                    "expected_width": r.expected_width,
-                    "mean_boot_var": r.mean_boot_var,
-                    "mse": r.mse,
-                    "rel_bias": r.rel_bias,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
 
@@ -191,16 +159,8 @@ def _replication(index: int) -> _RepResult | None:
     boot_var: dict[tuple[str, str], float] = {}
     cis: dict[tuple[str, str, float], tuple[float, float]] = {}
     for method in cfg.methods:
-        bc = BootstrapConfig(
-            method=method,
-            n_replicates=cfg.n_bootstrap,
-            selection_pool=cfg.selection_pool,
-            tree_seed_mode=cfg.tree_seed_mode,
-            estimator="vh",
-        )
-        dists = bootstrap_distributions(
-            forest, bc, z_cols, root=substream(rep_root, _METHOD_KEY[method])
-        )
+        bc = BootstrapConfig(method, cfg.n_bootstrap)
+        dists = bootstrap_distributions(forest, bc, z_cols, root=substream(rep_root, _METHOD_KEY[method]))
         for a, dist in dists.items():
             points[a] = dist.estimator_on_original  # the vh point estimate, the same for every method
             boot_var[(a, method)] = bootstrap_variance(dist)
@@ -292,29 +252,7 @@ def _reduce(
         "total_reseeds": sum(r.n_reseeds for r in completed),
         "total_truncated_recruits": sum(r.n_truncated for r in completed),
     }
-    return ExperimentReport(rows, truths, diagnostics, _echo_config(cfg))
-
-
-def _echo_config(cfg: ExperimentConfig) -> dict:
-    return {
-        "design": {
-            "n_seeds": cfg.design.n_seeds,
-            "max_coupons": cfg.design.max_coupons,
-            "recruit_count_pmf": list(cfg.design.recruit_count_pmf),
-            "target_n": cfg.design.target_n,
-            "regime": cfg.design.regime,
-            "reseed_on_death": cfg.design.reseed_on_death,
-        },
-        "attributes": list(cfg.attributes),
-        "methods": list(cfg.methods),
-        "n_replications": cfg.n_replications,
-        "n_bootstrap": cfg.n_bootstrap,
-        "ci_levels": list(cfg.ci_levels),
-        "n_width_reference": cfg.n_width_reference,
-        "master_seed": cfg.master_seed,
-        "selection_pool": cfg.selection_pool,
-        "tree_seed_mode": cfg.tree_seed_mode,
-    }
+    return ExperimentReport(rows, truths, diagnostics, asdict(cfg))
 
 
 def run_full(

@@ -136,7 +136,7 @@ def _from_pairs(node_ids: list[str], a: np.ndarray, b: np.ndarray, duplicates: i
     return PopulationGraph(node_ids, indptr, indices, duplicates_collapsed=duplicates)
 
 
-def load_edge_list(path, delimiter: str | None = None) -> PopulationGraph:
+def load_edge_list(path) -> PopulationGraph:
     """Load an undirected edge list from a text or CSV file.
 
     One edge per line, two whitespace- or comma-separated ids; lines
@@ -152,9 +152,7 @@ def load_edge_list(path, delimiter: str | None = None) -> PopulationGraph:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if delimiter is not None:
-                parts = [p.strip() for p in line.split(delimiter)]
-            elif "," in line:
+            if "," in line:
                 parts = [p.strip() for p in line.split(",")]
             else:
                 parts = line.split()
@@ -347,7 +345,10 @@ def _is_graphical(degrees: np.ndarray) -> bool:
     return int(prefix[-1]) % 2 == 0 and bool(np.all(prefix <= k * (k - 1) + tail))
 
 
-def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream, max_attempts: int = 100) -> PopulationGraph:
+_PAIRING_ATTEMPTS = 100  # full restarts of the stub pairing before giving up
+
+
+def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream) -> PopulationGraph:
     """Simple undirected graph via configuration-model stub pairing.
 
     Self-loops and multi-edges are rejected by reshuffling the clashing
@@ -365,7 +366,7 @@ def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream, max_a
     width = len(str(n_nodes - 1))
     ids = [str(i).zfill(width) for i in range(n_nodes)]
 
-    for _ in range(max_attempts):
+    for _ in range(_PAIRING_ATTEMPTS):
         edges: set[tuple[int, int]] = set()
         stubs = np.repeat(np.arange(n_nodes, dtype=np.int64), degrees)
         rounds_left = 10_000
@@ -396,7 +397,7 @@ def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream, max_a
         if stubs.size == 0:
             pairs = np.array(list(edges), dtype=np.int32).reshape(-1, 2)
             return _from_pairs(ids, pairs[:, 0], pairs[:, 1], 0)
-    raise DataError(f"configuration model failed to pair the stubs in {max_attempts} attempts")
+    raise DataError(f"configuration model failed to pair the stubs in {_PAIRING_ATTEMPTS} attempts")
 
 
 def load_summary(g: PopulationGraph) -> dict:

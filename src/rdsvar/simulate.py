@@ -45,7 +45,6 @@ from .rng import RngStream
 __all__ = [
     "RdsDesign",
     "RecruitmentForest",
-    "draw_seeds_pps",
     "simulate_rds",
     "write_forest_csv",
     "read_forest_csv",
@@ -111,9 +110,9 @@ class RecruitmentForest:
     degree: np.ndarray  # int64 reported degree
     n_reseeds: int = 0
     n_truncated: int = 0
-    _children: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    _bfs: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    _groups: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
+    _children: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _bfs: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _groups: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("node_index", "seed_index", "wave", "parent"):
@@ -208,40 +207,30 @@ class _Tape:
     64-bit bit generators (PCG64, PCG64DXSM, Philox, SFC64) make a double
     of one raw word x as (x >> 11) * 2**-53, and serve 32-bit words as the
     low and then the high half of one raw word, the high half waiting in a
-    buffer that doubles leave alone. MT19937 makes a double of two raw
-    32-bit words a, b as ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, and a
-    32-bit word of one.
+    buffer that doubles leave alone. Other bit generators are rejected.
 
     Read at position i, a double is ``double[i]`` and gives the recruit
     count ``counts[i]``; a 32-bit word is ``lo[i]``, its buffered partner
-    ``hi[i]``. Reading a double advances ``step`` positions, a fresh 32-bit
-    word one. ``rewind`` puts the bit generator where the Generator methods
-    would have left it after the draws read.
+    ``hi[i]``. ``rewind`` puts the bit generator where the Generator
+    methods would have left it after the draws read.
     """
 
     def __init__(self, bg, cum: np.ndarray, size: int):
         self.bg = bg
         self.start = bg.state
-        self.halves = "has_uint32" in self.start
-        if not self.halves and self.start.get("bit_generator") != "MT19937":
+        if "has_uint32" not in self.start:
             raise DataError(f"unsupported bit generator: {type(bg).__name__}")
-        self.step = 1 if self.halves else 2
-        self.has = bool(self.start.get("has_uint32"))
-        self.half = self.start.get("uinteger", 0)
+        self.has = bool(self.start["has_uint32"])
+        self.half = self.start["uinteger"]
         self.cum = cum
-        # MT19937 reads twice as many raw words: it has 32-bit ones
-        self.chunk = size * self.step
-        self.raw = bg.random_raw(self.chunk)
+        self.chunk = size
+        self.raw = bg.random_raw(size)
         self._decode()
 
     def _decode(self) -> None:
         raw = self.raw
-        if self.halves:
-            self.double = (raw >> 11) * 2.0**-53
-            self.lo, self.hi = (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
-        else:
-            self.double = ((raw[:-1] >> 5) * 67108864.0 + (raw[1:] >> 6)) * 2.0**-53
-            self.lo = self.hi = raw.tolist()
+        self.double = (raw >> 11) * 2.0**-53
+        self.lo, self.hi = (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
         self.counts = self.cum.searchsorted(self.double, side="right").tolist()
 
     def more(self) -> tuple[list[int], list[int], list[int]]:
@@ -254,10 +243,9 @@ class _Tape:
         """Leave the bit generator after ``read`` raw words, with the 32-bit buffer (has, half)."""
         self.bg.state = self.start
         self.bg.random_raw(read)
-        if self.halves:
-            state = self.bg.state
-            state["has_uint32"], state["uinteger"] = int(has), half
-            self.bg.state = state
+        state = self.bg.state
+        state["has_uint32"], state["uinteger"] = int(has), half
+        self.bg.state = state
 
 
 def _tape_size(design: RdsDesign) -> int:
@@ -296,16 +284,6 @@ def _pps_draw_indices(candidates: np.ndarray, weights: np.ndarray, us) -> list[i
     return picked
 
 
-def draw_seeds_pps(g: PopulationGraph, s: int, rng: RngStream) -> list[str]:
-    """Draw s distinct seeds, successively, with probability proportional to degree."""
-    if s > g.n_nodes:
-        raise DataError(f"cannot draw {s} seeds from {g.n_nodes} nodes")
-    if g.n_nodes and int(g.degree.min()) < 1:
-        raise DataError("all degrees must be >= 1 for degree-proportional seeding")
-    idx = _pps_draw_indices(np.arange(g.n_nodes), g.degree, rng.random(s))
-    return [g.node_ids[i] for i in idx]
-
-
 def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> RecruitmentForest:
     """Simulate one RDS sample of exactly ``design.target_n`` entries.
 
@@ -327,14 +305,14 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     indptr, indices = memoryview(g.indptr), memoryview(g.indices)
     tape = _Tape(rng.bit_generator, cum, _tape_size(design))
     counts, lo32, hi32 = tape.counts, tape.lo, tape.hi
-    step, halves, has, half = tape.step, tape.halves, tape.has, tape.half
+    has, half = tape.has, tape.half
     # an entry reads a double and at most max_coupons 32-bit words, bar rejections
-    margin = step + design.max_coupons + 1
+    margin = design.max_coupons + 2
     limit = len(lo32) - margin
 
-    w = s * step
+    w = s
     try:
-        node = _pps_draw_indices(np.arange(g.n_nodes), g.degree, tape.double[0:w:step])
+        node = _pps_draw_indices(np.arange(g.n_nodes), g.degree, tape.double[:s])
         parent = [-1] * s
         seed_of = list(range(s))
         wave = [0] * s
@@ -358,7 +336,7 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                     )
                 fresh = np.flatnonzero(~np.frombuffer(sampled, dtype=bool)) if wor else np.arange(g.n_nodes)
                 v = _pps_draw_indices(fresh, g.degree[fresh], tape.double[w : w + 1])[0]
-                w += step
+                w += 1
                 node.append(v)
                 parent.append(-1)
                 seed_of.append(s + n_reseeds)
@@ -368,7 +346,7 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 n_reseeds += 1
                 continue
             k = counts[w]
-            w += step
+            w += 1
             entry = head
             head += 1
             if not k:
@@ -392,11 +370,8 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                     while True:
                         if has:
                             r, has = half, False
-                        elif halves:
-                            r, half, has = lo32[w], hi32[w], True
-                            w += 1
                         else:
-                            r = lo32[w]
+                            r, half, has = lo32[w], hi32[w], True
                             w += 1
                         m = r * n
                         if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (0x100000000 - n) % n:

@@ -363,3 +363,58 @@ def test_production_kernels_match_closed_forms_at_realistic_size(s, c, h):
         mm = rv.mc_bootstrap_moments(f, z, method, "sample_mean", 2000, generator(60, s, c, h))
         assert abs(mm.mean - float(mean)) < 4 * mm.se_mean
         assert abs(mm.variance - float(var)) < 4 * mm.se_variance
+
+
+def test_non_numeric_z_is_a_data_error():
+    # one binary-z rule serves the estimators, the resamplers and the oracle
+    forest, z = balanced_forest(1, 2, 1), ["a", "1", "0"]
+    calls = [
+        lambda: rv.WeightedSample(z, [1, 1, 1], [1, 1, 1]),
+        lambda: rv.enumerate_neighbourhood(forest, z),
+        lambda: rv.mc_bootstrap_moments(forest, z, "neighbourhood", "sample_mean", 10, generator(0)),
+        lambda: rv.bootstrap_distribution(forest, rv.BootstrapConfig("tree", 10), z),
+    ]
+    for call in calls:
+        with pytest.raises(DataError, match="z values must be 0 or 1"):
+            call()
+
+
+class CountingRng:
+    """A generator whose ``integers`` calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("estimator", ["sample_mean", "vh"])
+def test_all_participants_pool_matches_enumeration(two_recruiter_forest, monkeypatch, estimator):
+    # M -> {N, O}, N -> {P}: two draws from all four entries find no recruit
+    # when both fall on O or P, a quarter of the time, and are then redrawn;
+    # enumeration renormalizes over the draws that find one
+    forest, z = two_recruiter_forest, np.array([0.0, 1.0, 0.0, 1.0])
+    exact = rv.enumerate_neighbourhood(forest, z, pool="all_participants", estimator=estimator)
+    assert exact.variance > 0
+
+    B = 20_000
+    rng = CountingRng(generator(41))
+    mc = rv.mc_bootstrap_moments(forest, z, "neighbourhood", estimator, B, rng, pool="all_participants")
+    assert rng.calls >= 2
+    assert abs(mc.mean - exact.mean_float) < 4 * mc.se_mean
+    assert abs(mc.variance - exact.variance_float) < 4 * mc.se_variance
+
+    streams = []
+
+    def counted(*key):
+        streams.append(CountingRng(generator(*key)))
+        return streams[-1]
+
+    monkeypatch.setattr("rdsvar.bootstrap.generator", counted)
+    cfg = rv.BootstrapConfig("neighbourhood", 4000, selection_pool="all_participants", estimator=estimator)
+    d = rv.bootstrap_distribution(forest, cfg, z, root=42)
+    assert len(streams) == 40 and all(s.calls >= 2 for s in streams)
+    se = float(d.estimates.std(ddof=1)) / np.sqrt(d.n_replicates)
+    assert abs(float(d.estimates.mean()) - exact.mean_float) < 4 * se
