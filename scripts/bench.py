@@ -11,8 +11,9 @@ options to measure them in alternating pairs. Each checkout's file holds the wor
 line, every run's result, and the median and quartiles of each end-to-end
 metric over the seeds. A file is labelled with its checkout's git sha
 (``--label`` names it instead, for a single checkout) and goes to this
-repository's root. Run it on an otherwise idle machine: the runs take
-about (N + 1) x run_seconds seconds per workload and checkout.
+repository's root, so the checkouts must be at distinct commits. Run it
+on an otherwise idle machine: the runs take about (N + 1) x run_seconds
+seconds per workload and checkout.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def git_sha(checkout: Path) -> str | None:
+    """The commit checked out at ``checkout``, or None if it is not the root of a git checkout."""
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_harness(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -76,6 +85,14 @@ def main(argv=None) -> int:
     if any((s["workloads"], s["run_seconds"]) != (spec["workloads"], spec["run_seconds"]) for s in specs):
         ap.error("the checkouts' BENCHMARK.json differ in their workloads or run_seconds")
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    # refuse before any run what would give two checkouts one file name
+    shas = [git_sha(c) for c in checkouts]
+    if not args.label:
+        for c, sha in zip(checkouts, shas):
+            if sha is None:
+                ap.error(f"{c} has no git sha; measure it alone with --label")
+    if len(set(shas)) < len(shas):
+        ap.error("two checkouts are at one commit, so their BENCH files would share one name")
 
     results = [{} for _ in checkouts]
     for w in spec["workloads"]:
@@ -98,11 +115,8 @@ def main(argv=None) -> int:
                 "trace": traced,
             }
 
-    shas = [next(iter(workloads.values()))["provenance"]["git_sha"] for workloads in results]
-    for c, spec_c, workloads, sha in zip(checkouts, specs, results, shas):
-        label = args.label or (sha[:12] if sha else None)
-        if not label:
-            raise SystemExit(f"bench: {c} has no git sha; measure it alone with --label")
+    for spec_c, workloads, sha in zip(specs, results, shas):
+        label = args.label or sha[:12]
         payload = {
             "label": label,
             "git_sha": sha,

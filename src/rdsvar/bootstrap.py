@@ -139,7 +139,7 @@ def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) 
                 (redraw + off).ravel(), minlength=redraw.shape[0] * p
             ).reshape(-1, p)
             empty = counts @ kids == 0
-    return counts.astype(np.int64), pool_entries
+    return counts, pool_entries
 
 
 def _recruit_slots(forest: RecruitmentForest, pool_entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,9 +175,11 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
     seeds = forest.seed_entries()
     s = int(seeds.size)
     counts = np.zeros((forest.n, size), dtype=np.int64)
-    if seed_mode == "with_replacement":
+    if seed_mode == "with_replacement" and s > 1:
         counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
     else:
+        # a lone seed drawn with replacement is drawn once: a one-category
+        # multinomial uses no randomness, like the k == 1 copy below
         counts[seeds] = 1
     for recruiters, recruits in forest.recruiter_groups():
         k = recruits.shape[1]
@@ -312,8 +314,10 @@ def bootstrap_variance(dist: BootstrapDistribution) -> float:
     B = dist.n_replicates
     if B < 2:
         raise DataError("need at least 2 bootstrap estimates")
-    mean = math.fsum(dist.estimates) / B
-    return math.fsum((e - mean) ** 2 for e in dist.estimates) / (B - 1)
+    est = dist.estimates
+    mean = math.fsum(est.tolist()) / B
+    # Python's ** 2, not numpy's d * d, which rounds differently in a few squares
+    return math.fsum([d**2 for d in (est - mean).tolist()]) / (B - 1)
 
 
 @dataclass(frozen=True)
@@ -349,11 +353,14 @@ def mc_bootstrap_moments(
         raise DataError(f"unknown bootstrap method: {method!r}")
     nums, den = _replicate_terms(forest, method, pool, estimator, totals, {"z": _as_z(z, forest.n)})
     counts = _counts(forest, method, pool, seed_mode, rng, B)
-    est = (counts @ nums["z"]) / (counts @ den)
+    # one contiguous float64 product: int64 or transposed counts miss the BLAS path
+    den_sums, num_sums = np.stack([den, nums["z"]]) @ counts.T.astype(np.float64)
+    est = num_sums / den_sums
     mean = float(est.mean())
     centered = est - mean
     variance = float((centered @ centered) / (B - 1))
-    m4 = float(np.mean(centered**4))
+    sq = centered * centered  # centered**4 calls pow per element
+    m4 = float(np.mean(sq * sq))
     se_mean = math.sqrt(variance / B)
     se_variance = math.sqrt(max(m4 - variance**2, 0.0) / B)
     return MonteCarloMoments(mean, variance, se_mean, se_variance, B)

@@ -29,17 +29,15 @@ __all__ = [
 ]
 
 
-_DEGREE_RANGE = "degree must be an integer in [1, 2**63 - 1]"
-
-
-def _as_degrees(values) -> np.ndarray:
-    """``values`` as an int64 array of degrees, each an integer in [1, 2**63 - 1].
+def _as_positive_ints(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of ``what`` values, each an integer in [1, 2**63 - 1].
 
     Input numpy cannot cast to int64 losslessly (floats, uint64, Python ints
     beyond int64) is checked value by value before the cast; int64 input
     costs only the minimum.
     """
     arr = np.asarray(values)
+    valid = f"{what} must be an integer in [1, 2**63 - 1]"
     if not np.can_cast(arr.dtype, np.int64):
         for v in arr.ravel().tolist():
             try:
@@ -47,10 +45,10 @@ def _as_degrees(values) -> np.ndarray:
             except (TypeError, ValueError, OverflowError):
                 ok = False
             if not ok:
-                raise DataError(f"{_DEGREE_RANGE}, got {v!r}")
+                raise DataError(f"{valid}, got {v!r}")
     arr = arr.astype(np.int64, copy=False)
     if arr.size and int(arr.min()) < 1:
-        raise DataError(f"{_DEGREE_RANGE}, got {int(arr.min())}")
+        raise DataError(f"{valid}, got {int(arr.min())}")
     return arr
 
 
@@ -69,7 +67,11 @@ def _as_z(values, n: int | None = None) -> np.ndarray:
 
 @dataclass
 class WeightedSample:
-    """Multiset of (z, degree) observations with integer multiplicities."""
+    """Multiset of (z, degree) observations with integer multiplicities.
+
+    The multiplicities sum to less than 2**63, so that no per-degree sum
+    of them wraps in int64.
+    """
 
     z: np.ndarray
     degree: np.ndarray
@@ -77,12 +79,12 @@ class WeightedSample:
 
     def __post_init__(self):
         self.z = _as_z(self.z)
-        self.degree = _as_degrees(self.degree)
-        self.multiplicity = np.asarray(self.multiplicity, dtype=np.int64)
-        if not (self.z.shape == self.degree.shape == self.multiplicity.shape):
+        self.degree = _as_positive_ints(self.degree, "degree")
+        self.multiplicity = m = _as_positive_ints(self.multiplicity, "multiplicity")
+        if not (self.z.shape == self.degree.shape == m.shape):
             raise DataError("z, degree, multiplicity must have equal length")
-        if self.multiplicity.size and int(self.multiplicity.min()) < 1:
-            raise DataError("multiplicities must be >= 1")
+        if m.size and int(m.max()) * m.size >= 2**63 and sum(m.tolist()) >= 2**63:
+            raise DataError("multiplicities must sum to less than 2**63")
 
     @classmethod
     def from_pairs(cls, pairs) -> "WeightedSample":

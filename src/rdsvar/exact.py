@@ -3,8 +3,14 @@
 Ground truth for the Monte Carlo resamplers: every possible draw sequence
 is enumerated with exact rational probabilities, so enumerated moments are
 exact and comparisons against simulation need only Monte Carlo error
-bounds. Enumeration budgets keep this to toy problem sizes; past the
-budget the error advises falling back to ``mc_bootstrap_moments``.
+bounds. The estimator's terms are integers over one common denominator,
+each draw outcome adds its integer weight to the key of its integer
+(numerator, denominator) sums (in the tree, also of its probability's
+denominator), and the ``Fraction`` estimate and probability are built
+once per distinct key. Enumeration budgets keep this to toy problem sizes
+(the neighbourhood budget counts draw multisets, the tree budget
+enumerated outcomes); past the budget the error advises falling back to
+``mc_bootstrap_moments``.
 
 Past the budgets, two closed forms stay exact at O(n) Fraction cost: the
 mean and variance of the tree bootstrap's linear statistic counts @ z on
@@ -89,26 +95,24 @@ def _moments_json(mean: Fraction, variance: Fraction) -> dict:
 
 
 def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: PopulationTotals | None):
-    """Per-entry numerator/denominator terms; estimate = sum(c*num)/(sum(c*den)*scale)."""
+    """Per-entry integer numerator/denominator terms; estimate = sum(c*num)/(sum(c*den)*scale).
+
+    The terms are the estimator's weights put over one common denominator
+    (the lcm of the degrees), which cancels in the ratio.
+    """
     zi = _as_z(z, forest.n).astype(np.int64).tolist()
     d = [int(x) for x in forest.degree]
     if estimator == "sample_mean":
-        return [Fraction(v) for v in zi], [Fraction(1)] * forest.n, Fraction(1)
+        return zi, [1] * forest.n, Fraction(1)
+    lcm = math.lcm(*d)
+    w = [lcm // di for di in d]
     if estimator == "vh":
-        return (
-            [Fraction(v, di) for v, di in zip(zi, d)],
-            [Fraction(1, di) for di in d],
-            Fraction(1),
-        )
+        return [v * wi for v, wi in zip(zi, w)], w, Fraction(1)
     if estimator == "ipw":
         if totals is None:
             raise DataError("ipw estimator requires population totals")
         T = int(totals.total_degree)
-        return (
-            [Fraction(v * T, di) for v, di in zip(zi, d)],
-            [Fraction(1)] * forest.n,
-            Fraction(int(totals.n_population)),
-        )
+        return [v * T * wi for v, wi in zip(zi, w)], [lcm] * forest.n, Fraction(int(totals.n_population))
     raise DataError(f"unknown estimator: {estimator!r}")
 
 
@@ -120,30 +124,22 @@ def _multinomial_coefficient(counts) -> int:
     return out
 
 
-def _pool_draw_outcomes(agg_num, agg_den, n_draws: int):
-    """Outcomes of drawing ``n_draws`` times uniformly with replacement from a pool.
-
-    Yields (num, den, weight) where weight counts ordered draw tuples; the
-    tuple total is p**n_draws.
-    """
-    p = len(agg_num)
-    for combo in combinations_with_replacement(range(p), n_draws):
-        counts: dict[int, int] = {}
-        for j in combo:
-            counts[j] = counts.get(j, 0) + 1
-        weight = _multinomial_coefficient(list(counts.values()))
-        num = sum((c * agg_num[j] for j, c in counts.items()), Fraction(0))
-        den = sum((c * agg_den[j] for j, c in counts.items()), Fraction(0))
-        yield num, den, weight
+def _law(outcomes, scale: Fraction) -> ExactDistribution:
+    """The law of num / (den * scale) over (num, den, probability) outcomes, equal estimates merged."""
+    acc: dict[Fraction, Fraction] = {}
+    for num, den, prob in outcomes:
+        est = Fraction(num, den) / scale
+        acc[est] = acc.get(est, Fraction(0)) + prob
+    return ExactDistribution.from_outcomes(acc)
 
 
 def _nb_aggregates(forest: RecruitmentForest, pool_entries, num, den):
     indptr, children = forest.children_csr()
     agg_num, agg_den = [], []
     for e in pool_entries:
-        kid = children[indptr[e] : indptr[e + 1]]
-        agg_num.append(sum((num[c] for c in kid), Fraction(0)))
-        agg_den.append(sum((den[c] for c in kid), Fraction(0)))
+        kid = children[indptr[e] : indptr[e + 1]].tolist()
+        agg_num.append(sum(num[c] for c in kid))
+        agg_den.append(sum(den[c] for c in kid))
     return agg_num, agg_den
 
 
@@ -158,11 +154,13 @@ def enumerate_neighbourhood(
     """Exact law of an estimator under the neighbourhood bootstrap.
 
     Iterates every multiset of n_r pool draws, C(p + n_r - 1, n_r) of
-    them, each weighted by the number of n_r-tuples (of probability
-    p**-n_r each) that produce it; the budget bounds that count. With the
-    all_participants pool, tuples yielding no observations are dropped
-    and the law renormalized, matching the resampler's
-    redraw-until-nonempty behaviour.
+    them, each weighted by the number n_r! / prod(c_j!) of n_r-tuples
+    (of probability p**-n_r each) that produce it; the budget bounds that
+    count. The weights add up as integers per distinct (numerator,
+    denominator) pair of integer sums. With the all_participants pool,
+    tuples yielding no observations are dropped and the law
+    renormalized, matching the resampler's redraw-until-nonempty
+    behaviour.
     """
     num, den, scale = _exact_terms(forest, z, estimator, totals)
     recruiters = forest.recruiter_entries()
@@ -178,20 +176,23 @@ def enumerate_neighbourhood(
             "use mc_bootstrap_moments instead"
         )
     agg_num, agg_den = _nb_aggregates(forest, pool_entries, num, den)
-    denom_total = p**n_r
-    acc: dict[Fraction, Fraction] = {}
-    skipped = 0
-    for onum, oden, weight in _pool_draw_outcomes(agg_num, agg_den, n_r):
-        if oden == 0:
-            skipped += weight
-            continue
-        est = onum / (oden * scale)
-        prob = Fraction(weight, denom_total)
-        acc[est] = acc.get(est, Fraction(0)) + prob
-    if skipped:
-        kept = Fraction(denom_total - skipped, denom_total)
-        acc = {v: pr / kept for v, pr in acc.items()}
-    return ExactDistribution.from_outcomes(acc)
+    orderings = math.factorial(n_r)
+    weights: dict[tuple[int, int], int] = {}  # (num, den) -> number of draw tuples
+    for combo in combinations_with_replacement(range(p), n_r):
+        # combo is sorted, so the product of each draw's position within its
+        # run of equal members is prod(c_j!)
+        onum = oden = 0
+        div = run = 1
+        prev = -1
+        for j in combo:
+            onum += agg_num[j]
+            oden += agg_den[j]
+            run = run + 1 if j == prev else 1
+            div *= run
+            prev = j
+        weights[onum, oden] = weights.get((onum, oden), 0) + orderings // div
+    kept = p**n_r - sum(w for (_, oden), w in weights.items() if oden == 0)
+    return _law(((onum, oden, Fraction(w, kept)) for (onum, oden), w in weights.items() if oden), scale)
 
 
 def _compositions(total: int, parts: int):
@@ -215,7 +216,10 @@ def enumerate_tree(
     """Exact law of an estimator under the tree bootstrap.
 
     Recursively enumerates the seed draw and every per-node recruit-draw
-    outcome; probabilities are products of uniform draw probabilities.
+    outcome, whose number the budget bounds. Probabilities are products
+    of uniform draw probabilities, carried as an integer numerator and
+    denominator, and add up as integers per distinct (numerator,
+    denominator, probability denominator) triple.
     """
     if forest.n == 0:
         raise DataError("empty forest")
@@ -230,10 +234,10 @@ def enumerate_tree(
             plan.append((int(u), kid))
 
     counts = [0] * forest.n
-    acc: dict[Fraction, Fraction] = {}
+    weights: dict[tuple[int, int, int], int] = {}  # (num, den, prob denominator) -> prob numerator
     visited = 0
 
-    def settle(i: int, prob: Fraction, run_num: Fraction, run_den: Fraction):
+    def settle(i: int, pw: int, pd: int, run_num: int, run_den: int):
         nonlocal visited
         if i == len(plan):
             visited += 1
@@ -241,51 +245,45 @@ def enumerate_tree(
                 raise BudgetError(
                     f"tree enumeration exceeded budget {budget}; use mc_bootstrap_moments instead"
                 )
-            est = run_num / (run_den * scale)
-            acc[est] = acc.get(est, Fraction(0)) + prob
+            key = (run_num, run_den, pd)
+            weights[key] = weights.get(key, 0) + pw
             return
         u, kid = plan[i]
         m = counts[u]
         if m == 0:
-            settle(i + 1, prob, run_num, run_den)
+            settle(i + 1, pw, pd, run_num, run_den)
             return
         k = len(kid)
         total = m * k
-        denom = k**total
+        pd *= k**total
         for combo in _compositions(total, k):
-            w = _multinomial_coefficient(combo)
-            add_num = Fraction(0)
-            add_den = Fraction(0)
+            add_num = add_den = 0
             for c, child in zip(combo, kid):
                 counts[child] = c
-                if c:
-                    add_num += c * num[child]
-                    add_den += c * den[child]
-            settle(i + 1, prob * Fraction(w, denom), run_num + add_num, run_den + add_den)
+                add_num += c * num[child]
+                add_den += c * den[child]
+            settle(i + 1, pw * _multinomial_coefficient(combo), pd, run_num + add_num, run_den + add_den)
         for child in kid:
             counts[child] = 0
 
-    def run_seed_config(seed_counts, prob: Fraction):
-        run_num = Fraction(0)
-        run_den = Fraction(0)
+    def run_seed_config(seed_counts, pw: int, pd: int):
+        run_num = run_den = 0
         for c, e in zip(seed_counts, seeds):
             counts[e] = c
             run_num += c * num[e]
             run_den += c * den[e]
-        settle(0, prob, run_num, run_den)
+        settle(0, pw, pd, run_num, run_den)
         for e in seeds:
             counts[e] = 0
 
     if seed_mode == "with_replacement":
-        denom = s**s
         for combo in _compositions(s, s):
-            w = _multinomial_coefficient(combo)
-            run_seed_config(combo, Fraction(w, denom))
+            run_seed_config(combo, _multinomial_coefficient(combo), s**s)
     elif seed_mode == "without_replacement":
-        run_seed_config([1] * s, Fraction(1))
+        run_seed_config([1] * s, 1, 1)
     else:
         raise DataError(f"unknown tree seed mode: {seed_mode!r}")
-    return ExactDistribution.from_outcomes(acc)
+    return _law(((onum, oden, Fraction(w, pd)) for (onum, oden, pd), w in weights.items()), scale)
 
 
 def _balanced_shape(forest: RecruitmentForest) -> tuple[int, int, int]:
@@ -354,7 +352,7 @@ def _balanced_sample_mean_moments(
         mean, var = _tree_linear_moments(forest, z, seed_mode)
         return mean / forest.n, var / forest.n**2
     num, den, _ = _exact_terms(forest, z, "sample_mean", None)
-    ybar = [a / b for a, b in zip(*_nb_aggregates(forest, forest.recruiter_entries(), num, den))]
+    ybar = [Fraction(a, b) for a, b in zip(*_nb_aggregates(forest, forest.recruiter_entries(), num, den))]
     mean = sum(ybar, Fraction(0)) / len(ybar)
     return mean, sum(((y - mean) ** 2 for y in ybar), Fraction(0)) / len(ybar) ** 2
 

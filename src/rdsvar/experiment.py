@@ -111,7 +111,7 @@ class ExperimentReport:
     def to_json_dict(self) -> dict:
         return {
             "tool": {"name": "rdsvar", "version": __version__},
-            "config": self.config_echo,
+            "config": dict(self.config_echo),  # a copy: callers add keys to it
             "truths": self.truths,
             "diagnostics": self.diagnostics,
             "rows": [asdict(r) for r in self.rows],

@@ -38,7 +38,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BudgetError, DataError
-from .estimators import _as_degrees
+from .estimators import _as_positive_ints
 from .graph import PopulationGraph, _csr, _gather_rows, _open_text
 from .rng import RngStream
 
@@ -117,7 +117,7 @@ class RecruitmentForest:
     def __post_init__(self):
         for name in ("node_index", "seed_index", "wave", "parent"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        self.degree = _as_degrees(self.degree)
+        self.degree = _as_positive_ints(self.degree, "degree")
         n = len(self.node_id)
         if any(arr.shape != (n,) for arr in (self.node_index, self.seed_index, self.wave, self.parent, self.degree)):
             raise DataError("forest arrays must all have one row per entry")

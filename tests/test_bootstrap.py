@@ -316,6 +316,21 @@ def test_tree_counts_conserve_occurrences():
                     assert (counts[:, kid[0]] == counts[:, u]).all()
 
 
+def test_lone_seed_drawn_with_replacement_draws_nothing():
+    # a one-category multinomial consumes no randomness, so skipping it leaves
+    # the counts and the generator's state where drawing it would
+    rng = np.random.default_rng(8)
+    forests = [random_tiny_forest(rng, max_recruiters=12, max_recruits=3)[0] for _ in range(40)]
+    forests = [f for f in forests if f.seed_entries().size == 1]
+    assert len(forests) >= 10
+    for i, forest in enumerate(forests):
+        rng, ref = generator(i), generator(i)
+        counts = _tree_counts(forest, "with_replacement", rng, 50)
+        ref.multinomial(1, [1.0], size=50)
+        assert (counts == _tree_counts(forest, "without_replacement", ref, 50)).all()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
 def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
     # simulated n = 1000 forests mix recruit counts within a wave, so every

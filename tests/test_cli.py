@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.cli import main
+from rdsvar.experiment import run_full
 from rdsvar.rng import generator
 
 try:
@@ -164,8 +165,15 @@ def test_experiment_requires_seed(study_files, tmp_path, capsys):
     assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-def test_experiment_smoke_and_schema(study_files, tmp_path):
+def test_experiment_smoke_and_schema(study_files, tmp_path, monkeypatch):
     tmp, edges, attr_path, g, attrs = study_files
+    reports = []
+
+    def keep(*args, **kwargs):
+        reports.append(run_full(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("rdsvar.cli.run_full", keep)
     code = run_cli(
         "experiment", "--edges", edges, "--attrs", attr_path, "--columns", "mix_half,clustered",
         "--seeds", "3", "--coupons", "3", "--pmf", "1/3,1/6,1/6,1/3", "--n", "30",
@@ -173,6 +181,9 @@ def test_experiment_smoke_and_schema(study_files, tmp_path):
     )
     assert code == 0
     payload = json.loads((tmp_path / "experiment_report.json").read_text())
+    assert payload["config"]["cli"]["R"] == 2
+    # writing the report leaves the report itself as run_full returned it
+    assert "cli" not in reports[0].to_json_dict()["config"]
     validate_schema(payload, "experiment_report.schema.json")
     csv_text = (tmp_path / "experiment_report.csv").read_text()
     assert csv_text.splitlines()[0] == "attribute,method,level,coverage,mean_width,expected_width,mean_boot_var,mse,rel_bias"

@@ -82,6 +82,19 @@ def test_degree_outside_int64_or_not_integral_is_data_error(build, degree):
             rv.RecruitmentForest(["a"], [-1], [0], [0], [-1], degree=[degree])
 
 
+@pytest.mark.parametrize(
+    "multiplicity, message",
+    [
+        ([1.5, 2], r"multiplicity must be an integer in \[1, 2\*\*63 - 1\], got 1.5"),
+        ([2**63, 1], r"multiplicity must be an integer in \[1, 2\*\*63 - 1\]"),
+        ([2**62, 2**62], r"multiplicities must sum to less than 2\*\*63"),
+    ],
+)
+def test_multiplicity_not_integral_or_beyond_int64_is_data_error(multiplicity, message):
+    with pytest.raises(DataError, match=message):
+        rv.sample_mean(rv.WeightedSample([1, 0], [3, 3], multiplicity))
+
+
 @st.composite
 def weighted_samples(draw):
     n = draw(st.integers(1, 12))

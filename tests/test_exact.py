@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -209,3 +210,88 @@ def test_mc_agreement_sweep():
             assert abs(mm.variance - exact.variance_float) < 3 * mm.se_variance + 1e-12
         checked += 1
     assert checked >= 3
+
+
+def _plain_estimate(drawn, z, d, estimator, totals):
+    """The estimator of the multiset ``drawn`` (entry indices), in Fractions from its definition."""
+    if estimator == "sample_mean":
+        return Fraction(sum(z[i] for i in drawn), len(drawn))
+    weighted = sum((Fraction(z[i], d[i]) for i in drawn), Fraction(0))
+    if estimator == "vh":
+        return weighted / sum((Fraction(1, d[i]) for i in drawn), Fraction(0))
+    return Fraction(totals.total_degree, totals.n_population) * weighted / len(drawn)
+
+
+def _plain_law(draws):
+    """Sorted (estimate, probability) of (estimate or None, probability) draws; None is conditioned away."""
+    law = {}
+    for est, p in draws:
+        law[est] = law.get(est, Fraction(0)) + p
+    kept = 1 - law.pop(None, 0)
+    return sorted((est, p / kept) for est, p in law.items())
+
+
+def _kids(forest):
+    """Each entry's recruits, read from the parent column."""
+    parent = forest.parent.tolist()
+    return [[c for c in range(forest.n) if parent[c] == u] for u in range(forest.n)]
+
+
+def _ordered_neighbourhood_draws(forest, pool, estimate):
+    """Every ordered n_r-tuple of pool draws with its probability."""
+    kids = _kids(forest)
+    recruiters = [u for u in range(forest.n) if kids[u]]
+    members = recruiters if pool == "recruiters_only" else list(range(forest.n))
+    p = Fraction(1, len(members) ** len(recruiters))
+    for tup in product(members, repeat=len(recruiters)):
+        drawn = [c for u in tup for c in kids[u]]
+        yield (estimate(drawn) if drawn else None), p
+
+
+def _ordered_tree_draws(forest, seed_mode, estimate):
+    """Every ordered draw sequence of the tree bootstrap with its probability."""
+    kids = _kids(forest)
+    seeds = [u for u in range(forest.n) if forest.parent[u] < 0]
+
+    def expand(pending, drawn, p):
+        if not pending:
+            yield estimate(drawn), p
+            return
+        u, rest = pending[0], pending[1:]
+        k = kids[u]
+        if not k:
+            yield from expand(rest, drawn, p)
+            return
+        for pick in product(k, repeat=len(k)):
+            yield from expand(rest + list(pick), drawn + list(pick), p / len(k) ** len(k))
+
+    starts = product(seeds, repeat=len(seeds)) if seed_mode == "with_replacement" else [tuple(seeds)]
+    share = Fraction(1, len(seeds) ** len(seeds)) if seed_mode == "with_replacement" else Fraction(1)
+    for start in starts:
+        yield from expand(list(start), list(start), share)
+
+
+def test_enumeration_equals_ordered_draw_brute_force():
+    # the enumerators group draws into multisets and integer keys; a plain
+    # Fraction walk over every ordered draw must give the same outcome lists
+    rng = np.random.default_rng(2024)
+    totals = rv.PopulationTotals(40, 160)
+    for _ in range(30):
+        forest, z = random_tiny_forest(rng, max_recruiters=4)
+        zi, d = z.astype(int).tolist(), forest.degree.tolist()
+        for estimator in ("sample_mean", "vh", "ipw"):
+            memo = {}
+
+            def estimate(drawn):
+                key = tuple(sorted(drawn))
+                if key not in memo:
+                    memo[key] = _plain_estimate(key, zi, d, estimator, totals)
+                return memo[key]
+
+            if forest.recruiter_entries().size:
+                for pool in ("recruiters_only", "all_participants"):
+                    got = rv.enumerate_neighbourhood(forest, z, pool, estimator, totals)
+                    assert got.outcomes == _plain_law(_ordered_neighbourhood_draws(forest, pool, estimate))
+            for mode in ("with_replacement", "without_replacement"):
+                got = rv.enumerate_tree(forest, z, mode, estimator, totals)
+                assert got.outcomes == _plain_law(_ordered_tree_draws(forest, mode, estimate))
