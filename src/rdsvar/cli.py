@@ -406,10 +406,9 @@ def cmd_oracle(cfg: dict) -> list[str]:
     forest, z, column = _forest_z(cfg)
     estimator = cfg.get("estimator") or "sample_mean"
     totals = _ipw_totals({**cfg, "estimator": estimator})
+    pool = cfg.get("pool") or "recruiters_only"
     if cfg["method"] == "neighbourhood":
-        dist = enumerate_neighbourhood(
-            forest, z, pool=cfg.get("pool") or "recruiters_only", estimator=estimator, totals=totals
-        )
+        dist = enumerate_neighbourhood(forest, z, pool=pool, estimator=estimator, totals=totals)
     else:
         dist = enumerate_tree(
             forest,
@@ -427,7 +426,9 @@ def cmd_oracle(cfg: dict) -> list[str]:
         "distribution": dist.to_json_dict(),
     }
     if cfg.get("check_identity"):
-        payload["moment_identity"] = check_moment_identity(forest, z)
+        # the identity needs the sample mean's neighbourhood law over the recruiters_only pool
+        same_law = (cfg["method"], pool, estimator) == ("neighbourhood", "recruiters_only", "sample_mean")
+        payload["moment_identity"] = check_moment_identity(forest, z, dist if same_law else None)
     path = _outpath(cfg, "oracle.json")
     write_json_atomic(path, payload)
     return [path]

@@ -1,21 +1,39 @@
-"""Exhaustive enumeration of bootstrap distributions for tiny forests.
+"""Exact bootstrap laws of estimators, built by convolution.
 
-Ground truth for the Monte Carlo resamplers: every possible draw sequence
-is enumerated with exact rational probabilities, so enumerated moments are
-exact and comparisons against simulation need only Monte Carlo error
-bounds. The estimator's terms are integers over one common denominator,
-each draw outcome adds its integer weight to the key of its integer
-(numerator, denominator) sums (in the tree, also of its probability's
-denominator), and the ``Fraction`` estimate and probability are built
-once per distinct key. Enumeration budgets keep this to toy problem sizes
-(the neighbourhood budget counts draw multisets, the tree budget
-enumerated outcomes); past the budget the error advises falling back to
-``mc_bootstrap_moments``.
+Ground truth for the Monte Carlo resamplers: the laws carry exact
+rational probabilities, so their moments are exact and comparisons
+against simulation need only Monte Carlo error bounds. The estimator's
+terms are integers over one common denominator, so a resample's estimate
+is num / (den * scale) for two integer sums num and den. A law is a dict
+from the key (num, den) to an integer weight, all weights over one
+integer total, and both bootstraps are sums of independent draws, so each
+law is a convolution of smaller laws (keys add, weights multiply):
 
-Past the budgets, two closed forms stay exact at O(n) Fraction cost: the
-mean and variance of the tree bootstrap's linear statistic counts @ z on
-any forest (with z = 1, the resample size), and of the sample mean under
-either bootstrap on a balanced forest.
+* neighbourhood: the n_r-fold convolution of the uniform law over the
+  pool members' (recruit num sum, recruit den sum) values; with the
+  all_participants pool the keys with den = 0 (nothing drawn) are
+  dropped and the rest renormalized, as the resampler redraws those;
+* tree: one occurrence of entry u has the law of its own point
+  (num_u, den_u) plus the k-fold convolution of the uniform mixture of
+  its k recruits' laws, built in reverse BFS order without recursion;
+  the seeds' law is the s-fold convolution of the seeds' mixture (seeds
+  drawn with replacement) or the convolution of the s seed laws
+  (without).
+
+One integer routine turns a law into an ``ExactDistribution``: keys are
+reduced and merged, put in exact order (by float value, each adjacent
+pair checked by integer cross-multiplication), and the mean and variance
+come from the integer sums of w*v and w*v**2, v = num * (D // den) over
+the lcm D of the denominators, one ``Fraction`` each; ``validate``
+recomputes them the same way. The estimate and probability ``Fraction``
+are built once per distinct outcome. The budget counts the (key, key)
+products of all convolutions and is checked before each one; past it the
+error advises falling back to ``mc_bootstrap_moments``.
+
+Two closed forms stay exact at O(n) Fraction cost: the mean and variance
+of the tree bootstrap's linear statistic counts @ z on any forest (with
+z = 1, the resample size), and of the sample mean under either bootstrap
+on a balanced forest. The tests hold the convolved laws to both.
 """
 
 from __future__ import annotations
@@ -23,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -41,6 +58,35 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 
+def _moments(outcomes, total: int, scale: int = 1) -> tuple[Fraction, Fraction]:
+    """(mean, variance) of num / (den * scale) drawn with probability w / total.
+
+    ``outcomes`` yields (num, den, w) with den > 0 and the weights adding
+    up to ``total``. Over the lcm D of the dens, an outcome's value is the
+    integer v = num * (D // den), and the moments come from the integer
+    sums s1 = sum(w * v) and s2 = sum(w * v**2). Both are summed per
+    distinct den first, so only one product per den carries D, which has
+    thousands of bits when the dens are many.
+    """
+    per_den: dict[int, list[int]] = {}
+    for num, den, w in outcomes:
+        wn = w * num
+        sums = per_den.get(den)
+        if sums is None:
+            per_den[den] = [wn, wn * num]
+        else:
+            sums[0] += wn
+            sums[1] += wn * num
+    lcm = math.lcm(*per_den)
+    s1 = s2 = 0
+    for den, (a, b) in per_den.items():
+        f = lcm // den
+        s1 += a * f
+        s2 += b * f * f
+    unit = total * lcm * scale
+    return Fraction(s1, unit), Fraction(s2 * total - s1 * s1, unit * unit)
+
+
 @dataclass
 class ExactDistribution:
     """All outcome values of an estimator with exact probabilities."""
@@ -50,21 +96,31 @@ class ExactDistribution:
     variance: Fraction
 
     @classmethod
-    def from_outcomes(cls, acc: dict[Fraction, Fraction]) -> "ExactDistribution":
-        outcomes = sorted(acc.items())
-        mean = sum((v * p for v, p in outcomes), Fraction(0))
-        var = sum((p * (v - mean) ** 2 for v, p in outcomes), Fraction(0))
+    def from_law(cls, law: dict[tuple[int, int], int], total: int, scale: int = 1) -> "ExactDistribution":
+        """The law of num / (den * scale) over keys (num, den > 0) of integer weight w / total."""
+        merged: dict[tuple[int, int], int] = {}
+        for (num, den), w in law.items():
+            g = math.gcd(num, den)
+            key = (num // g, den // g)
+            merged[key] = merged.get(key, 0) + w
+        # the merged keys are distinct values; a float order is exact if
+        # every adjacent pair is in order by integer cross-multiplication
+        ranked = sorted(merged, key=lambda key: key[0] / key[1])
+        if any(a * d >= c * b for (a, b), (c, d) in zip(ranked, ranked[1:])):
+            ranked.sort(key=lambda key: Fraction(*key))
+        mean, var = _moments(((num, den, w) for (num, den), w in merged.items()), total, scale)
+        outcomes = [(Fraction(num, den * scale), Fraction(merged[num, den], total)) for num, den in ranked]
         return cls(outcomes, mean, var)
 
     def validate(self) -> None:
-        total = sum((p for _, p in self.outcomes), Fraction(0))
-        if total != 1:
-            raise DataError(f"outcome probabilities sum to {total}, not 1")
-        if any(p < 0 for _, p in self.outcomes):
+        total = math.lcm(*(p.denominator for _, p in self.outcomes))
+        weights = [p.numerator * (total // p.denominator) for _, p in self.outcomes]
+        if sum(weights) != total:
+            raise DataError(f"outcome probabilities sum to {Fraction(sum(weights), total)}, not 1")
+        if any(w < 0 for w in weights):
             raise DataError("negative outcome probability")
-        mean = sum((v * p for v, p in self.outcomes), Fraction(0))
-        var = sum((p * (v - mean) ** 2 for v, p in self.outcomes), Fraction(0))
-        if mean != self.mean or var != self.variance:
+        values = ((v.numerator, v.denominator, w) for (v, _), w in zip(self.outcomes, weights))
+        if _moments(values, total) != (self.mean, self.variance):
             raise DataError("stored moments disagree with recomputed moments")
 
     @property
@@ -103,34 +159,59 @@ def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: Populatio
     zi = _as_z(z, forest.n).astype(np.int64).tolist()
     d = [int(x) for x in forest.degree]
     if estimator == "sample_mean":
-        return zi, [1] * forest.n, Fraction(1)
+        return zi, [1] * forest.n, 1
     lcm = math.lcm(*d)
     w = [lcm // di for di in d]
     if estimator == "vh":
-        return [v * wi for v, wi in zip(zi, w)], w, Fraction(1)
+        return [v * wi for v, wi in zip(zi, w)], w, 1
     if estimator == "ipw":
         if totals is None:
             raise DataError("ipw estimator requires population totals")
         T = int(totals.total_degree)
-        return [v * T * wi for v, wi in zip(zi, w)], [lcm] * forest.n, Fraction(int(totals.n_population))
+        return [v * T * wi for v, wi in zip(zi, w)], [lcm] * forest.n, int(totals.n_population)
     raise DataError(f"unknown estimator: {estimator!r}")
 
 
-def _multinomial_coefficient(counts) -> int:
-    total = sum(counts)
-    out = math.factorial(total)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
+class _Convolver:
+    """Convolves laws, counting their (key, key) products against an enumeration budget."""
+
+    def __init__(self, method: str, budget: int):
+        self.method, self.budget, self.products = method, budget, 0
+
+    def convolve(self, a: dict, b: dict) -> dict:
+        """The law of the sum of independent draws from ``a`` and ``b``: keys add, weights multiply."""
+        self.products += len(a) * len(b)
+        if self.products > self.budget:
+            raise BudgetError(
+                f"{self.method} enumeration needs at least {self.products} (key, key) products of "
+                f"convolved laws (> budget {self.budget}); use mc_bootstrap_moments instead"
+            )
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        pairs = list(b.items())
+        for (an, ad), aw in a.items():
+            for (bn, bd), bw in pairs:
+                key = (an + bn, ad + bd)
+                out[key] = get(key, 0) + aw * bw
+        return out
+
+    def power(self, law: dict, k: int) -> dict:
+        """The k-fold convolution of ``law`` with itself (k >= 1)."""
+        out = law
+        for _ in range(k - 1):
+            out = self.convolve(out, law)
+        return out
 
 
-def _law(outcomes, scale: Fraction) -> ExactDistribution:
-    """The law of num / (den * scale) over (num, den, probability) outcomes, equal estimates merged."""
-    acc: dict[Fraction, Fraction] = {}
-    for num, den, prob in outcomes:
-        est = Fraction(num, den) / scale
-        acc[est] = acc.get(est, Fraction(0)) + prob
-    return ExactDistribution.from_outcomes(acc)
+def _mixture(parts: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """The uniform mixture of (law, total) parts, as one (law, total)."""
+    common = math.lcm(*(total for _, total in parts))
+    out: dict[tuple[int, int], int] = {}
+    for law, total in parts:
+        f = common // total
+        for key, w in law.items():
+            out[key] = out.get(key, 0) + w * f
+    return out, common * len(parts)
 
 
 def _nb_aggregates(forest: RecruitmentForest, pool_entries, num, den):
@@ -153,14 +234,11 @@ def enumerate_neighbourhood(
 ) -> ExactDistribution:
     """Exact law of an estimator under the neighbourhood bootstrap.
 
-    Iterates every multiset of n_r pool draws, C(p + n_r - 1, n_r) of
-    them, each weighted by the number n_r! / prod(c_j!) of n_r-tuples
-    (of probability p**-n_r each) that produce it; the budget bounds that
-    count. The weights add up as integers per distinct (numerator,
-    denominator) pair of integer sums. With the all_participants pool,
-    tuples yielding no observations are dropped and the law
-    renormalized, matching the resampler's redraw-until-nonempty
-    behaviour.
+    The n_r-fold convolution of the uniform law over the pool members'
+    (numerator, denominator) sums of their recruits' terms, of total
+    p**n_r. With the all_participants pool, draws yielding no
+    observations (den = 0) are dropped and the law renormalized, matching
+    the resampler's redraw-until-nonempty behaviour.
     """
     num, den, scale = _exact_terms(forest, z, estimator, totals)
     recruiters = forest.recruiter_entries()
@@ -168,41 +246,13 @@ def enumerate_neighbourhood(
     if n_r == 0:
         raise DataError("degenerate forest: no recruiters to resample")
     pool_entries = recruiters if pool == "recruiters_only" else np.arange(forest.n)
-    p = len(pool_entries)
-    n_multisets = math.comb(p + n_r - 1, n_r)
-    if n_multisets > budget:
-        raise BudgetError(
-            f"neighbourhood enumeration needs {n_multisets} draw multisets (> budget {budget}); "
-            "use mc_bootstrap_moments instead"
-        )
-    agg_num, agg_den = _nb_aggregates(forest, pool_entries, num, den)
-    orderings = math.factorial(n_r)
-    weights: dict[tuple[int, int], int] = {}  # (num, den) -> number of draw tuples
-    for combo in combinations_with_replacement(range(p), n_r):
-        # combo is sorted, so the product of each draw's position within its
-        # run of equal members is prod(c_j!)
-        onum = oden = 0
-        div = run = 1
-        prev = -1
-        for j in combo:
-            onum += agg_num[j]
-            oden += agg_den[j]
-            run = run + 1 if j == prev else 1
-            div *= run
-            prev = j
-        weights[onum, oden] = weights.get((onum, oden), 0) + orderings // div
-    kept = p**n_r - sum(w for (_, oden), w in weights.items() if oden == 0)
-    return _law(((onum, oden, Fraction(w, kept)) for (onum, oden), w in weights.items() if oden), scale)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    uniform: dict[tuple[int, int], int] = {}
+    for key in zip(*_nb_aggregates(forest, pool_entries, num, den)):
+        uniform[key] = uniform.get(key, 0) + 1
+    law = _Convolver("neighbourhood", budget).power(uniform, n_r)
+    # every den term is positive, so den = 0 only at the key (0, 0) of draws without recruits
+    dropped = law.pop((0, 0), 0)
+    return ExactDistribution.from_law(law, len(pool_entries) ** n_r - dropped, scale)
 
 
 def enumerate_tree(
@@ -215,75 +265,42 @@ def enumerate_tree(
 ) -> ExactDistribution:
     """Exact law of an estimator under the tree bootstrap.
 
-    Recursively enumerates the seed draw and every per-node recruit-draw
-    outcome, whose number the budget bounds. Probabilities are products
-    of uniform draw probabilities, carried as an integer numerator and
-    denominator, and add up as integers per distinct (numerator,
-    denominator, probability denominator) triple.
+    Each entry's occurrence law is built from its recruits' in reverse
+    BFS order: its own point plus the k-fold convolution of the uniform
+    mixture of its k recruits' laws. The seeds' law combines the seed
+    laws as the seed mode draws them.
     """
     if forest.n == 0:
         raise DataError("empty forest")
     num, den, scale = _exact_terms(forest, z, estimator, totals)
-    indptr, children = forest.children_csr()
-    seeds = [int(i) for i in forest.seed_entries()]
-    s = len(seeds)
-    plan = []  # internal entries in BFS order with their children
-    for u in forest.bfs_order():
-        kid = [int(c) for c in children[indptr[u] : indptr[u + 1]]]
-        if kid:
-            plan.append((int(u), kid))
+    return ExactDistribution.from_law(*_tree_law(forest, num, den, seed_mode, budget), scale)
 
-    counts = [0] * forest.n
-    weights: dict[tuple[int, int, int], int] = {}  # (num, den, prob denominator) -> prob numerator
-    visited = 0
 
-    def settle(i: int, pw: int, pd: int, run_num: int, run_den: int):
-        nonlocal visited
-        if i == len(plan):
-            visited += 1
-            if visited > budget:
-                raise BudgetError(
-                    f"tree enumeration exceeded budget {budget}; use mc_bootstrap_moments instead"
-                )
-            key = (run_num, run_den, pd)
-            weights[key] = weights.get(key, 0) + pw
-            return
-        u, kid = plan[i]
-        m = counts[u]
-        if m == 0:
-            settle(i + 1, pw, pd, run_num, run_den)
-            return
-        k = len(kid)
-        total = m * k
-        pd *= k**total
-        for combo in _compositions(total, k):
-            add_num = add_den = 0
-            for c, child in zip(combo, kid):
-                counts[child] = c
-                add_num += c * num[child]
-                add_den += c * den[child]
-            settle(i + 1, pw * _multinomial_coefficient(combo), pd, run_num + add_num, run_den + add_den)
-        for child in kid:
-            counts[child] = 0
-
-    def run_seed_config(seed_counts, pw: int, pd: int):
-        run_num = run_den = 0
-        for c, e in zip(seed_counts, seeds):
-            counts[e] = c
-            run_num += c * num[e]
-            run_den += c * den[e]
-        settle(0, pw, pd, run_num, run_den)
-        for e in seeds:
-            counts[e] = 0
-
-    if seed_mode == "with_replacement":
-        for combo in _compositions(s, s):
-            run_seed_config(combo, _multinomial_coefficient(combo), s**s)
-    elif seed_mode == "without_replacement":
-        run_seed_config([1] * s, 1, 1)
-    else:
+def _tree_law(forest: RecruitmentForest, num, den, seed_mode: str, budget: int = DEFAULT_BUDGET):
+    """(law, total) of the tree bootstrap's (sum of num, sum of den) over the resample's entries."""
+    if seed_mode not in ("with_replacement", "without_replacement"):
         raise DataError(f"unknown tree seed mode: {seed_mode!r}")
-    return _law(((onum, oden, Fraction(w, pd)) for (onum, oden, pd), w in weights.items()), scale)
+    indptr, children = forest.children_csr()
+    conv = _Convolver("tree", budget)
+    laws: list = [None] * forest.n  # (law, total) of one occurrence of each entry, until its recruiter's is built
+    for u in forest.bfs_order()[::-1].tolist():
+        kids = children[indptr[u] : indptr[u + 1]].tolist()
+        if not kids:
+            laws[u] = ({(num[u], den[u]): 1}, 1)
+            continue
+        mix, total = _mixture([laws[c] for c in kids])
+        for c in kids:
+            laws[c] = None
+        draws = conv.power(mix, len(kids))
+        laws[u] = ({(a + num[u], b + den[u]): w for (a, b), w in draws.items()}, total ** len(kids))
+    seeds = [laws[e] for e in forest.seed_entries().tolist()]
+    if seed_mode == "with_replacement":
+        mix, total = _mixture(seeds)
+        return conv.power(mix, len(seeds)), total ** len(seeds)
+    law, total = seeds[0]
+    for other, other_total in seeds[1:]:
+        law, total = conv.convolve(law, other), total * other_total
+    return law, total
 
 
 def _balanced_shape(forest: RecruitmentForest) -> tuple[int, int, int]:
@@ -357,20 +374,23 @@ def _balanced_sample_mean_moments(
     return mean, sum(((y - mean) ** 2 for y in ybar), Fraction(0)) / len(ybar) ** 2
 
 
-def check_moment_identity(forest: RecruitmentForest, z) -> dict:
+def check_moment_identity(forest: RecruitmentForest, z, neighbourhood: ExactDistribution | None = None) -> dict:
     """Bootstrap moments of the sample mean on a balanced forest, enumerated and in closed form.
 
     Reports the enumerated neighbourhood moments, their closed form, the
-    tree bootstrap's closed form (seeds drawn with replacement), the mean
-    of z over non-seed entries, and exact differences as Fraction strings.
-    On a balanced forest the enumerated neighbourhood mean equals the
-    closed form and the non-seed mean, and the enumerated variance equals
-    the closed form: each of those differences is "0". The tree bootstrap
-    is not enumerated here, as that costs far more than the neighbourhood
-    enumeration; the tests hold its closed form to ``enumerate_tree``.
+    tree bootstrap's enumerated moments and closed form (seeds drawn with
+    replacement), the mean of z over non-seed entries, and exact
+    differences as Fraction strings. On a balanced forest the enumerated
+    neighbourhood mean equals the closed form and the non-seed mean, and
+    the enumerated variance equals the closed form: each of those
+    differences is "0"; the enumerated tree moments equal their closed
+    form. ``neighbourhood`` is the law of the sample mean under the
+    neighbourhood bootstrap over the recruiters_only pool, if the caller
+    has it already; it is enumerated otherwise.
     """
     s, c, h = _balanced_shape(forest)
-    nb = enumerate_neighbourhood(forest, z, "recruiters_only", "sample_mean")
+    nb = neighbourhood if neighbourhood is not None else enumerate_neighbourhood(forest, z)
+    tree = enumerate_tree(forest, z, "with_replacement", "sample_mean")
     nb_mean, nb_var = _balanced_sample_mean_moments(forest, z, "neighbourhood")
     tree_mean, tree_var = _balanced_sample_mean_moments(forest, z, "tree")
     nonseed = _as_z(z, forest.n)[forest.parent >= 0]
@@ -381,6 +401,7 @@ def check_moment_identity(forest: RecruitmentForest, z) -> dict:
         "non_seed_mean_exact": str(non_seed_mean),
         "neighbourhood_enumerated": _moments_json(nb.mean, nb.variance),
         "neighbourhood_closed_form": _moments_json(nb_mean, nb_var),
+        "tree_enumerated": _moments_json(tree.mean, tree.variance),
         "tree_closed_form": _moments_json(tree_mean, tree_var),
         "exact_diff": {
             "neighbourhood_mean_enumerated_minus_closed_form": str(nb.mean - nb_mean),

@@ -69,6 +69,19 @@ def balanced_forest(s: int, c: int, h: int, degrees=None):
     )
 
 
+def seeds_with_one_recruit(degrees):
+    """One seed per entry of ``degrees``, each recruiting one entry of that degree; seeds have degree 1."""
+    p = len(degrees)
+    return rv.RecruitmentForest(
+        node_id=[f"s{j}" for j in range(p)] + [f"r{j}" for j in range(p)],
+        node_index=np.full(2 * p, -1),
+        seed_index=[*range(p), *range(p)],
+        wave=[0] * p + [1] * p,
+        parent=[-1] * p + list(range(p)),
+        degree=[1] * p + list(degrees),
+    )
+
+
 def random_tiny_forest(rng: np.random.Generator, max_recruiters: int = 6, max_recruits: int = 2):
     """Random forest within the enumeration budget, plus random z and degrees."""
     s = int(rng.integers(1, 3))

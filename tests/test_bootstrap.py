@@ -358,7 +358,8 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
 
 def test_balanced_closed_forms_equal_enumeration():
     rng = np.random.default_rng(3)
-    for s, c, h in ((1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 1), (1, 3, 2), (2, 3, 1)):
+    tiny = ((1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 1), (1, 3, 2), (2, 3, 1))
+    for s, c, h in tiny + ((2, 2, 5), (1, 3, 4), (3, 4, 2), (2, 5, 2), (1, 2, 6)):  # then n = 62 to 127
         f = balanced_forest(s, c, h)
         z = rng.integers(0, 2, size=f.n)
         nb = rv.enumerate_neighbourhood(f, z, estimator="sample_mean")

@@ -13,6 +13,7 @@ import rdsvar as rv
 from rdsvar.cli import main
 from rdsvar.experiment import run_full
 from rdsvar.rng import generator
+from conftest import seeds_with_one_recruit
 
 try:
     import jsonschema
@@ -342,7 +343,16 @@ def test_oracle_matches_enumeration(tmp_path):
     assert probs == ["1/4", "1/2", "1/4"]
 
 
-def test_oracle_identity_flag(tmp_path):
+def test_oracle_identity_flag(tmp_path, monkeypatch):
+    # the CLI's law is the one the identity needs, so it is enumerated once
+    calls, enumerate_neighbourhood = [], rv.exact.enumerate_neighbourhood
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_neighbourhood(*args, **kwargs)
+
+    monkeypatch.setattr(rv.exact, "enumerate_neighbourhood", counted)
+    monkeypatch.setattr(rv.cli, "enumerate_neighbourhood", counted)
     forest_csv = tmp_path / "bal.csv"
     forest_csv.write_text(
         "id,recruiter,degree\nS,,2\nA,S,3\nB,S,1\nA1,A,2\nA2,A,2\nB1,B,4\nB2,B,1\n"
@@ -360,28 +370,44 @@ def test_oracle_identity_flag(tmp_path):
     assert ident["neighbourhood_enumerated"] == ident["neighbourhood_closed_form"]
     assert ident["neighbourhood_enumerated"]["mean_exact"] == ident["non_seed_mean_exact"] == "1/2"
     assert ident["exact_diff"]["neighbourhood_variance_enumerated_minus_closed_form"] == "0"
+    assert ident["tree_enumerated"] == ident["tree_closed_form"]
+    assert len(calls) == 1
 
 
 def test_enumeration_budget_exit_code(tmp_path, capsys):
-    rows = ["id,recruiter,degree", "S,,2"]
-    prev = ["S"]
-    for wave in range(5):  # full binary tree, depth 5: 31 recruiters
-        nxt = []
-        for p in prev:
-            for tag in "ab":
-                nid = p + tag
-                rows.append(f"{nid},{p},2")
-                nxt.append(nid)
-        prev = nxt
+    # 300 recruiters whose one recruit's degrees differ: about 300 distinct
+    # vh keys, so the second convolution needs over the default 10**7 products
     forest_csv = tmp_path / "big.csv"
-    forest_csv.write_text("\n".join(rows) + "\n")
+    rv.write_forest_csv(seeds_with_one_recruit(range(1, 301)), forest_csv)
     attrs_csv = tmp_path / "z.csv"
-    attrs_csv.write_text("id,flag\n" + "\n".join(f"{r.split(',')[0]},0" for r in rows[1:]) + "\n")
+    attrs_csv.write_text("id,flag\n" + "".join(f"{tag}{j},0\n" for tag in "sr" for j in range(300)))
     code = run_cli(
         "oracle", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
-        "--method", "neighbourhood", "--out", tmp_path,
+        "--method", "neighbourhood", "--estimator", "vh", "--out", tmp_path,
     )
     assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "BudgetError"
+    validate_schema(err, "error.schema.json")
+
+
+def test_oracle_tree_on_a_long_chain(tmp_path):
+    # the tree law is built leaves first without recursion, so a chain far
+    # deeper than Python's recursion limit has its one outcome
+    rows = ["id,recruiter,degree", "e0,,2"] + [f"e{i},e{i - 1},2" for i in range(1, 1200)]
+    forest_csv = tmp_path / "chain.csv"
+    forest_csv.write_text("\n".join(rows) + "\n")
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text("id,flag\n" + "".join(f"e{i},{i % 3 == 0:d}\n" for i in range(1200)))
+    code = run_cli(
+        "oracle", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
+        "--method", "tree", "--out", tmp_path,
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "oracle.json").read_text())
+    validate_schema(payload, "oracle_report.schema.json")
+    assert [o["probability_exact"] for o in payload["distribution"]["outcomes"]] == ["1"]
+    assert payload["distribution"]["mean_exact"] == "1/3"
 
 
 def test_cli_entrypoint_subprocess(study_files, tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import rdsvar as rv
+from rdsvar import exact
 from rdsvar.errors import BudgetError, DataError
 from rdsvar.rng import generator
-from conftest import balanced_forest, random_tiny_forest
+from conftest import balanced_forest, random_tiny_forest, seeds_with_one_recruit
 
 
 def test_neighbourhood_hand_enumeration(two_recruiter_forest):
@@ -78,24 +79,32 @@ def test_enumeration_order_independent(two_recruiter_forest):
 
 
 def test_neighbourhood_budget_error():
-    f = balanced_forest(2, 2, 4)  # 15 recruiters per tree -> 30**30 tuples
+    # 300 recruiters whose one recruit's degrees differ: about 300 distinct
+    # vh keys, so the second convolution alone needs over 10**7 products
+    f = seeds_with_one_recruit(range(1, 301))
     with pytest.raises(BudgetError, match="mc_bootstrap_moments"):
-        rv.enumerate_neighbourhood(f, np.zeros(f.n, dtype=int))
+        rv.enumerate_neighbourhood(f, np.arange(f.n) % 2, estimator="vh")
 
 
-def test_neighbourhood_budget_counts_multisets():
-    f = balanced_forest(2, 2, 2)  # 6 recruiters: C(11, 6) = 462 multisets, 6**6 = 46656 tuples
-    assert f.recruiter_entries().size == 6
-    z = np.arange(f.n) % 2
-    rv.enumerate_neighbourhood(f, z, budget=500).validate()
-    with pytest.raises(BudgetError, match="462"):
-        rv.enumerate_neighbourhood(f, z, budget=461)
+def test_neighbourhood_budget_counts_key_products():
+    # recruit sums 0, 2, 1, 0, 0, 0 of 2 recruits each: the uniform law has
+    # the 3 keys (a, 2), the i-fold law the 2i + 1 keys (a, 2i), so the 5
+    # convolutions up to n_r = 6 make 3 * (3 + 5 + 7 + 9 + 11) = 105 key
+    # products (against C(11, 6) = 462 draw multisets and 6**6 tuples)
+    f = balanced_forest(2, 2, 2)
+    assert f.recruiter_entries().tolist() == [0, 1, 2, 7, 8, 9]
+    z = np.zeros(f.n, dtype=int)
+    z[[3, 4, 5]] = 1
+    rv.enumerate_neighbourhood(f, z, budget=105).validate()
+    with pytest.raises(BudgetError, match="105"):
+        rv.enumerate_neighbourhood(f, z, budget=104)
 
 
 def test_tree_budget_error():
+    # a constant z would collapse every occurrence law to one key
     f = balanced_forest(2, 3, 5)
     with pytest.raises(BudgetError, match="mc_bootstrap_moments"):
-        rv.enumerate_tree(f, np.zeros(f.n, dtype=int), budget=1000)
+        rv.enumerate_tree(f, np.arange(f.n) % 2, budget=1000)
 
 
 def test_all_participants_pool_renormalizes(single_seed_forest):
@@ -271,9 +280,16 @@ def _ordered_tree_draws(forest, seed_mode, estimate):
         yield from expand(list(start), list(start), share)
 
 
+def _plain_moments(law):
+    """(mean, variance) of a sorted (estimate, probability) law, by plain Fraction sums."""
+    mean = sum((v * p for v, p in law), Fraction(0))
+    return mean, sum((p * (v - mean) ** 2 for v, p in law), Fraction(0))
+
+
 def test_enumeration_equals_ordered_draw_brute_force():
-    # the enumerators group draws into multisets and integer keys; a plain
-    # Fraction walk over every ordered draw must give the same outcome lists
+    # the enumerators convolve integer-keyed laws and take their moments
+    # from integer sums; a plain Fraction walk over every ordered draw must
+    # give the same outcome lists and moments
     rng = np.random.default_rng(2024)
     totals = rv.PopulationTotals(40, 160)
     for _ in range(30):
@@ -291,7 +307,69 @@ def test_enumeration_equals_ordered_draw_brute_force():
             if forest.recruiter_entries().size:
                 for pool in ("recruiters_only", "all_participants"):
                     got = rv.enumerate_neighbourhood(forest, z, pool, estimator, totals)
-                    assert got.outcomes == _plain_law(_ordered_neighbourhood_draws(forest, pool, estimate))
+                    want = _plain_law(_ordered_neighbourhood_draws(forest, pool, estimate))
+                    assert got.outcomes == want
+                    assert (got.mean, got.variance) == _plain_moments(want)
             for mode in ("with_replacement", "without_replacement"):
                 got = rv.enumerate_tree(forest, z, mode, estimator, totals)
-                assert got.outcomes == _plain_law(_ordered_tree_draws(forest, mode, estimate))
+                want = _plain_law(_ordered_tree_draws(forest, mode, estimate))
+                assert got.outcomes == want
+                assert (got.mean, got.variance) == _plain_moments(want)
+
+
+def _shallow_forest(rng, n, max_depth=4, max_recruits=3):
+    """A random forest of n entries (at most 242): 2 or 3 seeds, each new entry recruited by an open earlier one."""
+    s = int(rng.integers(2, 4))
+    parent, depth, recruits = [-1] * s, [0] * s, [0] * s
+    while len(parent) < n:
+        open_ = [u for u in range(len(parent)) if depth[u] < max_depth and recruits[u] < max_recruits]
+        u = open_[int(rng.integers(len(open_)))]
+        recruits[u] += 1
+        parent.append(u)
+        depth.append(depth[u] + 1)
+        recruits.append(0)
+    seed_of = []
+    for u, p in enumerate(parent):
+        seed_of.append(u if p < 0 else seed_of[p])
+    m = len(parent)
+    return rv.RecruitmentForest(
+        node_id=[f"e{i}" for i in range(m)], node_index=np.full(m, -1), seed_index=seed_of,
+        wave=depth, parent=parent, degree=np.ones(m, dtype=np.int64),
+    )
+
+
+def test_convolved_tree_law_has_linear_moments_at_larger_size():
+    # with every den term 0 the tree law's keys are (S, 0): the law of its
+    # num marginal S = counts @ num, whose moments the O(n) recursion gives
+    rng = np.random.default_rng(11)
+    for n in (50, 80, 120, 160, 200):
+        forest = _shallow_forest(rng, n)
+        assert forest.n == n
+        for num in (rng.integers(0, 2, size=forest.n).tolist(), [1] * forest.n):
+            for mode in ("with_replacement", "without_replacement"):
+                law, total = exact._tree_law(forest, num, [0] * forest.n, mode)
+                assert {den for _, den in law} == {0} and sum(law.values()) == total
+                moments = exact._moments(((s, 1, w) for (s, _), w in law.items()), total)
+                assert moments == exact._tree_linear_moments(forest, num, mode)
+
+
+def test_outcomes_in_exact_order_beyond_float_precision():
+    # 1 - 1/(2**60 + 1) < 1 - 1/(2**60 + 2), but both are the float 1.0
+    big = 2**60
+    d = rv.ExactDistribution.from_law({(big + 1, big + 2): 1, (big, big + 1): 3}, 4)
+    assert d.outcomes == [(Fraction(big, big + 1), Fraction(3, 4)), (Fraction(big + 1, big + 2), Fraction(1, 4))]
+    d.validate()
+
+
+def test_validate_rejects_inconsistent_laws(single_seed_forest):
+    d = rv.enumerate_tree(single_seed_forest, [0, 1, 0])
+    d.validate()
+    bad = [
+        (replace(d, outcomes=[(v, p / 2) for v, p in d.outcomes]), "sum to 1/2"),
+        (replace(d, outcomes=[(Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2))]), "negative"),
+        (replace(d, mean=d.mean + Fraction(1, 10**30)), "disagree"),
+        (replace(d, variance=d.variance + Fraction(1, 10**30)), "disagree"),
+    ]
+    for dist, message in bad:
+        with pytest.raises(DataError, match=message):
+            dist.validate()
