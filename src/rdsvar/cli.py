@@ -407,16 +407,11 @@ def cmd_oracle(cfg: dict) -> list[str]:
     estimator = cfg.get("estimator") or "sample_mean"
     totals = _ipw_totals({**cfg, "estimator": estimator})
     pool = cfg.get("pool") or "recruiters_only"
+    seed_mode = cfg.get("tree_seed_mode") or "with_replacement"
     if cfg["method"] == "neighbourhood":
         dist = enumerate_neighbourhood(forest, z, pool=pool, estimator=estimator, totals=totals)
     else:
-        dist = enumerate_tree(
-            forest,
-            z,
-            seed_mode=cfg.get("tree_seed_mode") or "with_replacement",
-            estimator=estimator,
-            totals=totals,
-        )
+        dist = enumerate_tree(forest, z, seed_mode=seed_mode, estimator=estimator, totals=totals)
     payload = {
         "tool": _tool_block(),
         "config": _echo(cfg),
@@ -426,9 +421,12 @@ def cmd_oracle(cfg: dict) -> list[str]:
         "distribution": dist.to_json_dict(),
     }
     if cfg.get("check_identity"):
-        # the identity needs the sample mean's neighbourhood law over the recruiters_only pool
-        same_law = (cfg["method"], pool, estimator) == ("neighbourhood", "recruiters_only", "sample_mean")
-        payload["moment_identity"] = check_moment_identity(forest, z, dist if same_law else None)
+        # the identity needs the sample mean's law under each method: over the
+        # recruiters_only pool, and with the seeds drawn with replacement
+        same_law = estimator == "sample_mean" and (
+            pool == "recruiters_only" if cfg["method"] == "neighbourhood" else seed_mode == "with_replacement"
+        )
+        payload["moment_identity"] = check_moment_identity(forest, z, {cfg["method"]: dist} if same_law else None)
     path = _outpath(cfg, "oracle.json")
     write_json_atomic(path, payload)
     return [path]

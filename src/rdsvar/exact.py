@@ -304,20 +304,16 @@ def _tree_law(forest: RecruitmentForest, num, den, seed_mode: str, budget: int =
 
 
 def _balanced_shape(forest: RecruitmentForest) -> tuple[int, int, int]:
-    """(s, c, h) of a balanced forest, or raise.
-
-    The depths come from the recruitment links, not the ``wave`` column,
-    which a hand-built forest need not keep consistent.
-    """
+    """(s, c, h) of a balanced forest, or raise."""
     out_deg = forest.out_degree()
     cs = set(out_deg[out_deg > 0].tolist())
     if not cs:
         raise DataError("identity only asserted for balanced forests (no recruiters here)")
     if len(cs) != 1:
         raise DataError("identity only asserted for balanced forests (mixed recruit counts)")
-    order, depth = forest._breadth_first()
-    h = int(depth.max())
-    if not bool(((depth < h) == (out_deg[order] > 0)).all()):
+    wave = forest.wave
+    h = int(wave.max())
+    if not bool(((wave < h) == (out_deg > 0)).all()):
         raise DataError("identity only asserted for balanced forests (trees not full)")
     return int(forest.seed_entries().size), cs.pop(), h
 
@@ -374,7 +370,7 @@ def _balanced_sample_mean_moments(
     return mean, sum(((y - mean) ** 2 for y in ybar), Fraction(0)) / len(ybar) ** 2
 
 
-def check_moment_identity(forest: RecruitmentForest, z, neighbourhood: ExactDistribution | None = None) -> dict:
+def check_moment_identity(forest: RecruitmentForest, z, laws: dict[str, ExactDistribution] | None = None) -> dict:
     """Bootstrap moments of the sample mean on a balanced forest, enumerated and in closed form.
 
     Reports the enumerated neighbourhood moments, their closed form, the
@@ -384,13 +380,14 @@ def check_moment_identity(forest: RecruitmentForest, z, neighbourhood: ExactDist
     neighbourhood mean equals the closed form and the non-seed mean, and
     the enumerated variance equals the closed form: each of those
     differences is "0"; the enumerated tree moments equal their closed
-    form. ``neighbourhood`` is the law of the sample mean under the
-    neighbourhood bootstrap over the recruiters_only pool, if the caller
-    has it already; it is enumerated otherwise.
+    form. ``laws`` maps "neighbourhood" or "tree" to the law of the sample
+    mean the caller has already: over the recruiters_only pool, or with the
+    seeds drawn with replacement. A law not given is enumerated.
     """
     s, c, h = _balanced_shape(forest)
-    nb = neighbourhood if neighbourhood is not None else enumerate_neighbourhood(forest, z)
-    tree = enumerate_tree(forest, z, "with_replacement", "sample_mean")
+    laws = laws or {}
+    nb = laws["neighbourhood"] if "neighbourhood" in laws else enumerate_neighbourhood(forest, z)
+    tree = laws["tree"] if "tree" in laws else enumerate_tree(forest, z, "with_replacement", "sample_mean")
     nb_mean, nb_var = _balanced_sample_mean_moments(forest, z, "neighbourhood")
     tree_mean, tree_var = _balanced_sample_mean_moments(forest, z, "tree")
     nonseed = _as_z(z, forest.n)[forest.parent >= 0]

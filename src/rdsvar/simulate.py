@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -93,34 +93,53 @@ class RdsDesign:
             raise DataError("all degrees must be >= 1 for degree-proportional seeding")
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class RecruitmentForest:
-    """Recruitment trees in entry order: seeds have parent -1 and wave 0.
+    """Recruitment trees in entry order, stored as their links: seeds have parent -1.
 
     ``node_index`` holds graph indices for simulated forests and -1 for
     forests loaded from external files (which stand alone on their ids
-    and reported degrees).
+    and reported degrees). ``wave`` and ``seed_index`` are derived from the
+    links. The constructor takes keywords only; ``seed_index`` and
+    ``wave``, if given, must agree with the links and are not stored.
     """
 
     node_id: list[str]
     node_index: np.ndarray  # int64, -1 when not tied to a graph
-    seed_index: np.ndarray  # int64
-    wave: np.ndarray  # int64
     parent: np.ndarray  # int64 entry index, -1 for seeds
     degree: np.ndarray  # int64 reported degree
     n_reseeds: int = 0
     n_truncated: int = 0
-    _children: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
-    _bfs: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
-    _groups: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in ("node_index", "seed_index", "wave", "parent"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        self.degree = _as_positive_ints(self.degree, "degree")
-        n = len(self.node_id)
-        if any(arr.shape != (n,) for arr in (self.node_index, self.seed_index, self.wave, self.parent, self.degree)):
+    def __init__(
+        self, *, node_id, node_index, parent, degree, n_reseeds=0, n_truncated=0, seed_index=None, wave=None
+    ):
+        self.node_id = node_id
+        self.node_index = np.asarray(node_index, dtype=np.int64)
+        self.parent = np.asarray(parent, dtype=np.int64)
+        self.degree = _as_positive_ints(degree, "degree")
+        self.n_reseeds, self.n_truncated = n_reseeds, n_truncated
+        self._children = self._bfs = self._groups = None  # cached walks of the links
+        given = [None if c is None else np.asarray(c, dtype=np.int64) for c in (seed_index, wave)]
+        n = len(node_id)
+        if any(a.shape != (n,) for a in (self.node_index, self.parent, self.degree, *given) if a is not None):
             raise DataError("forest arrays must all have one row per entry")
+        if seed_index is None and wave is None:
+            return
+        # one pass, in any entry order: a seed has wave 0 and its rank among the seeds, any
+        # other entry its recruiter's seed index and wave plus one; by induction up each
+        # recruiter chain, columns that pass are the ones the links derive
+        seed_index, wave = (None if a is None else a.tolist() for a in given)
+        seeds = 0
+        for i, p in enumerate(self.parent.tolist()):
+            if p < 0:
+                bad = (seed_index and seed_index[i] != seeds) or (wave and wave[i])
+                seeds += 1
+            else:
+                bad = p >= n or (seed_index and seed_index[i] != seed_index[p])
+                bad = bad or (wave and wave[i] != wave[p] + 1)
+            if bad:
+                raise DataError(f"seed_index or wave of entry {i} disagrees with the recruiter links")
 
     @property
     def n(self) -> int:
@@ -140,18 +159,34 @@ class RecruitmentForest:
         indptr, _ = self.children_csr()
         return np.diff(indptr)
 
-    def _breadth_first(self) -> tuple[np.ndarray, np.ndarray]:
-        """(entries in breadth-first order, the BFS depth of each)."""
+    def _breadth_first(self) -> tuple[np.ndarray, ...]:
+        """(entries in breadth-first order, the depth of each; per entry, its wave and seed index)."""
         if self._bfs is None:
             indptr, children = self.children_csr()
             waves = [self.seed_entries()]
+            wave, root = np.zeros(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
+            root[waves[0]] = np.arange(waves[0].size)
             while waves[-1].size:
-                waves.append(_gather_rows(indptr, children, waves[-1]))
+                front = _gather_rows(indptr, children, waves[-1])
+                wave[front], root[front] = len(waves), root[self.parent[front]]
+                waves.append(front)
             order = np.concatenate(waves)
             if order.size != self.n:
                 raise DataError("forest has entries unreachable from any seed")
-            self._bfs = (order, np.repeat(np.arange(len(waves)), [w.size for w in waves]))
+            self._bfs = (order, wave[order], wave, root)
+            for a in self._bfs:
+                a.flags.writeable = False
         return self._bfs
+
+    @property
+    def wave(self) -> np.ndarray:
+        """The BFS depth of each entry: 0 for seeds, one more than the recruiter's otherwise."""
+        return self._breadth_first()[2]
+
+    @property
+    def seed_index(self) -> np.ndarray:
+        """The entry-order rank, among the seeds, of each entry's seed."""
+        return self._breadth_first()[3]
 
     def bfs_order(self) -> np.ndarray:
         """Entries in breadth-first order from the seeds (parents first)."""
@@ -163,12 +198,10 @@ class RecruitmentForest:
         One ``(recruiters, recruits)`` pair per group: the group's m
         recruiters in BFS order, and their recruits as an (m, k) array whose
         row j lists recruiter j's k recruits in entry order. Within a wave
-        the groups go by ascending k. The depths come from the recruitment
-        links, not the ``wave`` column, which a hand-built forest need not
-        keep consistent.
+        the groups go by ascending k.
         """
         if self._groups is None:
-            order, depth = self._breadth_first()
+            order, depth = self._breadth_first()[:2]
             indptr, children = self.children_csr()
             k = self.out_degree()[order]
             keep = k > 0
@@ -191,8 +224,6 @@ class RecruitmentForest:
             return NotImplemented
         return (
             self.node_id == other.node_id
-            and np.array_equal(self.seed_index, other.seed_index)
-            and np.array_equal(self.wave, other.wave)
             and np.array_equal(self.parent, other.parent)
             and np.array_equal(self.degree, other.degree)
         )
@@ -314,8 +345,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     try:
         node = _pps_draw_indices(np.arange(g.n_nodes), g.degree, tape.double[:s])
         parent = [-1] * s
-        seed_of = list(range(s))
-        wave = [0] * s
         sampled = bytearray(g.n_nodes)
         for v in node:
             sampled[v] = 1
@@ -339,8 +368,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 w += 1
                 node.append(v)
                 parent.append(-1)
-                seed_of.append(s + n_reseeds)
-                wave.append(0)
                 sampled[v] = 1
                 count += 1
                 n_reseeds += 1
@@ -361,7 +388,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
             else:
                 n = indptr[u + 1] - lo
             room = target - count
-            sq, wv = seed_of[entry], wave[entry] + 1
             for i in range(k):
                 j = 0
                 if n > 1:
@@ -388,8 +414,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 if i < room:
                     node.append(v)
                     parent.append(entry)
-                    seed_of.append(sq)
-                    wave.append(wv)
                     sampled[v] = 1
             if k > room:
                 n_truncated += k - room
@@ -402,8 +426,6 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     return RecruitmentForest(
         node_id=list(map(g.node_ids.__getitem__, node)),
         node_index=arr,
-        seed_index=np.asarray(seed_of, dtype=np.int64),
-        wave=np.asarray(wave, dtype=np.int64),
         parent=np.asarray(parent, dtype=np.int64),
         degree=g.degree[arr],
         n_reseeds=n_reseeds,
@@ -419,27 +441,20 @@ def write_forest_csv(forest: RecruitmentForest, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FOREST_COLUMNS)
-        for i in range(forest.n):
-            p = int(forest.parent[i])
-            writer.writerow(
-                [
-                    forest.node_id[i],
-                    int(forest.seed_index[i]),
-                    int(forest.wave[i]),
-                    forest.node_id[p] if p >= 0 else "",
-                    int(forest.degree[i]),
-                ]
-            )
+        ids = forest.node_id
+        columns = (forest.seed_index, forest.wave, forest.parent, forest.degree)
+        rows = zip(ids, *(c.tolist() for c in columns))
+        writer.writerows([i, s, w, ids[p] if p >= 0 else "", d] for i, s, w, p, d in rows)
 
 
 def read_forest_csv(path) -> RecruitmentForest:
     """Read a recruitment forest from CSV.
 
     Accepts the full five-column format written by :func:`write_forest_csv`
-    as well as the minimal external format (id, recruiter, degree); wave
-    and seed_index are reconstructed from the recruiter links. Recruiter
-    references resolve to the latest earlier row with that id, so files
-    must list recruiters before their recruits.
+    as well as the minimal external format (id, recruiter, degree). The
+    seed_index and wave columns are ignored: the forest derives them from
+    the recruiter links. Recruiter references resolve to the latest earlier
+    row with that id, so files must list recruiters before their recruits.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
@@ -471,32 +486,20 @@ def read_forest_csv(path) -> RecruitmentForest:
 
     n = len(ids)
     last_entry_of: dict[str, int] = {}
-    parent = np.full(n, -1, dtype=np.int64)
-    wave = np.zeros(n, dtype=np.int64)
-    seed_index = np.zeros(n, dtype=np.int64)
-    next_seed = 0
-    for i in range(n):
-        rid = recruiter_raw[i]
-        if rid == "":
-            seed_index[i] = next_seed
-            next_seed += 1
-        else:
+    parent = [-1] * n
+    for i, rid in enumerate(recruiter_raw):
+        if rid:
             if rid not in last_entry_of:
                 raise DataError(
                     f"{path}: row {i + 2}: recruiter {rid!r} does not appear earlier in the file"
                 )
-            p = last_entry_of[rid]
-            parent[i] = p
-            wave[i] = wave[p] + 1
-            seed_index[i] = seed_index[p]
+            parent[i] = last_entry_of[rid]
         last_entry_of[ids[i]] = i
-    if next_seed == 0:
+    if "" not in recruiter_raw:
         raise DataError(f"{path}: forest has no seeds (no row with empty recruiter)")
     return RecruitmentForest(
         node_id=ids,
         node_index=np.full(n, -1, dtype=np.int64),
-        seed_index=seed_index,
-        wave=wave,
         parent=parent,
         degree=np.asarray(degrees, dtype=np.int64),
     )

@@ -17,8 +17,6 @@ def two_recruiter_forest():
     return rv.RecruitmentForest(
         node_id=["M", "N", "O", "P"],
         node_index=[-1, -1, -1, -1],
-        seed_index=[0, 0, 0, 0],
-        wave=[0, 1, 1, 2],
         parent=[-1, 0, 0, 1],
         degree=[2, 3, 1, 2],
     )
@@ -30,8 +28,6 @@ def single_seed_forest():
     return rv.RecruitmentForest(
         node_id=["M", "N", "O"],
         node_index=[-1, -1, -1],
-        seed_index=[0, 0, 0],
-        wave=[0, 1, 1],
         parent=[-1, 0, 0],
         degree=[1, 1, 1],
     )
@@ -39,22 +35,17 @@ def single_seed_forest():
 
 def balanced_forest(s: int, c: int, h: int, degrees=None):
     """Full s-tree forest: every recruiter has exactly c recruits through h waves."""
-    node_id, seed_index, wave, parent = [], [], [], []
+    node_id, parent = [], []
     for j in range(s):
-        roots = [len(node_id)]
+        frontier = [len(node_id)]
         node_id.append(f"s{j}")
-        seed_index.append(j)
-        wave.append(0)
         parent.append(-1)
-        frontier = roots
-        for level in range(1, h + 1):
+        for _ in range(h):
             nxt = []
             for p in frontier:
                 for _ in range(c):
                     nxt.append(len(node_id))
                     node_id.append(f"n{len(node_id)}")
-                    seed_index.append(j)
-                    wave.append(level)
                     parent.append(p)
             frontier = nxt
     n = len(node_id)
@@ -62,8 +53,6 @@ def balanced_forest(s: int, c: int, h: int, degrees=None):
     return rv.RecruitmentForest(
         node_id=node_id,
         node_index=np.full(n, -1),
-        seed_index=seed_index,
-        wave=wave,
         parent=parent,
         degree=deg,
     )
@@ -75,8 +64,6 @@ def seeds_with_one_recruit(degrees):
     return rv.RecruitmentForest(
         node_id=[f"s{j}" for j in range(p)] + [f"r{j}" for j in range(p)],
         node_index=np.full(2 * p, -1),
-        seed_index=[*range(p), *range(p)],
-        wave=[0] * p + [1] * p,
         parent=[-1] * p + list(range(p)),
         degree=[1] * p + list(degrees),
     )
@@ -85,12 +72,7 @@ def seeds_with_one_recruit(degrees):
 def random_tiny_forest(rng: np.random.Generator, max_recruiters: int = 6, max_recruits: int = 2):
     """Random forest within the enumeration budget, plus random z and degrees."""
     s = int(rng.integers(1, 3))
-    node_id, seed_index, wave, parent = [], [], [], []
-    for j in range(s):
-        node_id.append(f"s{j}")
-        seed_index.append(j)
-        wave.append(0)
-        parent.append(-1)
+    node_id, parent = [f"s{j}" for j in range(s)], [-1] * s
     recruiters = 0
     frontier = list(range(s))
     while frontier and recruiters < max_recruiters:
@@ -101,18 +83,24 @@ def random_tiny_forest(rng: np.random.Generator, max_recruiters: int = 6, max_re
         recruiters += 1
         for _ in range(k):
             node_id.append(f"n{len(node_id)}")
-            seed_index.append(seed_index[u])
-            wave.append(wave[u] + 1)
             parent.append(u)
             frontier.append(len(node_id) - 1)
     n = len(node_id)
     forest = rv.RecruitmentForest(
         node_id=node_id,
         node_index=np.full(n, -1),
-        seed_index=seed_index,
-        wave=wave,
         parent=parent,
         degree=rng.integers(1, 9, size=n),
     )
     z = rng.integers(0, 2, size=n).astype(float)
     return forest, z
+
+
+def relabelled(forest, perm):
+    """The forest with entry i moved to position perm[i]: children may then precede their parents."""
+    at = np.argsort(perm)  # at[j]: the entry that lands at position j
+    parent = forest.parent[at]
+    return rv.RecruitmentForest(
+        node_id=[forest.node_id[i] for i in at.tolist()], node_index=forest.node_index[at],
+        parent=np.where(parent >= 0, perm[parent], -1), degree=forest.degree[at],
+    )

@@ -8,7 +8,7 @@ from rdsvar.bootstrap import BLOCK, _nb_counts, _tree_counts
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
 from rdsvar.rng import generator
-from conftest import balanced_forest, random_tiny_forest
+from conftest import balanced_forest, random_tiny_forest, relabelled
 
 
 def dist_of(estimates, point=0.0):
@@ -86,7 +86,7 @@ class TestNeighbourhoodResample:
 
     def test_degenerate_forest_errors(self):
         f = rv.RecruitmentForest(
-            node_id=["A"], node_index=[-1], seed_index=[0], wave=[0], parent=[-1], degree=[1]
+            node_id=["A"], node_index=[-1], parent=[-1], degree=[1]
         )
         with pytest.raises(DataError, match="degenerate"):
             rv.neighbourhood_resample(f, [1.0], generator(0))
@@ -128,7 +128,7 @@ class TestNeighbourhoodResample:
 class TestTreeResample:
     def test_leaf_seed_always_itself(self):
         f = rv.RecruitmentForest(
-            node_id=["M"], node_index=[-1], seed_index=[0], wave=[0], parent=[-1], degree=[4]
+            node_id=["M"], node_index=[-1], parent=[-1], degree=[4]
         )
         for seed in range(5):
             ws = rv.tree_resample(f, [1.0], generator(seed))
@@ -237,8 +237,8 @@ class TestBootstrapDistribution:
         primes = [p for p in range(1000, 4000) if all(p % q for q in range(2, int(p**0.5) + 1))][:150]
         n = len(primes) + 1
         forest = rv.RecruitmentForest(
-            node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), seed_index=np.zeros(n),
-            wave=[0] + [1] * (n - 1), parent=[-1] + [0] * (n - 1), degree=[2] + primes,
+            node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1),
+            parent=[-1] + [0] * (n - 1), degree=[2] + primes,
         )
         z = (np.arange(n) % 3 == 0).astype(float)
         totals = rv.PopulationTotals(1000, 10**6)
@@ -278,17 +278,6 @@ def test_production_path_matches_oracle_moments(seed):
     assert abs(mc_mean - exact.mean_float) < tol
 
 
-def _relabelled(forest, perm):
-    """The forest with entry i moved to position perm[i] and a wave column of zeros."""
-    at = np.argsort(perm)  # at[j]: the entry that lands at position j
-    parent = forest.parent[at]
-    return rv.RecruitmentForest(
-        node_id=[forest.node_id[i] for i in at.tolist()], node_index=forest.node_index[at],
-        seed_index=forest.seed_index[at], wave=np.zeros(forest.n),
-        parent=np.where(parent >= 0, perm[parent], -1), degree=forest.degree[at],
-    )
-
-
 def test_tree_counts_conserve_occurrences():
     # in every replicate a recruiter's k recruits share exactly k times its
     # count, a single recruit copies it, and the seeds hold s occurrences
@@ -296,8 +285,8 @@ def test_tree_counts_conserve_occurrences():
     design = rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 120)
     rng = np.random.default_rng(21)
     forests = [random_tiny_forest(rng, max_recruiters=12, max_recruits=3)[0] for _ in range(30)]
-    # entry order and the wave column play no part: children may precede their parents
-    forests += [_relabelled(f, rng.permutation(f.n)) for f in forests[:10]]
+    # entry order plays no part: children may precede their parents
+    forests += [relabelled(f, rng.permutation(f.n)) for f in forests[:10]]
     forests += [rv.simulate_rds(g, design, generator(9, i)) for i in range(5)]
     for i, forest in enumerate(forests):
         seeds = forest.seed_entries()

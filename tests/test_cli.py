@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -225,6 +227,42 @@ def test_experiment_starved_stderr_is_one_error_json(tmp_path):
     validate_schema(err, "error.schema.json")
 
 
+# sha256 of forest.csv and simulate_summary.json, taken while the forest
+# stored its wave and seed_index columns: the columns derived from the
+# links must write the same bytes, max_wave included. Both configs have
+# reseeds and a truncated recruit count.
+SIMULATE_SHA256 = {
+    "without_replacement": (
+        "fe8246f52865aa8e4f7d3892cc2794fbda861a08f9fa7bedc214828b0be47429",
+        "9cffef6c00a2f2ac6a2dbcc8aa003c69ad2e0586a39b63f8354e792214a6cdf2",
+    ),
+    "with_replacement_walk": (
+        "74f6313e77d6b4e261e5cc9da8acd782ca6b9738c93e353ae0503014c7687ce2",
+        "93ef644fd9c5e8477bf1e83914bc559e39e0f7e8b128f46785812f471bf9a53c",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "regime, argv",
+    [
+        ("without_replacement", ["--seeds", "3", "--pmf", "1/3,1/6,1/6,1/3", "--n", "40", "--seed", "42"]),
+        ("with_replacement_walk", ["--seeds", "1", "--pmf", "0.6,0.2,0.1,0.1", "--n", "150", "--seed", "2"]),
+    ],
+)
+def test_simulate_outputs_are_pinned(study_files, tmp_path, monkeypatch, regime, argv):
+    # relative paths, since the summary echoes them
+    (tmp_path / "edges.txt").write_bytes(study_files[1].read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("simulate", "--edges", "edges.txt", "--coupons", "3", "--regime", regime, *argv, "--out", "out")
+    assert code == 0
+    summary = json.loads(Path("out/simulate_summary.json").read_text())
+    assert summary["n_reseeds"] > 0 and summary["n_truncated_recruits"] > 0
+    outputs = (Path("out/forest.csv"), Path("out/simulate_summary.json"))
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs)
+    assert got == SIMULATE_SHA256[regime]
+
+
 def test_simulate_walk_regime_flag(study_files, tmp_path):
     tmp, edges, attr_path, g, attrs = study_files
     code = run_cli(
@@ -344,34 +382,45 @@ def test_oracle_matches_enumeration(tmp_path):
 
 
 def test_oracle_identity_flag(tmp_path, monkeypatch):
-    # the CLI's law is the one the identity needs, so it is enumerated once
-    calls, enumerate_neighbourhood = [], rv.exact.enumerate_neighbourhood
+    # under either method the CLI's law is one the identity needs, so each
+    # method's law is enumerated once
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_neighbourhood(*args, **kwargs)
+    def counting(name):
+        enumerate_law = getattr(rv.exact, name)
 
-    monkeypatch.setattr(rv.exact, "enumerate_neighbourhood", counted)
-    monkeypatch.setattr(rv.cli, "enumerate_neighbourhood", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return enumerate_law(*args, **kwargs)
+
+        monkeypatch.setattr(rv.exact, name, counted)
+        monkeypatch.setattr(rv.cli, name, counted)
+
+    counting("enumerate_neighbourhood"), counting("enumerate_tree")
     forest_csv = tmp_path / "bal.csv"
     forest_csv.write_text(
         "id,recruiter,degree\nS,,2\nA,S,3\nB,S,1\nA1,A,2\nA2,A,2\nB1,B,4\nB2,B,1\n"
     )
     attrs_csv = tmp_path / "z.csv"
     attrs_csv.write_text("id,flag\nS,1\nA,1\nB,0\nA1,0\nA2,1\nB1,0\nB2,1\n")
-    code = run_cli(
-        "oracle", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
-        "--method", "neighbourhood", "--check-identity", "--out", tmp_path,
-    )
-    assert code == 0
-    payload = json.loads((tmp_path / "oracle.json").read_text())
-    validate_schema(payload, "oracle_report.schema.json")
-    ident = payload["moment_identity"]
-    assert ident["neighbourhood_enumerated"] == ident["neighbourhood_closed_form"]
-    assert ident["neighbourhood_enumerated"]["mean_exact"] == ident["non_seed_mean_exact"] == "1/2"
-    assert ident["exact_diff"]["neighbourhood_variance_enumerated_minus_closed_form"] == "0"
-    assert ident["tree_enumerated"] == ident["tree_closed_form"]
-    assert len(calls) == 1
+    idents = []
+    for method in ("neighbourhood", "tree"):
+        calls.clear()
+        code = run_cli(
+            "oracle", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
+            "--method", method, "--check-identity", "--out", tmp_path / method,
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / method / "oracle.json").read_text())
+        validate_schema(payload, "oracle_report.schema.json")
+        ident = payload["moment_identity"]
+        assert ident["neighbourhood_enumerated"] == ident["neighbourhood_closed_form"]
+        assert ident["neighbourhood_enumerated"]["mean_exact"] == ident["non_seed_mean_exact"] == "1/2"
+        assert ident["exact_diff"]["neighbourhood_variance_enumerated_minus_closed_form"] == "0"
+        assert ident["tree_enumerated"] == ident["tree_closed_form"]
+        assert calls == {"enumerate_neighbourhood": 1, "enumerate_tree": 1}, method
+        idents.append(ident)
+    assert idents[0] == idents[1]
 
 
 def test_enumeration_budget_exit_code(tmp_path, capsys):

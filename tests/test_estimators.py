@@ -79,7 +79,7 @@ def test_degree_outside_int64_or_not_integral_is_data_error(build, degree):
         if build == "WeightedSample":
             rv.WeightedSample.from_pairs([(1, degree)])
         else:
-            rv.RecruitmentForest(["a"], [-1], [0], [0], [-1], degree=[degree])
+            rv.RecruitmentForest(node_id=["a"], node_index=[-1], parent=[-1], degree=[degree])
 
 
 @pytest.mark.parametrize(

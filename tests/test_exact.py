@@ -37,7 +37,7 @@ def test_neighbourhood_single_recruiter_forced(single_seed_forest):
 
 def test_tree_leaf_seed():
     f = rv.RecruitmentForest(
-        node_id=["M"], node_index=[-1], seed_index=[0], wave=[0], parent=[-1], degree=[5]
+        node_id=["M"], node_index=[-1], parent=[-1], degree=[5]
     )
     d = rv.enumerate_tree(f, [1])
     assert d.outcomes == [(Fraction(1), Fraction(1))]
@@ -69,8 +69,6 @@ def test_enumeration_order_independent(two_recruiter_forest):
     reordered = rv.RecruitmentForest(
         node_id=["M", "O", "N", "P"],
         node_index=[-1, -1, -1, -1],
-        seed_index=[0, 0, 0, 0],
-        wave=[0, 1, 1, 2],
         parent=[-1, 0, 0, 2],
         degree=[2, 1, 3, 2],
     )
@@ -175,21 +173,20 @@ class TestMomentIdentity:
     def test_unbalanced_rejected(self, two_recruiter_forest):
         with pytest.raises(DataError, match="balanced"):
             rv.check_moment_identity(two_recruiter_forest, [0, 1, 0, 1])
-        # S -> {A, B}, A -> {A1, A2}, B a leaf: depths come from the
-        # recruitment links, so a wave column that puts B at the last level
-        # does not make the forest balanced
-        unbalanced = rv.RecruitmentForest(
-            node_id=["S", "A", "B", "A1", "A2"], node_index=[-1] * 5, seed_index=[0] * 5,
-            wave=[0, 1, 2, 2, 2], parent=[-1, 0, 0, 1, 1], degree=[1] * 5,
-        )
+        # S -> {A, B}, A -> {A1, A2}, B a leaf: the depths come from the
+        # links, and a wave column that puts B at the last level is rejected
+        links = dict(node_id=["S", "A", "B", "A1", "A2"], node_index=[-1] * 5, parent=[-1, 0, 0, 1, 1])
+        links["degree"] = [1] * 5
         with pytest.raises(DataError, match="balanced"):
-            rv.check_moment_identity(unbalanced, [0, 1, 0, 1, 1])
+            rv.check_moment_identity(rv.RecruitmentForest(**links), [0, 1, 0, 1, 1])
+        with pytest.raises(DataError, match="entry 2 disagrees with the recruiter links"):
+            rv.RecruitmentForest(**links, wave=[0, 1, 2, 2, 2])
 
-    def test_wave_column_does_not_unbalance_a_forest(self):
+    def test_wave_column_that_flattens_a_forest_is_rejected(self):
         f = balanced_forest(1, 2, 2)
-        flat = replace(f, wave=np.zeros(f.n, dtype=np.int64))
-        z = np.arange(f.n) % 2
-        assert rv.check_moment_identity(flat, z) == rv.check_moment_identity(f, z)
+        with pytest.raises(DataError, match="entry 1 disagrees with the recruiter links"):
+            replace(f, wave=np.zeros(f.n, dtype=np.int64))
+        assert f.wave.tolist() == [0, 1, 1, 2, 2, 2, 2]
 
 
 def test_non_binary_z_rejected():
@@ -328,13 +325,10 @@ def _shallow_forest(rng, n, max_depth=4, max_recruits=3):
         parent.append(u)
         depth.append(depth[u] + 1)
         recruits.append(0)
-    seed_of = []
-    for u, p in enumerate(parent):
-        seed_of.append(u if p < 0 else seed_of[p])
     m = len(parent)
     return rv.RecruitmentForest(
-        node_id=[f"e{i}" for i in range(m)], node_index=np.full(m, -1), seed_index=seed_of,
-        wave=depth, parent=parent, degree=np.ones(m, dtype=np.int64),
+        node_id=[f"e{i}" for i in range(m)], node_index=np.full(m, -1), parent=parent,
+        degree=np.ones(m, dtype=np.int64),
     )
 
 

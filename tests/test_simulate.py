@@ -13,6 +13,7 @@ import rdsvar as rv
 from rdsvar.errors import BudgetError, DataError
 from rdsvar.rng import generator
 from rdsvar.simulate import _Tape, _pps_draw_indices
+from conftest import random_tiny_forest, relabelled
 
 
 def path_graph(tmp_path):
@@ -169,10 +170,7 @@ def test_recruiters_examples(two_recruiter_forest):
 
 
 def test_recruiters_isolated_seeds():
-    f = rv.RecruitmentForest(
-        node_id=["A", "B"], node_index=[-1, -1], seed_index=[0, 1],
-        wave=[0, 0], parent=[-1, -1], degree=[1, 1],
-    )
+    f = rv.RecruitmentForest(node_id=["A", "B"], node_index=[-1, -1], parent=[-1, -1], degree=[1, 1])
     assert f.recruiter_entries().tolist() == []
 
 
@@ -262,20 +260,93 @@ def test_children_and_bfs_match_fifo_reference(tmp_path_factory, seed, reseed):
 
 
 def test_replaced_forest_drops_the_cached_links():
-    # dataclasses.replace makes a new forest, whose links, BFS order and
-    # recruiter groups come from its own parent column, not its source's
-    def forest(wave, parent):
-        return rv.RecruitmentForest(["S", "A", "B"], [-1] * 3, [0] * 3, wave, parent, [1] * 3)
+    # dataclasses.replace makes a new forest, whose links, BFS order, waves
+    # and recruiter groups come from its own parent column, not its source's
+    def forest(parent):
+        return rv.RecruitmentForest(node_id=["S", "A", "B"], node_index=[-1] * 3, parent=parent, degree=[1] * 3)
 
-    star = forest([0, 1, 1], [-1, 0, 0])
+    star = forest([-1, 0, 0])
     star.children_csr(), star.recruiter_groups()
-    chain, fresh = dataclasses.replace(star, parent=[-1, 0, 1], wave=[0, 1, 2]), forest([0, 1, 2], [-1, 0, 1])
+    assert star.wave.tolist() == [0, 1, 1]
+    chain, fresh = dataclasses.replace(star, parent=[-1, 0, 1]), forest([-1, 0, 1])
     assert chain == fresh
+    assert chain.wave.tolist() == [0, 1, 2] and chain.seed_index.tolist() == [0, 0, 0]
     assert chain.out_degree().tolist() == [1, 1, 0]
     assert [u.tolist() for u, _ in chain.recruiter_groups()] == [[0], [1]]
     # S -> A -> B: two draws from {S, A} give A, B or both, so the mean of z varies
     assert rv.enumerate_neighbourhood(chain, [0, 1, 0]).variance == Fraction(1, 8)
     assert rv.enumerate_neighbourhood(fresh, [0, 1, 0]).variance == Fraction(1, 8)
+
+
+def _reference_columns(parent):
+    """(seed_index, wave) as read_forest_csv rebuilt them, for a forest that lists recruiters first."""
+    seed_index, wave, next_seed = [0] * len(parent), [0] * len(parent), 0
+    for i, p in enumerate(parent):
+        if p < 0:
+            seed_index[i] = next_seed
+            next_seed += 1
+        else:
+            assert p < i
+            seed_index[i], wave[i] = seed_index[p], wave[p] + 1
+    return seed_index, wave
+
+
+def test_derived_columns_match_the_reference_loop():
+    g, _ = rv.make_study_population(120, seed=3)
+    rng = np.random.default_rng(5)
+    forests = [random_tiny_forest(rng, max_recruiters=12, max_recruits=3)[0] for _ in range(40)]
+    for regime, seeds in (("without_replacement", 2), ("with_replacement_walk", 1)):
+        design = rv.RdsDesign(seeds, 3, (0.6, 0.2, 0.1, 0.1), 100, regime)
+        forests += [rv.simulate_rds(g, design, generator(9, i)) for i in range(5)]
+        assert all(f.n_reseeds for f in forests[-5:])
+    for f in forests:
+        seed_index, wave = _reference_columns(f.parent.tolist())
+        assert f.seed_index.tolist() == seed_index and f.wave.tolist() == wave
+        assert f.seed_index.dtype == f.wave.dtype == np.int64
+        # the same forest in another entry order: the waves move with their
+        # entries, and the seeds are ranked in the new order
+        perm = rng.permutation(f.n)
+        moved = relabelled(f, perm)
+        seeds = f.seed_entries()
+        rank = np.argsort(np.argsort(perm[seeds]))  # new rank of the seed ranked j before
+        assert moved.wave[perm].tolist() == wave
+        assert moved.seed_index[perm].tolist() == rank[seed_index].tolist()
+        # given columns that agree with the links are accepted and not kept
+        again = rv.RecruitmentForest(
+            node_id=moved.node_id, node_index=moved.node_index, parent=moved.parent, degree=moved.degree,
+            seed_index=moved.seed_index.copy(), wave=moved.wave.tolist(),
+        )
+        assert again == moved and not {"seed_index", "wave"} & set(vars(again))
+
+
+def test_forest_constructor_checks_the_given_columns(two_recruiter_forest):
+    # S -> {A, B}, A -> {A1, A2}
+    links = dict(node_id=["S", "A", "B", "A1", "A2"], node_index=[-1] * 5, parent=[-1, 0, 0, 1, 1])
+    links["degree"] = [1] * 5
+    for columns in (
+        {"wave": [0, 1, 2, 2, 2]},  # B is a leaf of the first wave, not of the last
+        {"wave": [0] * 5},
+        {"seed_index": [0, 0, 0, 1, 0]},
+        {"seed_index": [1, 1, 1, 1, 1]},  # the one seed has rank 0
+        {"seed_index": [0] * 5, "wave": [0, 1, 1, 2, 3]},
+    ):
+        with pytest.raises(DataError, match="disagrees with the recruiter links"):
+            rv.RecruitmentForest(**links, **columns)
+    two_seeds = dict(links, parent=[-1, 0, -1, 1, 2])
+    with pytest.raises(DataError, match="entry 2 disagrees"):
+        rv.RecruitmentForest(**two_seeds, seed_index=[0, 0, 0, 0, 0])
+    assert rv.RecruitmentForest(**two_seeds, seed_index=[0, 0, 1, 0, 1]).wave.tolist() == [0, 1, 0, 2, 1]
+    with pytest.raises(DataError, match="one row per entry"):
+        rv.RecruitmentForest(**links, wave=[0, 1, 1, 2])
+    with pytest.raises(DataError, match="entry 1 disagrees"):
+        rv.RecruitmentForest(**dict(links, parent=[-1, 7, 0, 1, 1]), wave=[0, 1, 1, 2, 2])
+    with pytest.raises(TypeError):
+        rv.RecruitmentForest(["a"], [-1], [-1], [1])
+    # the derived columns are read-only: writing to them cannot desynchronise the links
+    with pytest.raises(AttributeError):
+        two_recruiter_forest.wave = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ValueError):
+        two_recruiter_forest.seed_index[0] = 1
 
 
 def test_forest_csv_roundtrip(tmp_path):
