@@ -70,6 +70,12 @@ ESTIMATORS = ("sample_mean", "vh", "ipw")
 BLOCK = 100  # replicates per keyed substream in bootstrap_distributions
 
 
+def _check_option(what: str, value, allowed: tuple[str, ...]) -> None:
+    """Raise ``DataError`` unless ``value`` is one of the ``allowed`` names of option ``what``."""
+    if value not in allowed:
+        raise DataError(f"unknown {what}: {value!r}")
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     method: str
@@ -79,14 +85,10 @@ class BootstrapConfig:
     estimator: str = "vh"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise DataError(f"unknown bootstrap method: {self.method!r}")
-        if self.selection_pool not in POOLS:
-            raise DataError(f"unknown selection pool: {self.selection_pool!r}")
-        if self.tree_seed_mode not in SEED_MODES:
-            raise DataError(f"unknown tree seed mode: {self.tree_seed_mode!r}")
-        if self.estimator not in ESTIMATORS:
-            raise DataError(f"unknown estimator: {self.estimator!r}")
+        _check_option("bootstrap method", self.method, METHODS)
+        _check_option("selection pool", self.selection_pool, POOLS)
+        _check_option("tree seed mode", self.tree_seed_mode, SEED_MODES)
+        _check_option("estimator", self.estimator, ESTIMATORS)
         if self.n_replicates < 2:
             raise DataError("need at least 2 bootstrap replicates")
 
@@ -157,6 +159,7 @@ def neighbourhood_resample(
     drawn. Seeds are nobody's recruit and therefore never appear in the
     returned sample.
     """
+    _check_option("selection pool", pool, POOLS)
     z = _as_z(z, forest.n)
     counts, pool_entries = _nb_counts(forest, pool, rng, 1)
     recruits, slot = _recruit_slots(forest, pool_entries)
@@ -196,6 +199,7 @@ def tree_resample(
     forest: RecruitmentForest, z, rng: RngStream, seed_mode: str = "with_replacement"
 ) -> WeightedSample:
     """One tree bootstrap sample: every drawn occurrence, seeds included."""
+    _check_option("tree seed mode", seed_mode, SEED_MODES)
     z = _as_z(z, forest.n)
     if forest.n == 0:
         raise DataError("empty forest")
@@ -204,17 +208,15 @@ def tree_resample(
     return WeightedSample(z[picked], forest.degree[picked], counts[picked])
 
 
-def _counts(
-    forest: RecruitmentForest, method: str, pool: str, seed_mode: str, rng: RngStream, size: int
-) -> np.ndarray:
-    """The method's count matrix for ``size`` replicates."""
-    if method == "neighbourhood":
-        return _nb_counts(forest, pool, rng, size)[0]
-    return _tree_counts(forest, seed_mode, rng, size)
+def _counts(forest: RecruitmentForest, cfg: BootstrapConfig, rng: RngStream, size: int) -> np.ndarray:
+    """The configured method's count matrix for ``size`` replicates."""
+    if cfg.method == "neighbourhood":
+        return _nb_counts(forest, cfg.selection_pool, rng, size)[0]
+    return _tree_counts(forest, cfg.tree_seed_mode, rng, size)
 
 
 def _replicate_terms(
-    forest: RecruitmentForest, method: str, pool: str, estimator: str, totals, cols: dict[str, np.ndarray]
+    forest: RecruitmentForest, cfg: BootstrapConfig, totals, cols: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Float64 (numerator per column, shared denominator) terms of the count matrix's columns.
 
@@ -226,13 +228,13 @@ def _replicate_terms(
     brings the largest below 2**960, so they and every replicate sum stay
     finite; an integer term below 2**53 stays exact either way.
     """
-    inverse, a, b = _degree_terms(forest.degree, estimator, totals)
+    inverse, a, b = _degree_terms(forest.degree, cfg.estimator, totals)
     scale = 1 << max(0, max((x.bit_length() for x in a + b), default=0) - 960)
     a = np.array([x / scale for x in a], dtype=np.float64)[inverse]
     den = np.array([x / scale for x in b], dtype=np.float64)[inverse]
     nums = {name: zc * a for name, zc in cols.items()}
-    if method == "neighbourhood":
-        pool_entries, _ = _nb_pool(forest, pool)
+    if cfg.method == "neighbourhood":
+        pool_entries, _ = _nb_pool(forest, cfg.selection_pool)
         recruits, slot = _recruit_slots(forest, pool_entries)
 
         def pooled(t: np.ndarray) -> np.ndarray:
@@ -257,11 +259,11 @@ def bootstrap_distributions(
     from substream (root, b // BLOCK).
     """
     cols = {name: _as_z(zc, forest.n) for name, zc in columns.items()}
-    nums, den = _replicate_terms(forest, cfg.method, cfg.selection_pool, cfg.estimator, totals, cols)
+    nums, den = _replicate_terms(forest, cfg, totals, cols)
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
     for k in range(-(-B // BLOCK)):
-        counts = _counts(forest, cfg.method, cfg.selection_pool, cfg.tree_seed_mode, generator(root, k), BLOCK)
+        counts = _counts(forest, cfg, generator(root, k), BLOCK)
         lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
         # evaluate the full block, so that no replicate depends on B
         den_sums = counts @ den
@@ -347,12 +349,12 @@ def mc_bootstrap_moments(
     Draws all B replicates from the single supplied stream (batched, so
     large B stays cheap) and evaluates the same estimator formulas through
     matrix products. Intended for cross-checking against exhaustive
-    enumeration and as the fallback its budget error advises.
+    enumeration and as the fallback its budget error advises. The options
+    are checked as ``BootstrapConfig`` checks them, B >= 2 included.
     """
-    if method not in METHODS:
-        raise DataError(f"unknown bootstrap method: {method!r}")
-    nums, den = _replicate_terms(forest, method, pool, estimator, totals, {"z": _as_z(z, forest.n)})
-    counts = _counts(forest, method, pool, seed_mode, rng, B)
+    cfg = BootstrapConfig(method, B, pool, seed_mode, estimator)
+    nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
+    counts = _counts(forest, cfg, rng, B)
     # one contiguous float64 product: int64 or transposed counts miss the BLAS path
     den_sums, num_sums = np.stack([den, nums["z"]]) @ counts.T.astype(np.float64)
     est = num_sums / den_sums

@@ -24,6 +24,10 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import (
+    ESTIMATORS,
+    METHODS,
+    POOLS,
+    SEED_MODES,
     BootstrapConfig,
     bootstrap_distribution,
     bootstrap_variance,
@@ -40,7 +44,7 @@ from .graph import (
     load_summary,
     read_attribute_rows,
 )
-from .simulate import RdsDesign, read_forest_csv, simulate_rds, write_forest_csv
+from .simulate import REGIMES, RdsDesign, read_forest_csv, simulate_rds, write_forest_csv
 from .rng import generator
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pmf", help="recruit-count probabilities, e.g. 1/3,1/6,1/6,1/3")
     p.add_argument("--n", type=int, help="target sample size")
     p.add_argument("--seed", type=_seed, help="master seed (default 0)")
-    p.add_argument("--regime", choices=["without_replacement", "with_replacement_walk"])
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--no-reseed", action="store_true", default=None, help="fail instead of reseeding dead chains")
     p.add_argument("--lcc", action="store_true", default=None)
 
@@ -133,12 +137,12 @@ def build_parser() -> _Parser:
     p.add_argument("--forest", help="forest CSV (id, recruiter, degree at minimum)")
     p.add_argument("--attrs", help="attribute CSV")
     p.add_argument("--attribute", help="attribute column to estimate")
-    p.add_argument("--method", choices=["neighbourhood", "tree"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--B", type=int, help="bootstrap replicates")
-    p.add_argument("--estimator", choices=["sample_mean", "vh", "ipw"])
+    p.add_argument("--estimator", choices=ESTIMATORS)
     p.add_argument("--level", type=float, help="confidence level (default 0.95)")
-    p.add_argument("--pool", choices=["recruiters_only", "all_participants"])
-    p.add_argument("--tree-seed-mode", choices=["with_replacement", "without_replacement"])
+    p.add_argument("--pool", choices=POOLS)
+    p.add_argument("--tree-seed-mode", choices=SEED_MODES)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--population-size", type=int, help="N for the ipw estimator")
     p.add_argument("--total-degree", type=int, help="sum of degrees for the ipw estimator")
@@ -156,12 +160,12 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--R", type=int, help="number of replications")
     p.add_argument("--B", type=int, help="bootstrap replicates per replication")
-    p.add_argument("--methods", help="comma-separated subset of neighbourhood,tree")
+    p.add_argument("--methods", help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--levels", help="comma-separated confidence levels (default 0.95,0.80)")
     p.add_argument("--width-ref", type=int, help="simulations for expected widths (default 5000)")
     p.add_argument("--seed", type=_seed, help="master seed (required)")
     p.add_argument("--workers", type=int, help="worker processes, at most the usable CPUs (default 1)")
-    p.add_argument("--regime", choices=["without_replacement", "with_replacement_walk"])
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--no-reseed", action="store_true", default=None)
     p.add_argument("--lcc", action="store_true", default=None)
 
@@ -169,10 +173,10 @@ def build_parser() -> _Parser:
     p.add_argument("--forest")
     p.add_argument("--attrs")
     p.add_argument("--attribute")
-    p.add_argument("--method", choices=["neighbourhood", "tree"])
-    p.add_argument("--estimator", choices=["sample_mean", "vh", "ipw"])
-    p.add_argument("--pool", choices=["recruiters_only", "all_participants"])
-    p.add_argument("--tree-seed-mode", choices=["with_replacement", "without_replacement"])
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--estimator", choices=ESTIMATORS)
+    p.add_argument("--pool", choices=POOLS)
+    p.add_argument("--tree-seed-mode", choices=SEED_MODES)
     p.add_argument("--population-size", type=int)
     p.add_argument("--total-degree", type=int)
     p.add_argument("--check-identity", action="store_true", default=None, help="include balanced-forest moment diagnostics")
@@ -245,15 +249,16 @@ def _echo(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if v is not None and k != "command"}
 
 
+def _given(cfg: dict, **keys: str) -> dict:
+    """{parameter: value} of the flags given, each named by its config key; the library defaults the rest."""
+    return {name: cfg[key] for name, key in keys.items() if cfg.get(key) is not None}
+
+
 def _design_from(cfg: dict) -> RdsDesign:
     _require(cfg, "seeds", "coupons", "pmf", "n")
     return RdsDesign(
-        n_seeds=int(cfg["seeds"]),
-        max_coupons=int(cfg["coupons"]),
-        recruit_count_pmf=_parse_pmf(cfg["pmf"]),
-        target_n=int(cfg["n"]),
-        regime=cfg.get("regime") or "without_replacement",
-        reseed_on_death=not cfg.get("no_reseed"),
+        cfg["seeds"], cfg["coupons"], _parse_pmf(cfg["pmf"]), cfg["n"],
+        reseed_on_death=not cfg.get("no_reseed"), **_given(cfg, regime="regime"),
     )
 
 
@@ -277,11 +282,12 @@ def _ipw_totals(cfg: dict) -> PopulationTotals | None:
     if cfg.get("estimator") != "ipw":
         return None
     if cfg.get("population_size") is not None and cfg.get("total_degree") is not None:
-        return PopulationTotals(int(cfg["population_size"]), int(cfg["total_degree"]))
+        return PopulationTotals(cfg["population_size"], cfg["total_degree"])
     if cfg.get("edges"):
         g = _load_graph(cfg)
         return PopulationTotals(g.n_nodes, g.total_degree)
-    raise UsageError("ipw needs --population-size and --total-degree, or --edges")
+    alternative = ", or --edges" if "edges" in cfg else ""  # only the commands that have --edges offer it
+    raise UsageError(f"ipw needs --population-size and --total-degree{alternative}")
 
 
 def cmd_ingest(cfg: dict) -> list[str]:
@@ -301,7 +307,7 @@ def cmd_simulate(cfg: dict) -> list[str]:
     _require(cfg, "edges")
     g = _load_graph(cfg)
     design = _design_from(cfg)
-    seed = int(cfg["seed"]) if cfg.get("seed") is not None else 0
+    seed = cfg.get("seed") or 0
     forest = simulate_rds(g, design, generator(seed, 0))
     forest_path = _outpath(cfg, "forest.csv")
     write_forest_csv(forest, forest_path)
@@ -323,17 +329,11 @@ def cmd_simulate(cfg: dict) -> list[str]:
 def cmd_bootstrap(cfg: dict) -> list[str]:
     _require(cfg, "method", "B")
     forest, z, column = _forest_z(cfg)
-    bc = BootstrapConfig(
-        method=cfg["method"],
-        n_replicates=int(cfg["B"]),
-        selection_pool=cfg.get("pool") or "recruiters_only",
-        tree_seed_mode=cfg.get("tree_seed_mode") or "with_replacement",
-        estimator=cfg.get("estimator") or "vh",
-    )
+    options = _given(cfg, selection_pool="pool", tree_seed_mode="tree_seed_mode", estimator="estimator")
+    bc = BootstrapConfig(cfg["method"], cfg["B"], **options)
     totals = _ipw_totals({**cfg, "estimator": bc.estimator})
-    seed = int(cfg["seed"]) if cfg.get("seed") is not None else 0
-    dist = bootstrap_distribution(forest, bc, z, totals=totals, root=seed)
-    level = float(cfg["level"]) if cfg.get("level") is not None else 0.95
+    dist = bootstrap_distribution(forest, bc, z, totals=totals, root=cfg.get("seed") or 0)
+    level = cfg["level"] if cfg.get("level") is not None else 0.95
     lo, hi = percentile_ci(dist, level)
     variance = bootstrap_variance(dist)
     notes = []
@@ -376,21 +376,15 @@ def cmd_experiment(cfg: dict) -> list[str]:
     design = _design_from(cfg)
     _require(cfg, "R", "B")
     columns = _parse_columns(cfg["columns"]) if cfg.get("columns") else tuple(attrs.column_names)
-    methods = _parse_columns(cfg["methods"]) if cfg.get("methods") else ("neighbourhood", "tree")
-    levels = _parse_levels(cfg["levels"]) if cfg.get("levels") else (0.95, 0.80)
-    workers = 1 if cfg.get("workers") is None else int(cfg["workers"])
+    options = _given(cfg, n_width_reference="width_ref")
+    if cfg.get("methods"):
+        options["methods"] = _parse_columns(cfg["methods"])
+    if cfg.get("levels"):
+        options["ci_levels"] = _parse_levels(cfg["levels"])
+    workers = 1 if cfg.get("workers") is None else cfg["workers"]
     if workers < 1:
         raise UsageError("--workers must be at least 1")
-    ec = ExperimentConfig(
-        design=design,
-        attributes=columns,
-        n_replications=int(cfg["R"]),
-        n_bootstrap=int(cfg["B"]),
-        master_seed=int(cfg["seed"]),
-        methods=methods,
-        ci_levels=levels,
-        n_width_reference=int(cfg["width_ref"]) if cfg.get("width_ref") is not None else 5000,
-    )
+    ec = ExperimentConfig(design, columns, cfg["R"], cfg["B"], cfg["seed"], **options)
     report = run_full(ec, g, attrs, workers=workers)
     csv_path = _outpath(cfg, "experiment_report.csv")
     write_text_atomic(csv_path, report.to_csv_text())

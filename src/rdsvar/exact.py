@@ -34,6 +34,9 @@ Two closed forms stay exact at O(n) Fraction cost: the mean and variance
 of the tree bootstrap's linear statistic counts @ z on any forest (with
 z = 1, the resample size), and of the sample mean under either bootstrap
 on a balanced forest. The tests hold the convolved laws to both.
+
+Only the option names and their check come from ``rdsvar.bootstrap``;
+the law code is independent of the resamplers it is held against.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bootstrap import ESTIMATORS, POOLS, SEED_MODES, _check_option
 from .errors import BudgetError, DataError
 from .estimators import PopulationTotals, _as_z
 from .simulate import RecruitmentForest
@@ -156,6 +160,7 @@ def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: Populatio
     The terms are the estimator's weights put over one common denominator
     (the lcm of the degrees), which cancels in the ratio.
     """
+    _check_option("estimator", estimator, ESTIMATORS)
     zi = _as_z(z, forest.n).astype(np.int64).tolist()
     d = [int(x) for x in forest.degree]
     if estimator == "sample_mean":
@@ -164,12 +169,10 @@ def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: Populatio
     w = [lcm // di for di in d]
     if estimator == "vh":
         return [v * wi for v, wi in zip(zi, w)], w, 1
-    if estimator == "ipw":
-        if totals is None:
-            raise DataError("ipw estimator requires population totals")
-        T = int(totals.total_degree)
-        return [v * T * wi for v, wi in zip(zi, w)], [lcm] * forest.n, int(totals.n_population)
-    raise DataError(f"unknown estimator: {estimator!r}")
+    if totals is None:
+        raise DataError("ipw estimator requires population totals")
+    T = int(totals.total_degree)
+    return [v * T * wi for v, wi in zip(zi, w)], [lcm] * forest.n, int(totals.n_population)
 
 
 class _Convolver:
@@ -240,6 +243,7 @@ def enumerate_neighbourhood(
     observations (den = 0) are dropped and the law renormalized, matching
     the resampler's redraw-until-nonempty behaviour.
     """
+    _check_option("selection pool", pool, POOLS)
     num, den, scale = _exact_terms(forest, z, estimator, totals)
     recruiters = forest.recruiter_entries()
     n_r = int(recruiters.size)
@@ -278,8 +282,7 @@ def enumerate_tree(
 
 def _tree_law(forest: RecruitmentForest, num, den, seed_mode: str, budget: int = DEFAULT_BUDGET):
     """(law, total) of the tree bootstrap's (sum of num, sum of den) over the resample's entries."""
-    if seed_mode not in ("with_replacement", "without_replacement"):
-        raise DataError(f"unknown tree seed mode: {seed_mode!r}")
+    _check_option("tree seed mode", seed_mode, SEED_MODES)
     indptr, children = forest.children_csr()
     conv = _Convolver("tree", budget)
     laws: list = [None] * forest.n  # (law, total) of one occurrence of each entry, until its recruiter's is built
@@ -328,6 +331,7 @@ def _tree_linear_moments(forest: RecruitmentForest, z, seed_mode: str = "with_re
     replacement) or each seed once. With z = 1, S is the resample size.
     O(n) Fraction operations.
     """
+    _check_option("tree seed mode", seed_mode, SEED_MODES)
     num, _, _ = _exact_terms(forest, z, "sample_mean", None)
     indptr, children = forest.children_csr()
     moments: list = [None] * forest.n  # (E S_u, Var S_u)
@@ -346,9 +350,7 @@ def _tree_linear_moments(forest: RecruitmentForest, z, seed_mode: str = "with_re
     seeds = forest.seed_entries().tolist()
     if seed_mode == "with_replacement":
         return picks(seeds)
-    if seed_mode == "without_replacement":
-        return sum(moments[e][0] for e in seeds), sum(moments[e][1] for e in seeds)
-    raise DataError(f"unknown tree seed mode: {seed_mode!r}")
+    return sum(moments[e][0] for e in seeds), sum(moments[e][1] for e in seeds)
 
 
 def _balanced_sample_mean_moments(

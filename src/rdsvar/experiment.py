@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import (
+    METHODS,
     BootstrapConfig,
     bootstrap_distributions,
     bootstrap_variance,
@@ -48,6 +49,7 @@ __all__ = [
 _REPLICATION_DOMAIN = 0
 _WIDTH_DOMAIN = 1
 _METHOD_KEY = {"neighbourhood": 1, "tree": 2}
+_ESTIMATOR = "vh"  # of the point estimates, the bootstrap replicates and the width reference
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class ExperimentConfig:
     n_replications: int
     n_bootstrap: int
     master_seed: int
-    methods: tuple[str, ...] = ("neighbourhood", "tree")
+    methods: tuple[str, ...] = METHODS
     ci_levels: tuple[float, ...] = (0.95, 0.80)
     n_width_reference: int = 5000
 
@@ -68,8 +70,8 @@ class ExperimentConfig:
             raise DataError("need at least 2 bootstrap replicates")
         if not self.attributes:
             raise DataError("need at least one attribute")
-        if not self.methods or any(m not in _METHOD_KEY for m in self.methods):
-            raise DataError(f"methods must be a non-empty subset of {sorted(_METHOD_KEY)}")
+        if not self.methods or any(m not in METHODS for m in self.methods):
+            raise DataError(f"methods must be a non-empty subset of {sorted(METHODS)}")
         if any(not (0.0 < lv < 1.0) for lv in self.ci_levels):
             raise DataError("ci levels must lie in (0, 1)")
         if self.n_width_reference < 100:
@@ -159,10 +161,10 @@ def _replication(index: int) -> _RepResult | None:
     boot_var: dict[tuple[str, str], float] = {}
     cis: dict[tuple[str, str, float], tuple[float, float]] = {}
     for method in cfg.methods:
-        bc = BootstrapConfig(method, cfg.n_bootstrap)
+        bc = BootstrapConfig(method, cfg.n_bootstrap, estimator=_ESTIMATOR)
         dists = bootstrap_distributions(forest, bc, z_cols, root=substream(rep_root, _METHOD_KEY[method]))
         for a, dist in dists.items():
-            points[a] = dist.estimator_on_original  # the vh point estimate, the same for every method
+            points[a] = dist.estimator_on_original  # the point estimate, the same for every method
             boot_var[(a, method)] = bootstrap_variance(dist)
             for lv in cfg.ci_levels:
                 cis[(a, method, lv)] = percentile_ci(dist, lv)
@@ -170,13 +172,13 @@ def _replication(index: int) -> _RepResult | None:
 
 
 def _width_forest(index: int) -> tuple[float, ...]:
-    """The vh estimate of every attribute on one fresh forest, substream (master, 1, index)."""
+    """The estimate of every attribute on one fresh forest, substream (master, 1, index)."""
     g: PopulationGraph = _WORKER["graph"]
     attrs: AttributeTable = _WORKER["attrs"]
     cfg: ExperimentConfig = _WORKER["cfg"]
     forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, index))
     z_cols = [attrs.column(a)[forest.node_index] for a in cfg.attributes]
-    return tuple(_estimate(forest.degree, np.ones(forest.n, dtype=np.int64), z_cols, "vh"))
+    return tuple(_estimate(forest.degree, np.ones(forest.n, dtype=np.int64), z_cols, _ESTIMATOR))
 
 
 def _usable_cpus() -> int:

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 WITHOUT_REPLACEMENT = "without_replacement"
-WITH_REPLACEMENT_WALK = "with_replacement_walk"
+REGIMES = (WITHOUT_REPLACEMENT, "with_replacement_walk")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class RdsDesign:
     reseed_on_death: bool = True
 
     def __post_init__(self):
-        if self.regime not in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT_WALK):
+        if self.regime not in REGIMES:
             raise DataError(f"unknown regime: {self.regime!r}")
         pmf = tuple(float(p) for p in self.recruit_count_pmf)
         if len(pmf) != self.max_coupons + 1:
@@ -150,7 +150,10 @@ class RecruitmentForest:
 
     def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, child_entries) with children listed in entry order."""
-        if self._children is None:
+        if self._children is None:  # the first walk of the links checks them
+            if self.n and int(self.parent.max()) >= self.n:
+                i = int(np.argmax(self.parent >= self.n))
+                raise DataError(f"entry {i} has recruiter index {int(self.parent[i])}, past the last entry")
             nonseed = np.flatnonzero(self.parent >= 0)
             self._children = _csr(self.n, self.parent[nonseed], nonseed)
         return self._children

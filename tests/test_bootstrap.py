@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.bootstrap import BLOCK, _nb_counts, _tree_counts
+from rdsvar import exact
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
 from rdsvar.rng import generator
@@ -385,14 +386,19 @@ def test_non_numeric_z_is_a_data_error():
 
 
 class CountingRng:
-    """A generator whose ``integers`` calls are counted."""
+    """A generator whose draw calls (``integers``, ``multinomial``, ...) are counted."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
 
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.integers(*args, **kwargs)
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+
+        return counted
 
 
 @pytest.mark.parametrize("estimator", ["sample_mean", "vh"])
@@ -423,3 +429,82 @@ def test_all_participants_pool_matches_enumeration(two_recruiter_forest, monkeyp
     assert len(streams) == 40 and all(s.calls >= 2 for s in streams)
     se = float(d.estimates.std(ddof=1)) / np.sqrt(d.n_replicates)
     assert abs(float(d.estimates.mean()) - exact.mean_float) < 4 * se
+
+
+# entry 1's recruiter index is past the last entry, so the first walk of the
+# links raises its own DataError: a check that says "unknown ..." ran first
+_UNWALKABLE = dict(node_id=["S", "A"], node_index=[-1, -1], parent=[-1, 5], degree=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda f, z, rng: rv.mc_bootstrap_moments(f, z, "bogus", "vh", 10, rng),
+            "unknown bootstrap method: 'bogus'", id="mc-method",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.mc_bootstrap_moments(f, z, "neighbourhood", "vh", 10, rng, pool="bogus"),
+            "unknown selection pool: 'bogus'", id="mc-pool",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.mc_bootstrap_moments(f, z, "tree", "vh", 10, rng, seed_mode="bogus"),
+            "unknown tree seed mode: 'bogus'", id="mc-seed_mode",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.mc_bootstrap_moments(f, z, "tree", "bogus", 10, rng),
+            "unknown estimator: 'bogus'", id="mc-estimator",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.mc_bootstrap_moments(f, z, "tree", "vh", 1, rng),
+            "need at least 2 bootstrap replicates", id="mc-B=1",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.BootstrapConfig("tree", 10, estimator="bogus"),
+            "unknown estimator: 'bogus'", id="config-estimator",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.neighbourhood_resample(f, z, rng, pool="bogus"),
+            "unknown selection pool: 'bogus'", id="neighbourhood_resample-pool",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.tree_resample(f, z, rng, seed_mode="bogus"),
+            "unknown tree seed mode: 'bogus'", id="tree_resample-seed_mode",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.enumerate_neighbourhood(f, z, pool="bogus"),
+            "unknown selection pool: 'bogus'", id="enumerate_neighbourhood-pool",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.enumerate_neighbourhood(f, z, estimator="bogus"),
+            "unknown estimator: 'bogus'", id="enumerate_neighbourhood-estimator",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.enumerate_tree(f, z, seed_mode="bogus"),
+            "unknown tree seed mode: 'bogus'", id="enumerate_tree-seed_mode",
+        ),
+        pytest.param(
+            lambda f, z, rng: rv.enumerate_tree(f, z, estimator="bogus"),
+            "unknown estimator: 'bogus'", id="enumerate_tree-estimator",
+        ),
+        pytest.param(
+            lambda f, z, rng: exact._tree_law(f, [0, 1], [1, 1], "bogus"),
+            "unknown tree seed mode: 'bogus'", id="_tree_law-seed_mode",
+        ),
+        pytest.param(
+            lambda f, z, rng: _tree_linear_moments(f, z, "bogus"),
+            "unknown tree seed mode: 'bogus'", id="_tree_linear_moments-seed_mode",
+        ),
+    ],
+)
+def test_unknown_option_is_rejected_before_any_draw_or_walk(call, message):
+    rng = CountingRng(generator(0))
+    with pytest.raises(DataError) as raised:
+        call(rv.RecruitmentForest(**_UNWALKABLE), [0.0, 1.0], rng)
+    assert str(raised.value) == message
+    assert rng.calls == 0
+
+
+def test_unwalkable_probe_forest_fails_its_first_walk():
+    with pytest.raises(DataError, match="recruiter index 5"):
+        rv.RecruitmentForest(**_UNWALKABLE).out_degree()

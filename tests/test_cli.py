@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rdsvar as rv
-from rdsvar.cli import main
+from rdsvar.cli import build_parser, main
 from rdsvar.experiment import run_full
 from rdsvar.rng import generator
 from conftest import seeds_with_one_recruit
@@ -155,6 +155,84 @@ def test_bootstrap_ipw_needs_totals(study_files, tmp_path, capsys):
         "--estimator", "ipw", "--seed", "2", "--edges", edges, "--out", tmp_path,
     )
     assert code == 0
+
+
+def test_oracle_ipw_without_totals_names_only_its_own_flags(tmp_path, capsys):
+    # oracle has no --edges, so the message must not offer it
+    forest_csv = tmp_path / "tiny.csv"
+    forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M,3\n")
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text("id,flag\nM,0\nN,1\n")
+    code = run_cli(
+        "oracle", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
+        "--method", "tree", "--estimator", "ipw", "--out", tmp_path,
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == "ipw needs --population-size and --total-degree"
+    # bootstrap does take --edges, and still names it
+    code = run_cli(
+        "bootstrap", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
+        "--method", "tree", "--B", "10", "--estimator", "ipw", "--out", tmp_path,
+    )
+    assert code == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "ipw needs --population-size and --total-degree, or --edges"
+
+
+def test_choices_are_the_library_option_names():
+    library = {
+        "method": rv.bootstrap.METHODS,
+        "pool": rv.bootstrap.POOLS,
+        "tree_seed_mode": rv.bootstrap.SEED_MODES,
+        "estimator": rv.bootstrap.ESTIMATORS,
+        "regime": rv.simulate.REGIMES,
+    }
+    with_choices = {
+        (name, a.dest): a.choices
+        for name, p in build_parser().commands.items()
+        for a in p._actions
+        if a.choices is not None
+    }
+    assert sorted(with_choices) == [
+        ("bootstrap", "estimator"), ("bootstrap", "method"), ("bootstrap", "pool"), ("bootstrap", "tree_seed_mode"),
+        ("experiment", "regime"),
+        ("oracle", "estimator"), ("oracle", "method"), ("oracle", "pool"), ("oracle", "tree_seed_mode"),
+        ("simulate", "regime"),
+    ]
+    for (_, dest), choices in with_choices.items():
+        assert tuple(choices) == library[dest]
+
+
+# every option string of each subcommand, in declaration order: the config
+# echo in every JSON output lists the flags in this order
+OPTION_STRINGS = {
+    "ingest": ["--config", "--out", "--edges", "--attrs", "--lcc"],
+    "simulate": [
+        "--config", "--out", "--edges", "--seeds", "--coupons", "--pmf", "--n", "--seed", "--regime",
+        "--no-reseed", "--lcc",
+    ],
+    "bootstrap": [
+        "--config", "--out", "--forest", "--attrs", "--attribute", "--method", "--B", "--estimator", "--level",
+        "--pool", "--tree-seed-mode", "--seed", "--population-size", "--total-degree", "--edges", "--lcc",
+        "--dump-estimates",
+    ],
+    "experiment": [
+        "--config", "--out", "--edges", "--attrs", "--columns", "--seeds", "--coupons", "--pmf", "--n", "--R",
+        "--B", "--methods", "--levels", "--width-ref", "--seed", "--workers", "--regime", "--no-reseed", "--lcc",
+    ],
+    "oracle": [
+        "--config", "--out", "--forest", "--attrs", "--attribute", "--method", "--estimator", "--pool",
+        "--tree-seed-mode", "--population-size", "--total-degree", "--check-identity",
+    ],
+}
+
+
+def test_option_strings_are_pinned_in_declaration_order():
+    commands = build_parser().commands
+    assert list(commands) == list(OPTION_STRINGS)
+    for name, p in commands.items():
+        declared = [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert declared == OPTION_STRINGS[name], name
 
 
 def test_experiment_requires_seed(study_files, tmp_path, capsys):

@@ -349,6 +349,22 @@ def test_forest_constructor_checks_the_given_columns(two_recruiter_forest):
         two_recruiter_forest.seed_index[0] = 1
 
 
+def test_recruiter_index_past_the_last_entry_is_a_data_error():
+    # no wave= or seed_index= is given, so only the first walk of the links sees it
+    def forest():
+        return rv.RecruitmentForest(node_id=["S", "A"], node_index=[-1, -1], parent=[-1, 5], degree=[1, 2])
+
+    for use in (
+        lambda f: f.out_degree(),
+        lambda f: f.wave,
+        lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("tree", 10), [0, 1]),
+        lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("neighbourhood", 10), [0, 1]),
+        lambda f: rv.enumerate_tree(f, [0, 1]),
+    ):
+        with pytest.raises(DataError, match="entry 1 has recruiter index 5, past the last entry"):
+            use(forest())
+
+
 def test_forest_csv_roundtrip(tmp_path):
     g = rv.generate_configuration_graph(40, rv.PowerLawDegree(2.2, 2, 8), np.random.default_rng(21))
     g = rv.largest_connected_component(g)
