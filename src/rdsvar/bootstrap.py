@@ -29,6 +29,16 @@ the derived substream (root, k). The last block is drawn in full and
 truncated, so replicate b never depends on B, and the blocks can run in
 any order or split across workers without changing the result.
 
+Count matrices are float64, the dtype of the products that consume them.
+Their integer counts are exact below 2**53: a neighbourhood count is at
+most n_r, and a tree count at most s times the product of the recruit
+counts on the path from the entry's seed. The tree kernel keeps its
+counts in float64 and casts to int64 only the trial counts that
+``multinomial`` needs; the neighbourhood kernel's counts are cast once
+per batch. ``bootstrap_distributions`` makes one C-ordered float64 copy
+of each block for all of its products: the buffer that numpy would make
+for each product of int64 counts, so the replicates keep their bits.
+
 A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
 ``estimators._degree_terms`` (see ``_replicate_terms``). It equals the
@@ -130,16 +140,14 @@ def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) 
     p = int(pool_entries.size)
     kids = forest.out_degree()[pool_entries]
     draws = rng.integers(0, p, size=(size, n_r))
-    offsets = np.arange(size, dtype=np.int64)[:, None] * p
-    counts = np.bincount((draws + offsets).ravel(), minlength=size * p).reshape(size, p)
+    draws += np.arange(size, dtype=np.int64)[:, None] * p
+    counts = np.bincount(draws.ravel(), minlength=size * p).reshape(size, p)
     if pool == "all_participants":
         empty = counts @ kids == 0
         while empty.any():
             redraw = rng.integers(0, p, size=(int(empty.sum()), n_r))
-            off = np.arange(redraw.shape[0], dtype=np.int64)[:, None] * p
-            counts[empty] = np.bincount(
-                (redraw + off).ravel(), minlength=redraw.shape[0] * p
-            ).reshape(-1, p)
+            redraw += np.arange(redraw.shape[0], dtype=np.int64)[:, None] * p
+            counts[empty] = np.bincount(redraw.ravel(), minlength=redraw.shape[0] * p).reshape(-1, p)
             empty = counts @ kids == 0
     return counts, pool_entries
 
@@ -173,11 +181,13 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
     """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n).
 
     The counts are held entry-major, so every gather and scatter is a
-    contiguous row, and returned as the transposed view.
+    contiguous row, and returned as the transposed view. They are float64
+    integers (see the module docstring); only the trial counts passed to
+    ``multinomial`` are cast to int64.
     """
     seeds = forest.seed_entries()
     s = int(seeds.size)
-    counts = np.zeros((forest.n, size), dtype=np.int64)
+    counts = np.zeros((forest.n, size), dtype=np.float64)
     if seed_mode == "with_replacement" and s > 1:
         counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
     else:
@@ -190,7 +200,9 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
             counts[recruits[:, 0]] = counts[recruiters]
         else:
             # (m, size, k): row (j, b) splits recruiter j's k * count draws over its k recruits
-            draws = rng.multinomial(counts[recruiters] * k, np.full(k, 1.0 / k))
+            trials = counts[recruiters].astype(np.int64)
+            trials *= k
+            draws = rng.multinomial(trials, np.full(k, 1.0 / k))
             counts[recruits] = draws.transpose(0, 2, 1)
     return counts.T
 
@@ -203,15 +215,15 @@ def tree_resample(
     z = _as_z(z, forest.n)
     if forest.n == 0:
         raise DataError("empty forest")
-    counts = _tree_counts(forest, seed_mode, rng, 1)[0]
+    counts = _tree_counts(forest, seed_mode, rng, 1)[0].astype(np.int64)
     picked = np.flatnonzero(counts)
     return WeightedSample(z[picked], forest.degree[picked], counts[picked])
 
 
 def _counts(forest: RecruitmentForest, cfg: BootstrapConfig, rng: RngStream, size: int) -> np.ndarray:
-    """The configured method's count matrix for ``size`` replicates."""
+    """The configured method's float64 count matrix for ``size`` replicates, shape (size, p)."""
     if cfg.method == "neighbourhood":
-        return _nb_counts(forest, cfg.selection_pool, rng, size)[0]
+        return _nb_counts(forest, cfg.selection_pool, rng, size)[0].astype(np.float64)
     return _tree_counts(forest, cfg.tree_seed_mode, rng, size)
 
 
@@ -263,7 +275,8 @@ def bootstrap_distributions(
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
     for k in range(-(-B // BLOCK)):
-        counts = _counts(forest, cfg, generator(root, k), BLOCK)
+        # one C-ordered copy serves every product: the buffer numpy would make for each one
+        counts = np.ascontiguousarray(_counts(forest, cfg, generator(root, k), BLOCK))
         lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
         # evaluate the full block, so that no replicate depends on B
         den_sums = counts @ den
@@ -355,14 +368,15 @@ def mc_bootstrap_moments(
     cfg = BootstrapConfig(method, B, pool, seed_mode, estimator)
     nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
     counts = _counts(forest, cfg, rng, B)
-    # one contiguous float64 product: int64 or transposed counts miss the BLAS path
-    den_sums, num_sums = np.stack([den, nums["z"]]) @ counts.T.astype(np.float64)
-    est = num_sums / den_sums
+    # one float64 matrix product; the moments are then taken in place in its output
+    den_sums, est = np.stack([den, nums["z"]]) @ counts.T
+    est /= den_sums
     mean = float(est.mean())
-    centered = est - mean
-    variance = float((centered @ centered) / (B - 1))
-    sq = centered * centered  # centered**4 calls pow per element
-    m4 = float(np.mean(sq * sq))
+    est -= mean  # centred
+    variance = float((est @ est) / (B - 1))
+    est *= est  # centred**4 as two squarings: ** 4 calls pow per element
+    est *= est
+    m4 = float(est.mean())
     se_mean = math.sqrt(variance / B)
     se_variance = math.sqrt(max(m4 - variance**2, 0.0) / B)
     return MonteCarloMoments(mean, variance, se_mean, se_variance, B)

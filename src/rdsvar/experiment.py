@@ -74,6 +74,9 @@ class ExperimentConfig:
             raise DataError(f"methods must be a non-empty subset of {sorted(METHODS)}")
         if any(not (0.0 < lv < 1.0) for lv in self.ci_levels):
             raise DataError("ci levels must lie in (0, 1)")
+        for what, names in (("attributes", self.attributes), ("methods", self.methods), ("ci levels", self.ci_levels)):
+            if len(set(names)) < len(names):
+                raise DataError(f"{what} must not repeat: {list(names)}")
         if self.n_width_reference < 100:
             raise DataError("width reference needs at least 100 simulations")
 

@@ -219,7 +219,12 @@ class RecruitmentForest:
         return self._groups
 
     def recruiter_entries(self) -> np.ndarray:
-        """Entry indices with at least one recruit, in recruitment order."""
+        """Entry indices with at least one recruit, in recruitment order.
+
+        The links are walked from the seeds first (once, cached), so a forest
+        with entries that hang from no seed is a ``DataError`` here too.
+        """
+        self._breadth_first()
         return np.flatnonzero(self.out_degree() >= 1)
 
     def __eq__(self, other) -> bool:

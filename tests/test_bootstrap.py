@@ -1,10 +1,11 @@
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
-from rdsvar.bootstrap import BLOCK, _nb_counts, _tree_counts
+from rdsvar.bootstrap import BLOCK, _nb_counts, _replicate_terms, _tree_counts
 from rdsvar import exact
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
@@ -346,6 +347,71 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
             assert abs(mc_var - float(var)) < 4 * se_var
 
 
+def _int64_tree_counts(forest, seed_mode, rng, size):
+    """The tree kernel with int64 counts: the same draws, as a reference for the float64 kernel."""
+    seeds = forest.seed_entries()
+    s = int(seeds.size)
+    counts = np.zeros((forest.n, size), dtype=np.int64)
+    if seed_mode == "with_replacement" and s > 1:
+        counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
+    else:
+        counts[seeds] = 1
+    for recruiters, recruits in forest.recruiter_groups():
+        k = recruits.shape[1]
+        if k == 1:
+            counts[recruits[:, 0]] = counts[recruiters]
+        else:
+            draws = rng.multinomial(counts[recruiters] * k, np.full(k, 1.0 / k))
+            counts[recruits] = draws.transpose(0, 2, 1)
+    return counts.T
+
+
+def test_float64_counts_give_the_int64_products_bits():
+    # a desk-size forest whose degree lcm is above 2**53, so its float terms
+    # and their sums are inexact: casting a block's counts once must leave
+    # every replicate as the int64 count matrix times the terms gave it
+    g, attrs = rv.make_study_population(4000, seed=20250810)
+    forest = rv.simulate_rds(g, rv.RdsDesign(10, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 1000), generator(778, 0, 0))
+    assert math.lcm(*set(forest.degree.tolist())) > 2**53
+    cols = {name: attrs.column(name)[forest.node_index] for name in attrs.column_names}
+    B = 2 * BLOCK + 50
+    for method in ("neighbourhood", "tree"):
+        cfg = rv.BootstrapConfig(method, B)
+        dists = rv.bootstrap_distributions(forest, cfg, cols, root=5)
+        nums, den = _replicate_terms(forest, cfg, None, cols)
+        for k in range(3):
+            if method == "tree":
+                counts = _int64_tree_counts(forest, cfg.tree_seed_mode, generator(5, k), BLOCK)
+            else:
+                counts = _nb_counts(forest, cfg.selection_pool, generator(5, k), BLOCK)[0]
+            assert counts.dtype == np.int64
+            lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
+            den_sums = counts @ den
+            for name, num in nums.items():
+                assert dists[name].estimates[lo:hi].tobytes() == ((counts @ num) / den_sums)[: hi - lo].tobytes()
+        # the Monte Carlo moments, from one stream, as the int64 counts cast for the product gave them
+        z = cols["rare_tenth"]
+        mm = rv.mc_bootstrap_moments(forest, z, method, "vh", 2000, generator(8))
+        if method == "tree":
+            counts = _int64_tree_counts(forest, cfg.tree_seed_mode, generator(8), 2000)
+        else:
+            counts = _nb_counts(forest, cfg.selection_pool, generator(8), 2000)[0]
+        nums, den = _replicate_terms(forest, cfg, None, {"z": z})
+        den_sums, num_sums = np.stack([den, nums["z"]]) @ counts.T.astype(np.float64)
+        centered = num_sums / den_sums - mm.mean
+        assert mm.mean == float((num_sums / den_sums).mean())
+        assert mm.variance == float((centered @ centered) / 1999)
+        assert mm.se_variance == math.sqrt(max(float(np.mean(centered**2 * centered**2)) - mm.variance**2, 0.0) / 2000)
+    for i, mode in enumerate(("with_replacement", "without_replacement")):
+        rng, ref = generator(6, i), generator(6, i)
+        counts = _tree_counts(forest, mode, rng, 300)
+        assert counts.dtype == np.float64 and (counts == np.floor(counts)).all()
+        assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, 300))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        ws = rv.tree_resample(forest, cols["rare_tenth"], generator(7, i), mode)
+        assert ws.multiplicity.dtype == np.int64
+
+
 def test_balanced_closed_forms_equal_enumeration():
     rng = np.random.default_rng(3)
     tiny = ((1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 1), (1, 3, 2), (2, 3, 1))
@@ -508,3 +574,24 @@ def test_unknown_option_is_rejected_before_any_draw_or_walk(call, message):
 def test_unwalkable_probe_forest_fails_its_first_walk():
     with pytest.raises(DataError, match="recruiter index 5"):
         rv.RecruitmentForest(**_UNWALKABLE).out_degree()
+
+
+@pytest.mark.parametrize("pool", ["recruiters_only", "all_participants"])
+def test_neighbourhood_paths_walk_the_links_before_any_draw(pool):
+    # entries 2 and 3 recruit each other and hang from no seed: the
+    # neighbourhood paths reject them as the tree paths do
+    def forest():
+        return rv.RecruitmentForest(node_id=list("SABC"), node_index=[-1] * 4, parent=[-1, 0, 3, 2], degree=[1, 2, 2, 2])
+
+    z = [0.0, 1.0, 0.0, 1.0]
+    rng = CountingRng(generator(0))
+    for use in (
+        lambda f: rv.neighbourhood_resample(f, z, rng, pool),
+        lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("neighbourhood", 10, pool), z),
+        lambda f: rv.mc_bootstrap_moments(f, z, "neighbourhood", "vh", 10, rng, pool),
+        lambda f: rv.enumerate_neighbourhood(f, z, pool),
+        lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("tree", 10), z),
+    ):
+        with pytest.raises(DataError, match="forest has entries unreachable from any seed"):
+            use(forest())
+    assert rng.calls == 0

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -25,6 +26,20 @@ except ImportError:
     HAVE_JSONSCHEMA = False
 
 SCHEMA_DIR = Path(rv.__file__).parent / "schemas"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m rdsvar.cli`` in a child process that imports this checkout's ``src/``.
+
+    pytest's ``pythonpath`` setting reaches only the test process, so the
+    child gets it in ``PYTHONPATH``, ahead of any inherited entries.
+    """
+    path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "rdsvar.cli", *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def validate_schema(payload: dict, schema_name: str):
@@ -271,6 +286,25 @@ def test_experiment_smoke_and_schema(study_files, tmp_path, monkeypatch):
     assert len(csv_text.splitlines()) == 1 + 2 * 2 * 2
 
 
+@pytest.mark.parametrize(
+    "option, value, what",
+    [("--columns", "mix_half,mix_half", "attributes"), ("--methods", "tree,tree", "methods"), ("--levels", "0.9,0.9", "ci levels")],
+)
+def test_experiment_repeated_names_are_data_errors(study_files, tmp_path, capsys, option, value, what):
+    tmp, edges, attr_path, *_ = study_files
+    code = run_cli(
+        "experiment", "--edges", edges, "--attrs", attr_path, "--seeds", "3", "--coupons", "3",
+        "--pmf", "1/3,1/6,1/6,1/3", "--n", "30", "--R", "2", "--B", "2", "--width-ref", "100",
+        "--seed", "5", option, value, "--out", tmp_path,
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DataError"
+    assert err["error"]["message"].startswith(f"{what} must not repeat")
+    validate_schema(err, "error.schema.json")
+    assert not (tmp_path / "experiment_report.csv").exists()
+
+
 def _starved_experiment_argv(tmp_path) -> list[str]:
     """An experiment on the 3-node path whose seed never recruits: all 3 replications starve."""
     edges = tmp_path / "path.txt"
@@ -295,10 +329,7 @@ def test_experiment_all_replications_starved_is_data_error(tmp_path, capsys):
 
 def test_experiment_starved_stderr_is_one_error_json(tmp_path):
     # the whole of stderr, as a shell sees it, is the error document
-    proc = subprocess.run(
-        [sys.executable, "-m", "rdsvar.cli", *_starved_experiment_argv(tmp_path)],
-        capture_output=True, text=True,
-    )
+    proc = run_module(*_starved_experiment_argv(tmp_path))
     assert proc.returncode == 2
     err = json.loads(proc.stderr)
     assert "(3 starved)" in err["error"]["message"]
@@ -539,10 +570,7 @@ def test_oracle_tree_on_a_long_chain(tmp_path):
 
 def test_cli_entrypoint_subprocess(study_files, tmp_path):
     tmp, edges, attr_path, *_ = study_files
-    proc = subprocess.run(
-        [sys.executable, "-m", "rdsvar.cli", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("--version")
     assert proc.returncode == 0
     assert rv.__version__ in proc.stdout
 

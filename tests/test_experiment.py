@@ -208,3 +208,19 @@ def test_config_validation(small_world):
             design=design_for(g), attributes=("x",), n_replications=5, n_bootstrap=5,
             master_seed=1, n_width_reference=99,
         )
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        pytest.param({"attributes": ("x", "y", "x")}, r"attributes must not repeat: \['x', 'y', 'x'\]", id="attributes"),
+        pytest.param({"methods": ("tree", "tree")}, r"methods must not repeat: \['tree', 'tree'\]", id="methods"),
+        pytest.param({"ci_levels": (0.9, 0.8, 0.90)}, r"ci levels must not repeat: \[0.9, 0.8, 0.9\]", id="ci_levels"),
+    ],
+)
+def test_config_rejects_repeated_names(small_world, option, message):
+    # a repeated name would run its work twice and write duplicate report rows
+    g, _ = small_world
+    base = dict(design=design_for(g), attributes=("x", "y"), n_replications=5, n_bootstrap=5, master_seed=1)
+    with pytest.raises(DataError, match=message):
+        rv.ExperimentConfig(**{**base, **option})
