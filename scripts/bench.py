@@ -4,12 +4,14 @@ Usage: python scripts/bench.py [--checkout DIR ...] [--seeds N] [--label LABEL]
 
 For each workload in BENCHMARK.json, each checkout's own benchmark command
 (``perfbench/run.py``) runs once per seed 1..N at ``--trace 0`` and then
-once at ``--trace 1`` (seed 1). The checkouts take turns seed by seed,
-and turns at going first, so that a drift in the machine's speed falls on
-all of them alike: give the parent and the change as two ``--checkout``
-options to measure them in alternating pairs. Each checkout's file holds the workload's provenance
-line, every run's result, and the median and quartiles of each end-to-end
-metric over the seeds. A file is labelled with its checkout's git sha
+once at ``--trace 1`` (seed 1). The checkouts take turns, and take turns
+at going first: seed by seed for the untraced runs and workload by
+workload for the traced ones, so that a drift in the machine's speed
+falls on all of them alike. Give the parent and the change as two
+``--checkout`` options to measure them in alternating pairs. Each
+checkout's file holds the workload's provenance line, every run's
+result, and the median and quartiles of each end-to-end metric over the
+seeds. A file is labelled with its checkout's git sha
 (``--label`` names it instead, for a single checkout) and goes to this
 repository's root, so the checkouts must be at distinct commits. Run it
 on an otherwise idle machine: the runs take about (N + 1) x run_seconds
@@ -95,7 +97,7 @@ def main(argv=None) -> int:
         ap.error("two checkouts are at one commit, so their BENCH files would share one name")
 
     results = [{} for _ in checkouts]
-    for w in spec["workloads"]:
+    for k, w in enumerate(spec["workloads"]):
         runs = [[] for _ in checkouts]
         for seed in range(1, args.seeds + 1):
             # the checkouts take turns going first
@@ -103,16 +105,19 @@ def main(argv=None) -> int:
                 c = checkouts[i]
                 runs[i].append(run_harness(c, specs[i]["command"], w["name"], seed, spec["run_seconds"], 0))
                 print(f"bench: {c.name} {w['name']} seed {seed}: {runs[i][-1]['metrics']}", file=sys.stderr)
-        for i, c in enumerate(checkouts):
-            traced = run_harness(c, specs[i]["command"], w["name"], 1, spec["run_seconds"], 1)
+        traced = [None] * len(checkouts)
+        # and workload by workload at going first with the traced run
+        for i in range(len(checkouts))[:: 1 if k % 2 == 0 else -1]:
+            traced[i] = run_harness(checkouts[i], specs[i]["command"], w["name"], 1, spec["run_seconds"], 1)
+        for i in range(len(checkouts)):
             provenance = runs[i][0]["provenance"]
-            for r in runs[i] + [traced]:
+            for r in runs[i] + [traced[i]]:
                 del r["provenance"]
             results[i][w["name"]] = {
                 "provenance": provenance,
                 "runs": runs[i],
                 "summary": summarize(runs[i], units),
-                "trace": traced,
+                "trace": traced[i],
             }
 
     for spec_c, workloads, sha in zip(specs, results, shas):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -46,8 +47,6 @@ class PopulationGraph:
     _id_to_index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._id_to_index:
-            self._id_to_index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.degree = np.diff(self.indptr).astype(np.int64)
 
     @property
@@ -66,6 +65,8 @@ class PopulationGraph:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def index_of(self, node_id: str) -> int:
+        if not self._id_to_index:  # built on first use unless the loader passed it
+            self._id_to_index = dict(zip(self.node_ids, range(self.n_nodes)))
         try:
             return self._id_to_index[node_id]
         except KeyError:
@@ -106,19 +107,40 @@ class AttributeTable:
 
 @contextmanager
 def _open_text(path):
-    """Open a UTF-8 input file; bytes it cannot decode and rows the csv module rejects are DataErrors."""
+    """Read a UTF-8 input file at once and yield an iterator over its lines.
+
+    The lines are those that reading the file line by line gives: each
+    ends at a ``\\n``, a ``\\r\\n`` or a lone ``\\r``. Bytes it cannot
+    decode end the lines where line-by-line reading would meet them; they
+    and rows the csv module rejects are DataErrors.
+    """
+    lines: list[str] = []
+    undecodable = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+            lines.extend(fh)  # keeps the lines decoded before a failing chunk
+    except UnicodeDecodeError as e:
+        undecodable = e
+
+    def tail():
+        if undecodable is not None:
+            raise undecodable
+        yield from ()
+
+    try:
+        yield chain(lines, tail())
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"{path}: {e}") from None
 
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group (src, dst) pairs into CSR rows over n sources, each row ascending in dst."""
+    """Group (src, dst) pairs over n nodes into CSR rows, each row ascending in dst."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.lexsort((dst, src))]
+    # equal keys are equal pairs, so the sorted keys give the rows a stable
+    # sort of the pairs by (src, dst) gives
+    keys = np.sort(src.astype(np.int64) * n + dst)
+    return indptr, (keys % max(n, 1)).astype(dst.dtype)
 
 
 def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -130,10 +152,12 @@ def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> n
     return indices[np.repeat(starts, lengths) + offsets]
 
 
-def _from_pairs(node_ids: list[str], a: np.ndarray, b: np.ndarray, duplicates: int) -> PopulationGraph:
-    """Graph over sorted ``node_ids`` from distinct undirected int32 index pairs (a[k], b[k])."""
+def _from_keys(node_ids: list[str], keys: np.ndarray, duplicates: int, index=None) -> PopulationGraph:
+    """Graph over sorted ``node_ids`` from the distinct keys ``a * n + b`` of its undirected edges {a, b}."""
+    a, b = np.divmod(keys, max(len(node_ids), 1))
+    a, b = a.astype(np.int32), b.astype(np.int32)
     indptr, indices = _csr(len(node_ids), np.concatenate([a, b]), np.concatenate([b, a]))
-    return PopulationGraph(node_ids, indptr, indices, duplicates_collapsed=duplicates)
+    return PopulationGraph(node_ids, indptr, indices, duplicates, index or {})
 
 
 def load_edge_list(path) -> PopulationGraph:
@@ -144,35 +168,29 @@ def load_edge_list(path) -> PopulationGraph:
     of an edge collapse to one undirected edge (collapsed count is kept on
     the returned graph). Self-loop rows are rejected.
     """
-    ids: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    duplicates = 0
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," in line:
-                parts = [p.strip() for p in line.split(",")]
-            else:
-                parts = line.split()
-            parts = [p for p in parts if p]
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected two node ids, got {len(parts)}")
-            a, b = parts
-            if a == b:
-                raise DataError(f"{path}:{lineno}: self-loop on node {a!r} rejected")
-            ids.add(a)
-            ids.add(b)
-            key = (a, b) if a < b else (b, a)
-            if key in edges:
-                duplicates += 1
-            else:
-                edges.add(key)
-    node_ids = sorted(ids)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    pairs = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int32).reshape(-1, 2)
-    return _from_pairs(node_ids, pairs[:, 0], pairs[:, 1], duplicates)
+    ends: list[str] = []  # both ids of every edge row, in file order
+    with _open_text(path) as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            parts = raw.split()
+            if len(parts) != 2 or "," in raw or parts[0][0] == "#" or parts[0] == parts[1]:
+                # a blank, comment or comma-separated line, or a faulty one
+                line = raw.strip()
+                if not line or line[0] == "#":
+                    continue
+                if "," in line:
+                    parts = [p for p in map(str.strip, line.split(",")) if p]
+                if len(parts) != 2:
+                    raise DataError(f"{path}:{lineno}: expected two node ids, got {len(parts)}")
+                if parts[0] == parts[1]:
+                    raise DataError(f"{path}:{lineno}: self-loop on node {parts[0]!r} rejected")
+            ends += parts
+    node_ids = sorted(set(ends))
+    n = len(node_ids)
+    index = dict(zip(node_ids, range(n)))
+    ab = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends)).reshape(-1, 2)
+    keys = np.sort(ab.min(axis=1) * n + ab.max(axis=1))
+    distinct = keys[np.diff(keys, prepend=-1) != 0]
+    return _from_keys(node_ids, distinct, keys.size - distinct.size, index)
 
 
 def _component_labels(g: PopulationGraph) -> tuple[np.ndarray, int]:
@@ -229,14 +247,27 @@ def largest_connected_component(g: PopulationGraph) -> PopulationGraph:
     return _induced_subgraph(g, keep)
 
 
-def read_attribute_rows(path) -> tuple[list[str], dict[str, tuple[int, ...]]]:
-    """Parse a binary attribute CSV into (column names, id -> values).
+def _raise_first_bad_row(path, columns: list[str], records: list[list[str]]):
+    """Raise the error of the first faulty attribute row, in file order."""
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns) + 1:
+            raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(row)}")
+        for name, cell in zip(columns, row[1:]):
+            if cell.strip() not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: column {name!r} has non-binary value {cell.strip()!r}")
 
-    The file must have a header whose first column is "id"; remaining
-    cells must be 0 or 1.
+
+def _attribute_rows(path) -> tuple[list[str], list[str], np.ndarray]:
+    """(column names, row ids, uint8 values) of a binary attribute CSV, rows in file order.
+
+    The file must have a header whose first column is "id", followed by
+    distinct, non-empty column names; every other cell must be 0 or 1,
+    padding aside. Empty rows are skipped.
     """
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+    with _open_text(path) as lines:
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -246,22 +277,42 @@ def read_attribute_rows(path) -> tuple[list[str], dict[str, tuple[int, ...]]]:
         columns = [c.strip() for c in header[1:]]
         if not columns:
             raise DataError(f"{path}: no attribute columns")
-        rows: dict[str, tuple[int, ...]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns) + 1:
-                raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(row)}")
-            vals = []
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise DataError(
-                        f"{path}:{lineno}: column {columns[j]!r} has non-binary value {cell!r}"
-                    )
-                vals.append(int(cell))
-            rows[row[0].strip()] = tuple(vals)
-    return columns, rows
+        if "" in columns:
+            raise DataError(f"{path}: header column {columns.index('') + 2} has an empty name")
+        if len(set(columns)) < len(columns):
+            name = next(c for j, c in enumerate(columns) if c in columns[:j])
+            raise DataError(f"{path}: attribute column {name!r} appears more than once in the header")
+        records: list[list[str]] = []
+        failure = None
+        try:
+            records.extend(reader)  # keeps the rows read before a failing one
+        except (UnicodeDecodeError, csv.Error) as e:
+            failure = e
+        rows = [r for r in records if r]
+        width = len(columns) + 1
+        cells = list(chain.from_iterable(rows))
+        ids = cells[::width]
+        del cells[::width]
+        # the distinct cell strings are few: check each once, and only on a
+        # fault walk the rows in order for the message
+        stripped = {c: c.strip() for c in set(cells)}
+        if not {width}.issuperset(map(len, rows)) or not {"0", "1"}.issuperset(stripped.values()):
+            _raise_first_bad_row(path, columns, records)
+        if failure is not None:
+            raise failure
+    value = {c: int(s) for c, s in stripped.items()}
+    values = np.fromiter(map(value.__getitem__, cells), dtype=np.uint8, count=len(cells))
+    return columns, [i.strip() for i in ids], values.reshape(len(rows), len(columns))
+
+
+def read_attribute_rows(path) -> tuple[list[str], dict[str, tuple[int, ...]]]:
+    """Parse a binary attribute CSV into (column names, id -> values).
+
+    The file must have a header whose first column is "id"; remaining
+    cells must be 0 or 1. A repeated id takes its last row.
+    """
+    columns, ids, values = _attribute_rows(path)
+    return columns, dict(zip(ids, map(tuple, values.tolist())))
 
 
 def load_attributes(path, g: PopulationGraph) -> AttributeTable:
@@ -269,23 +320,19 @@ def load_attributes(path, g: PopulationGraph) -> AttributeTable:
 
     Rows for ids outside the graph are ignored (a graph restricted to its
     largest component typically covers fewer nodes than the attribute
-    file); every graph node must be covered.
+    file); every graph node must be covered. A repeated id takes its last
+    row.
     """
-    columns, rows = read_attribute_rows(path)
-    values = np.zeros((g.n_nodes, len(columns)), dtype=np.uint8)
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    for nid, vals in rows.items():
-        i = g._id_to_index.get(nid)
-        if i is None:
-            continue
-        values[i] = vals
-        seen[i] = True
-    if not seen.all():
-        missing = [g.node_ids[i] for i in np.flatnonzero(~seen)[:20]]
-        more = int((~seen).sum()) - len(missing)
+    columns, ids, values = _attribute_rows(path)
+    last = dict(zip(ids, range(len(ids))))
+    row = np.array([last.get(nid, -1) for nid in g.node_ids], dtype=np.int64)
+    unseen = np.flatnonzero(row < 0)
+    if unseen.size:
+        missing = [g.node_ids[i] for i in unseen[:20]]
+        more = unseen.size - len(missing)
         suffix = f" (+{more} more)" if more > 0 else ""
         raise DataError(f"{path}: nodes missing from attribute file: {missing}{suffix}")
-    return AttributeTable(columns, values)
+    return AttributeTable(columns, values[row])
 
 
 @dataclass(frozen=True)
@@ -367,36 +414,35 @@ def generate_configuration_graph(n_nodes: int, degree_law, rng: RngStream) -> Po
     ids = [str(i).zfill(width) for i in range(n_nodes)]
 
     for _ in range(_PAIRING_ATTEMPTS):
-        edges: set[tuple[int, int]] = set()
+        edges: set[int] = set()  # accepted edges {a, b}, a < b, by their key a * n_nodes + b
         stubs = np.repeat(np.arange(n_nodes, dtype=np.int64), degrees)
         rounds_left = 10_000
         while stubs.size and rounds_left:
             rounds_left -= 1
             rng.shuffle(stubs)
-            leftover = []
-            for a, b in zip(stubs[0::2], stubs[1::2]):
-                a, b = int(a), int(b)
+            leftover: list[int] = []
+            pool = stubs.tolist()
+            for a, b in zip(pool[0::2], pool[1::2]):
                 if a > b:
                     a, b = b, a
-                if a != b and (a, b) not in edges:
-                    edges.add((a, b))
+                key = a * n_nodes + b
+                if a != b and key not in edges:
+                    edges.add(key)
                 else:
-                    leftover.append(a)
-                    leftover.append(b)
+                    leftover += (a, b)
             if len(leftover) == stubs.size and edges:
                 # clashing stubs cannot resolve among themselves (e.g. all
                 # from one hub): dissolve random accepted edges back into
                 # the pool so the next shuffle can recombine them
                 dissolve = min(len(edges), max(2, len(leftover)))
-                edge_list = sorted(edges)
+                edge_list = sorted(edges)  # the order of the pairs (a, b)
                 for j in rng.choice(len(edge_list), size=dissolve, replace=False):
-                    a, b = edge_list[int(j)]
-                    edges.discard((a, b))
-                    leftover.extend((a, b))
+                    key = edge_list[int(j)]
+                    edges.discard(key)
+                    leftover.extend(divmod(key, n_nodes))
             stubs = np.asarray(leftover, dtype=np.int64)
         if stubs.size == 0:
-            pairs = np.array(list(edges), dtype=np.int32).reshape(-1, 2)
-            return _from_pairs(ids, pairs[:, 0], pairs[:, 1], 0)
+            return _from_keys(ids, np.fromiter(edges, dtype=np.int64, count=len(edges)), 0)
     raise DataError(f"configuration model failed to pair the stubs in {_PAIRING_ATTEMPTS} attempts")
 
 

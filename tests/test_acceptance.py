@@ -270,12 +270,15 @@ def test_criterion_7_coverage_trend(desk_runs):
         <= abs(rows[(a, "tree")].coverage - 0.95)
         for a in attrs
     ]
-    covs = [round(rows[(a, "neighbourhood")].coverage, 3) for a in attrs]
+    covs = [rows[(a, "neighbourhood")].coverage for a in attrs]
+    n_reps = run["w1"].diagnostics["completed_replications"]
+    # each coverage is a proportion over the replications: its binomial SE
+    shown = ", ".join(f"{c:.3f} (SE {math.sqrt(c * (1 - c) / n_reps):.3f})" for c in covs)
     ok = all(in_range) and sum(closer) > len(attrs) / 2 and run["elapsed"] < run["budget"]
     report(
         7,
         ok,
-        f"(coverage trend, n=1000) nb coverage {covs} all in [0.90, 0.98]: {sum(in_range)}/5, "
+        f"(coverage trend, n=1000) nb coverage [{shown}] all in [0.90, 0.98]: {sum(in_range)}/5, "
         f"nb closer to 0.95 for {sum(closer)}/5 (need majority), "
         f"{run['elapsed']:.0f}s (< {run['budget']:.0f}s)",
     )

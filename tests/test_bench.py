@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -26,7 +27,7 @@ def _checkout(root: Path) -> Path:
     root.mkdir()
     shutil.copy(BENCH.parent.parent / "BENCHMARK.json", root)
     git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
-    for argv in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "benchmark"]):
+    for argv in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", f"benchmark {root.name}"]):
         subprocess.run([*git, *argv], cwd=root, check=True, capture_output=True)
     return root
 
@@ -50,3 +51,28 @@ def test_refuses_a_checkout_without_a_sha(bench, tmp_path, capsys):
         bench.main(["--checkout", str(parent), "--checkout", str(plain), "--seeds", "1"])
     assert exc.value.code == 2
     assert "has no git sha" in capsys.readouterr().err
+
+
+def test_checkouts_take_turns_at_going_first_traced_and_untraced(bench, tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    spec = json.loads((parent / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_harness(checkout, command, workload, seed, seconds, trace):
+        calls.append((workload, trace, checkout.name))
+        return {
+            "seed": seed,
+            "trace": trace,
+            "metrics": {m["name"]: 1.0 for m in spec["end_to_end"]},
+            "provenance": {},
+        }
+
+    monkeypatch.setattr(bench, "run_harness", run_harness)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    assert bench.main(["--checkout", str(parent), "--checkout", str(change), "--seeds", "3"]) == 0
+    for k, w in enumerate(spec["workloads"]):
+        untraced = [name for workload, trace, name in calls if (workload, trace) == (w["name"], 0)]
+        assert untraced == ["parent", "change", "change", "parent", "parent", "change"]
+        traced = [name for workload, trace, name in calls if (workload, trace) == (w["name"], 1)]
+        assert traced == (["parent", "change"] if k % 2 == 0 else ["change", "parent"])
+    assert len(list(tmp_path.glob("BENCH_*.json"))) == 2

@@ -652,6 +652,16 @@ def test_malformed_edge_list_keeps_error_contract(tmp_path_factory, edges):
     ]))
 
 
+@pytest.mark.parametrize("header, name", [("id,x,x", "'x'"), ("id,,x", "header column 2")])
+def test_ingest_rejects_repeated_or_empty_column_names(tmp_path, header, name):
+    (tmp_path / "edges.txt").write_text("a b\n")
+    (tmp_path / "attrs.csv").write_text(f"{header}\na,1,0\nb,0,1\n")
+    code, err = _run_captured(["ingest", "--edges", tmp_path / "edges.txt", "--attrs", tmp_path / "attrs.csv", "--out", tmp_path])
+    _assert_error_contract(code, err)
+    assert code == 2 and name in json.loads(err)["error"]["message"]
+    assert not (tmp_path / "load_summary.json").exists()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=st.one_of(_CONFIGS.map(lambda d: json.dumps(d).encode()), st.binary(max_size=12)))
 @example(config=b'{"coupons": 1, "n": 2, "pmf": "1,1e400"}')

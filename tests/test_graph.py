@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import time
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
-from rdsvar.graph import _component_labels, _is_graphical, component_sizes, load_summary
+from rdsvar.graph import _component_labels, _csr, _is_graphical, component_sizes, load_summary, read_attribute_rows
 from rdsvar.rng import generator
 from rdsvar.synth import _voter_smooth
 
@@ -280,3 +282,282 @@ def test_study_population_attributes_pinned():
     _, attrs = rv.make_study_population(4000, seed=20250810)
     digest = hashlib.sha256(np.ascontiguousarray(attrs.values).tobytes()).hexdigest()
     assert digest == "7174da5dabbda27b34de3640ae71f975387a453a7328b79286634f2644590f6c"
+
+
+def _graph_digests(g) -> list[str]:
+    return [
+        hashlib.sha256(blob).hexdigest()
+        for blob in ("\n".join(g.node_ids).encode(), g.indptr.tobytes(), g.indices.tobytes())
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, digests",
+    [
+        (  # the acceptance population's graph, as first synthesized
+            lambda: rv.make_study_population(4000, seed=20250810)[0],
+            [
+                "877a326f5039856bc60c8fa98649396034fcdccc0ec8f93360de26f09081b2a7",
+                "917d1703a4f899aa549c2f162e24d7bb6a0c09019859231e64e6a3669dbd2d6a",
+                "5e20e73f46dbd438db39eb0173d63bd23f98adef2e6643fa2ea5c53ef22825e7",
+            ],
+        ),
+        (  # K4 from this stream needs the dissolve branch of the pairing
+            lambda: rv.generate_configuration_graph(4, rv.FixedDegree(3), generator(0, 0)),
+            [
+                "9d3d950edf1e7c7772a879becd48455ec4dc3fdfcf7dcdba916baa7b01ef1b42",
+                "760efc2aa47e2fb1341cbd4b85d77597de00e0153ab05618ebdd289a8e69b382",
+                "a90c45fe4d4a9715eaf6946fb55162e13ceb9ab3cfe52d45b3f089510f1689a6",
+            ],
+        ),
+    ],
+)
+def test_synthesized_graphs_pinned(make, digests):
+    g = make()
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert _graph_digests(g) == digests
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    data=st.data(),
+    src_type=st.sampled_from([np.int32, np.int64]),
+    dst_type=st.sampled_from([np.int32, np.int64]),
+)
+def test_csr_matches_lexsort(n, data, src_type, dst_type):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)) if n else []
+    src = np.array([a for a, _ in pairs], dtype=src_type)
+    dst = np.array([b for _, b in pairs], dtype=dst_type)
+    indptr, indices = _csr(n, src, dst)
+    assert indptr.dtype == np.int64 and indices.dtype == dst.dtype
+    assert indptr.tolist() == [0, *np.cumsum(np.bincount(src, minlength=n)).tolist()]
+    assert np.array_equal(indices, dst[np.lexsort((dst, src))])
+
+
+# ---------------------------------------------------------------- loaders
+# The former per-line loaders, kept as references: the bulk loaders must
+# read every file to the same graph and table, or fail with the same text.
+
+
+@contextmanager
+def _reference_open(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: {e}") from None
+
+
+def _reference_load_edge_list(path):
+    """(node ids, indptr, indices, duplicates collapsed) read one line at a time."""
+    ids: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    duplicates = 0
+    with _reference_open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "," in line:
+                parts = [p.strip() for p in line.split(",")]
+            else:
+                parts = line.split()
+            parts = [p for p in parts if p]
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected two node ids, got {len(parts)}")
+            a, b = parts
+            if a == b:
+                raise DataError(f"{path}:{lineno}: self-loop on node {a!r} rejected")
+            ids.add(a)
+            ids.add(b)
+            key = (a, b) if a < b else (b, a)
+            if key in edges:
+                duplicates += 1
+            else:
+                edges.add(key)
+    node_ids = sorted(ids)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    nbrs = [[] for _ in node_ids]
+    for a, b in edges:
+        nbrs[index[a]].append(index[b])
+        nbrs[index[b]].append(index[a])
+    indptr = np.array([0, *np.cumsum([len(x) for x in nbrs], dtype=np.int64)], dtype=np.int64)
+    indices = np.array([j for x in nbrs for j in sorted(x)], dtype=np.int32)
+    return node_ids, indptr, indices, duplicates
+
+
+def _reference_read_attribute_rows(path):
+    with _reference_open(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty attribute file") from None
+        if not header or header[0].strip() != "id":
+            raise DataError(f"{path}: first CSV column must be 'id'")
+        columns = [c.strip() for c in header[1:]]
+        if not columns:
+            raise DataError(f"{path}: no attribute columns")
+        rows: dict[str, tuple[int, ...]] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns) + 1:
+                raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(row)}")
+            vals = []
+            for j, cell in enumerate(row[1:]):
+                cell = cell.strip()
+                if cell not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno}: column {columns[j]!r} has non-binary value {cell!r}")
+                vals.append(int(cell))
+            rows[row[0].strip()] = tuple(vals)
+    return columns, rows
+
+
+def _reference_load_attributes(path, g):
+    columns, rows = _reference_read_attribute_rows(path)
+    values = np.zeros((g.n_nodes, len(columns)), dtype=np.uint8)
+    seen = np.zeros(g.n_nodes, dtype=bool)
+    for nid, vals in rows.items():
+        if nid in g.node_ids:
+            i = g.node_ids.index(nid)
+            values[i] = vals
+            seen[i] = True
+    if not seen.all():
+        missing = [g.node_ids[i] for i in np.flatnonzero(~seen)[:20]]
+        more = int((~seen).sum()) - len(missing)
+        suffix = f" (+{more} more)" if more > 0 else ""
+        raise DataError(f"{path}: nodes missing from attribute file: {missing}{suffix}")
+    return columns, values
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+def _bulk_edges(path):
+    g = rv.load_edge_list(path)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    return g.node_ids, g.indptr, g.indices, g.duplicates_collapsed
+
+
+def _bulk_attributes(path, g):
+    t = rv.load_attributes(path, g)
+    assert t.values.dtype == np.uint8
+    return t.column_names, t.values
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b, strict=True))
+
+
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
+_EDGE_LINES = st.one_of(
+    st.sampled_from([
+        "a b", "b a", " c , a ", "a c", "b\tc", "  # x", ",#a,b", "#a b", "a #b", "", "  ", "a,,b", "a, b c",
+        "a\x0cb", "b\x85c", "a c", "a\x0bb\x1cc", "a a", " a ,a", "a", "a b c", "a,b,c", ",", "é b",
+    ]),
+    st.text(alphabet="ab #,\t\r\x0b\x0c\x1c\x85 ", max_size=8),
+)
+
+
+@st.composite
+def _edge_files(draw) -> bytes:
+    text = "".join(line + eol for line, eol in draw(st.lists(st.tuples(_EDGE_LINES, _EOL), max_size=10)))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no terminator on the last line
+    return text.encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_edge_files())
+def test_edge_list_matches_the_reference_loader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("edges") / "edges.txt"
+    path.write_bytes(data)
+    assert _same(_outcome(_bulk_edges, path), _outcome(_reference_load_edge_list, path))
+
+
+_CELLS = st.sampled_from(["0", "1"] * 8 + [" 1", "0 ", "\t1\x0c", '"1"', '"0\n"', "2", "", "x", "1 0", "\x00", "01"])
+_IDS = st.sampled_from(["a", "b", "c", " b ", "zz", '"c"', "a"])
+_HEADERS = st.sampled_from(["id,x,y"] * 5 + [" id , x ,y", '"id",x,"y"', "id,x", "x,id", "", "id", "\ufeffid,x"])
+
+
+@st.composite
+def _attribute_files(draw) -> bytes:
+    header = draw(_HEADERS)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append("")
+        else:
+            width = header.count(",") if draw(st.integers(0, 5)) else draw(st.integers(0, 3))
+            rows.append(",".join([draw(_IDS), *(draw(_CELLS) for _ in range(width))]))
+    return "".join(line + draw(_EOL) for line in [header, *rows]).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_attribute_files())
+def test_attribute_loaders_match_the_reference_loaders(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("attrs") / "attrs.csv"
+    path.write_bytes(data)
+    assert _outcome(read_attribute_rows, path) == _outcome(_reference_read_attribute_rows, path)
+    g = _graph_of(["a b", "b c"], path.with_name("edges.txt"))
+    assert _same(_outcome(_bulk_attributes, path, g), _outcome(_reference_load_attributes, path, g))
+
+
+def _graph_of(lines, path):
+    path.write_text("".join(line + "\n" for line in lines))
+    return rv.load_edge_list(path)
+
+
+def test_attribute_loaders_match_on_many_missing_nodes_and_repeated_ids(tmp_path):
+    g = _graph_of([f"n{i:02d} n{i + 1:02d}" for i in range(29)], tmp_path / "edges.txt")
+    few = tmp_path / "few.csv"
+    few.write_text("id,x\nn03,1\nn07,0\nn03,0\n")
+    assert _outcome(_bulk_attributes, few, g) == _outcome(_reference_load_attributes, few, g)
+    assert "(+8 more)" in _outcome(_bulk_attributes, few, g)
+    full = tmp_path / "full.csv"
+    full.write_text("id,x\n" + "".join(f"n{i:02d},{i % 2}\nn{i:02d}, {1 - i % 2} \n" for i in range(30)) + "out,1\n")
+    assert _same(_bulk_attributes(full, g), _reference_load_attributes(full, g))
+    assert rv.load_attributes(full, g).column("x").tolist() == [1 - i % 2 for i in range(30)]
+
+
+@pytest.mark.parametrize("late", [b"\xff\n", b"x" * 140_000 + b"\n"], ids=["undecodable", "oversized"])
+@pytest.mark.parametrize("early", [b"", b"oops\n"], ids=["clean", "early-fault"])
+def test_a_late_undecodable_or_oversized_line_keeps_the_error_order(tmp_path, early, late):
+    # the line-by-line readers meet an early faulty row before an undecodable
+    # byte or a field past the csv size limit 20 KiB on, and they report
+    # the byte's position within the 8 KiB chunk that holds it
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"a b\n" + early + b"b c\n" * 5000 + late)
+    bulk, reference = _outcome(_bulk_edges, edges), _outcome(_reference_load_edge_list, edges)
+    assert bulk == reference and bulk.startswith("DataError")
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_bytes(b"id,x\n" + early.replace(b"oops", b"a,2") + b"b,1\n" * 5000 + late)
+    g = _graph_of(["a b"], tmp_path / "ab.txt")
+    bulk, reference = _outcome(_bulk_attributes, attrs, g), _outcome(_reference_load_attributes, attrs, g)
+    assert bulk == reference and bulk.startswith("DataError")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("id,x,x", "attribute column 'x' appears more than once"),
+        ("id,x,y, x ", "attribute column 'x' appears more than once"),
+        ("id,,x", "header column 2 has an empty name"),
+        ("id,x, ", "header column 3 has an empty name"),
+    ],
+)
+def test_attribute_column_names_must_be_distinct_and_named(tmp_path, tiny_edge_file, header, message):
+    path = tmp_path / "attrs.csv"
+    path.write_text(header + "\na,1,0,1\n")
+    g = rv.load_edge_list(tiny_edge_file)
+    for read in (lambda: rv.load_attributes(path, g), lambda: read_attribute_rows(path)):
+        with pytest.raises(DataError, match=message):
+            read()
