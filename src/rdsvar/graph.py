@@ -134,11 +134,11 @@ def _open_text(path):
 
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group (src, dst) pairs over n nodes into CSR rows, each row ascending in dst."""
+    """Group (src, dst) pairs of nodes 0..n-1 into CSR rows, each row ascending in dst."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    # equal keys are equal pairs, so the sorted keys give the rows a stable
-    # sort of the pairs by (src, dst) gives
+    # the key src * n + dst orders pairs by (src, dst), and equal keys are
+    # equal pairs, so sorting the keys alone gives the rows a stable sort gives
     keys = np.sort(src.astype(np.int64) * n + dst)
     return indptr, (keys % max(n, 1)).astype(dst.dtype)
 
