@@ -4,17 +4,19 @@ Usage: python scripts/bench.py [--checkout DIR ...] [--seeds N] [--label LABEL]
 
 For each workload in BENCHMARK.json, each checkout's own benchmark command
 (``perfbench/run.py``) runs once per seed 1..N at ``--trace 0`` and then
-once at ``--trace 1`` (seed 1). The checkouts take turns, and take turns
-at going first: seed by seed for the untraced runs and workload by
-workload for the traced ones, so that a drift in the machine's speed
-falls on all of them alike. Give the parent and the change as two
-``--checkout`` options to measure them in alternating pairs. Each
-checkout's file holds the workload's provenance line, every run's
-result, and the median and quartiles of each end-to-end metric over the
-seeds. A file is labelled with its checkout's git sha
-(``--label`` names it instead, for a single checkout) and goes to this
-repository's root, so the checkouts must be at distinct commits. Run it
-on an otherwise idle machine: the runs take about (N + 1) x run_seconds
+once per seed 1..3 at ``--trace 1``. The checkouts take turns, and take
+turns at going first: seed by seed for the untraced runs, and seed by
+seed and workload by workload for the traced ones, so that a drift in
+the machine's speed falls on all of them alike. Give the parent and the
+change as two ``--checkout`` options to measure them in alternating
+pairs. Each checkout's file holds the workload's provenance line, every
+run's result, the median and quartiles of each end-to-end metric over
+the seeds, and the median of each traced metric (the per-layer times
+among them) over the traced seeds, so that no single run sets a layer's
+number. A file is labelled with its checkout's git sha (``--label``
+names it instead, for a single checkout) and goes to this repository's
+root, so the checkouts must be at distinct commits. Run it on an
+otherwise idle machine: the runs take about (N + 3) x run_seconds
 seconds per workload and checkout.
 """
 
@@ -28,6 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACE_SEEDS = 3
 
 
 def git_sha(checkout: Path) -> str | None:
@@ -105,19 +108,28 @@ def main(argv=None) -> int:
                 c = checkouts[i]
                 runs[i].append(run_harness(c, specs[i]["command"], w["name"], seed, spec["run_seconds"], 0))
                 print(f"bench: {c.name} {w['name']} seed {seed}: {runs[i][-1]['metrics']}", file=sys.stderr)
-        traced = [None] * len(checkouts)
-        # and workload by workload at going first with the traced run
-        for i in range(len(checkouts))[:: 1 if k % 2 == 0 else -1]:
-            traced[i] = run_harness(checkouts[i], specs[i]["command"], w["name"], 1, spec["run_seconds"], 1)
+        traced = [[] for _ in checkouts]
+        # and the traced runs seed by seed and workload by workload
+        for seed in range(1, TRACE_SEEDS + 1):
+            for i in range(len(checkouts))[:: 1 if (seed + k) % 2 else -1]:
+                c = checkouts[i]
+                traced[i].append(run_harness(c, specs[i]["command"], w["name"], seed, spec["run_seconds"], 1))
+                print(f"bench: {c.name} {w['name']} traced seed {seed}", file=sys.stderr)
         for i in range(len(checkouts)):
             provenance = runs[i][0]["provenance"]
-            for r in runs[i] + [traced[i]]:
+            for r in runs[i] + traced[i]:
                 del r["provenance"]
             results[i][w["name"]] = {
                 "provenance": provenance,
                 "runs": runs[i],
                 "summary": summarize(runs[i], units),
-                "trace": traced[i],
+                "trace": {
+                    "median": {
+                        name: statistics.median(r["metrics"][name] for r in traced[i])
+                        for name in traced[i][0]["metrics"]
+                    },
+                    "runs": traced[i],
+                },
             }
 
     for spec_c, workloads, sha in zip(specs, results, shas):

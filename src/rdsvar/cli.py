@@ -7,8 +7,8 @@ are written atomically (temp file + rename) and every JSON output echoes
 the resolved config and the library version.
 
 Exit codes: 0 success, 1 usage error, 2 input data error, 3 runtime
-budget exceeded. On failure a machine-readable error JSON is printed to
-stderr.
+budget exceeded or memory exhausted. On failure a machine-readable error
+JSON is printed to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .bootstrap import (
     bootstrap_variance,
     percentile_ci,
 )
-from .errors import DataError, RdsVarError, UsageError
+from .errors import BudgetError, DataError, RdsVarError, UsageError
 from .estimators import PopulationTotals
 from .exact import check_moment_identity, enumerate_neighbourhood, enumerate_tree
 from .experiment import ExperimentConfig, run_full
@@ -474,7 +474,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_dash_values(parser, sys.argv[1:] if argv is None else list(argv)))
         cfg = _merge_config(parser, args)
         written = run(cfg)
-    except (RdsVarError, OSError) as e:
+    except (RdsVarError, OSError, MemoryError) as e:
+        if isinstance(e, MemoryError):
+            # a backstop: not every size a user sets is checked before it is allocated
+            e = BudgetError(f"out of memory: {e}" if str(e) else "out of memory")
         exit_code = e.exit_code if isinstance(e, RdsVarError) else DataError.exit_code
         error = {
             "error": {

@@ -121,6 +121,14 @@ def _open_text(path):
             lines.extend(fh)  # keeps the lines decoded before a failing chunk
     except UnicodeDecodeError as e:
         undecodable = e
+    if undecodable is not None:
+        # line reading gives the byte's position within the chunk it decoded;
+        # one decode of the whole file meets the same byte at its file offset
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as e:
+                undecodable = e
 
     def tail():
         if undecodable is not None:

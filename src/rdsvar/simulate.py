@@ -21,9 +21,10 @@ The loop makes exactly the draws of a loop that calls
 ``Generator.integers(0, n)`` once per recruit: a seed gives the same
 forest, and leaves the generator in the same state, as that loop did.
 It reads them from the bit generator's raw words, drawn ahead in bulk and
-decoded with numpy's algorithms (see ``_Tape``), so a draw costs a list
-lookup and a few integer operations instead of a method call; the
-recruit count of every word is looked up once, in one ``searchsorted``.
+decoded with numpy's algorithms (see ``_Tape``), so a draw costs an index
+and a few integer operations instead of a method call: a recruit count is
+a list lookup (the counts of all words come from one ``searchsorted``),
+and a 32-bit word is read from an array only when it is drawn.
 Afterwards the bit generator is rewound to just past the words read, so
 the generator must not be shared with another thread during the call.
 """
@@ -249,9 +250,11 @@ class _Tape:
     buffer that doubles leave alone. Other bit generators are rejected.
 
     Read at position i, a double is ``double[i]`` and gives the recruit
-    count ``counts[i]``; a 32-bit word is ``lo[i]``, its buffered partner
-    ``hi[i]``. ``rewind`` puts the bit generator where the Generator
-    methods would have left it after the draws read.
+    count ``counts[i]`` (a list: every entry reads one); a 32-bit word is
+    ``lo[i]``, its buffered partner ``hi[i]`` (memoryviews over uint32
+    arrays, since most halves are never read and so are never made Python
+    ints). ``rewind`` puts the bit generator where the Generator methods
+    would have left it after the draws read.
     """
 
     def __init__(self, bg, cum: np.ndarray, size: int):
@@ -269,10 +272,11 @@ class _Tape:
     def _decode(self) -> None:
         raw = self.raw
         self.double = (raw >> 11) * 2.0**-53
-        self.lo, self.hi = (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
+        self.lo = memoryview((raw & 0xFFFFFFFF).astype(np.uint32))
+        self.hi = memoryview((raw >> 32).astype(np.uint32))
         self.counts = self.cum.searchsorted(self.double, side="right").tolist()
 
-    def more(self) -> tuple[list[int], list[int], list[int]]:
+    def more(self) -> tuple[list[int], memoryview, memoryview]:
         """Draw another chunk; returns the longer (counts, lo, hi)."""
         self.raw = np.concatenate([self.raw, self.bg.random_raw(self.chunk)])
         self._decode()
@@ -353,6 +357,7 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     try:
         node = _pps_draw_indices(np.arange(g.n_nodes), g.degree, tape.double[:s])
         parent = [-1] * s
+        add_node, add_parent = node.append, parent.append
         sampled = bytearray(g.n_nodes)
         for v in node:
             sampled[v] = 1
@@ -374,8 +379,8 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 fresh = np.flatnonzero(~np.frombuffer(sampled, dtype=bool)) if wor else np.arange(g.n_nodes)
                 v = _pps_draw_indices(fresh, g.degree[fresh], tape.double[w : w + 1])[0]
                 w += 1
-                node.append(v)
-                parent.append(-1)
+                add_node(v)
+                add_parent(-1)
                 sampled[v] = 1
                 count += 1
                 n_reseeds += 1
@@ -389,10 +394,15 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
             u = node[entry]
             lo = indptr[u]
             if wor:
-                # partial Fisher-Yates: uniform without replacement in draw order
-                avail = [v for v in indices[lo : indptr[u + 1]] if not sampled[v]]
+                # partial Fisher-Yates: uniform without replacement in draw order;
+                # a loop: before Python 3.12 a comprehension costs a frame of its own
+                avail = []
+                for v in indices[lo : indptr[u + 1]]:
+                    if not sampled[v]:
+                        avail.append(v)
                 n = len(avail)
-                k = min(k, n)
+                if n < k:
+                    k = n
             else:
                 n = indptr[u + 1] - lo
             room = target - count
@@ -420,8 +430,8 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                 else:
                     v = indices[lo + j]
                 if i < room:
-                    node.append(v)
-                    parent.append(entry)
+                    add_node(v)
+                    add_parent(entry)
                     sampled[v] = 1
             if k > room:
                 n_truncated += k - room
@@ -430,11 +440,11 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
     finally:
         tape.rewind(w, has, half)
 
-    arr = np.asarray(node, dtype=np.int64)
+    arr = np.fromiter(node, dtype=np.int64, count=target)
     return RecruitmentForest(
         node_id=list(map(g.node_ids.__getitem__, node)),
         node_index=arr,
-        parent=np.asarray(parent, dtype=np.int64),
+        parent=np.fromiter(parent, dtype=np.int64, count=target),
         degree=g.degree[arr],
         n_reseeds=n_reseeds,
         n_truncated=n_truncated,

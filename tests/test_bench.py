@@ -59,7 +59,7 @@ def test_checkouts_take_turns_at_going_first_traced_and_untraced(bench, tmp_path
     calls = []
 
     def run_harness(checkout, command, workload, seed, seconds, trace):
-        calls.append((workload, trace, checkout.name))
+        calls.append((workload, trace, checkout.name, seed))
         return {
             "seed": seed,
             "trace": trace,
@@ -70,9 +70,38 @@ def test_checkouts_take_turns_at_going_first_traced_and_untraced(bench, tmp_path
     monkeypatch.setattr(bench, "run_harness", run_harness)
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     assert bench.main(["--checkout", str(parent), "--checkout", str(change), "--seeds", "3"]) == 0
+    first, second = ["parent", "change"], ["change", "parent"]
     for k, w in enumerate(spec["workloads"]):
-        untraced = [name for workload, trace, name in calls if (workload, trace) == (w["name"], 0)]
-        assert untraced == ["parent", "change", "change", "parent", "parent", "change"]
-        traced = [name for workload, trace, name in calls if (workload, trace) == (w["name"], 1)]
-        assert traced == (["parent", "change"] if k % 2 == 0 else ["change", "parent"])
+        untraced = [name for workload, trace, name, _ in calls if (workload, trace) == (w["name"], 0)]
+        assert untraced == first + second + first
+        traced = [(name, seed) for workload, trace, name, seed in calls if (workload, trace) == (w["name"], 1)]
+        order = first + second + first if k % 2 == 0 else second + first + second
+        assert traced == list(zip(order, [1, 1, 2, 2, 3, 3]))
     assert len(list(tmp_path.glob("BENCH_*.json"))) == 2
+
+
+def test_traces_three_seeds_and_stores_each_metrics_median(bench, tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    spec = json.loads((parent / "BENCHMARK.json").read_text())
+    layers = [m["name"] for m in spec["per_layer"]]
+    # a traced run's layer times: the seed's, times 10 at seed 2 (a slow
+    # run), doubled for the change
+    slow = {1: 1.0, 2: 10.0, 3: 3.0}
+
+    def run_harness(checkout, command, workload, seed, seconds, trace):
+        scale = 2.0 if checkout.name == "change" else 1.0
+        metrics = {m["name"]: 1.0 for m in spec["end_to_end"]}
+        if trace:
+            metrics = {name: scale * slow[seed] for name in layers}
+        return {"seed": seed, "trace": trace, "metrics": metrics, "provenance": {}}
+
+    monkeypatch.setattr(bench, "run_harness", run_harness)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    assert bench.main(["--checkout", str(parent), "--checkout", str(change), "--seeds", "1"]) == 0
+    for checkout, scale in ((parent, 1.0), (change, 2.0)):
+        sha = bench.git_sha(checkout)
+        payload = json.loads((tmp_path / f"BENCH_{sha[:12]}.json").read_text())
+        for w in spec["workloads"]:
+            trace = payload["workloads"][w["name"]]["trace"]
+            assert [r["seed"] for r in trace["runs"]] == [1, 2, 3]
+            assert trace["median"] == {name: 3.0 * scale for name in layers}

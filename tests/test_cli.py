@@ -549,6 +549,33 @@ def test_enumeration_budget_exit_code(tmp_path, capsys):
     validate_schema(err, "error.schema.json")
 
 
+@pytest.mark.parametrize(
+    "argv, exc",
+    [
+        (["bootstrap", "--forest", "f.csv", "--attrs", "z.csv", "--attribute", "x", "--method", "tree",
+          "--B", "100000000000"],
+         MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64")),
+        (["simulate", "--edges", "e.txt", "--seeds", "1", "--coupons", "1", "--pmf", "0,1",
+          "--regime", "with_replacement_walk", "--n", "10000000000"], MemoryError()),
+    ],
+    ids=["bootstrap", "simulate"],
+)
+def test_memory_error_is_a_budget_error(monkeypatch, tmp_path, capsys, argv, exc):
+    # the command is replaced by one that fails as the real one would fail
+    # at its first big allocation, so the test allocates nothing
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setitem(rv.cli._COMMANDS, argv[0], fail)
+    assert run_cli(*argv, "--out", tmp_path) == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "BudgetError" and err["error"]["exit_code"] == 3
+    assert err["error"]["message"] == (f"out of memory: {exc}" if str(exc) else "out of memory")
+    assert captured.out == ""
+    validate_schema(err, "error.schema.json")
+
+
 def test_oracle_tree_on_a_long_chain(tmp_path):
     # the tree law is built leaves first without recursion, so a chain far
     # deeper than Python's recursion limit has its one outcome

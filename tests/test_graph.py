@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -532,17 +533,28 @@ def test_attribute_loaders_match_on_many_missing_nodes_and_repeated_ids(tmp_path
 @pytest.mark.parametrize("early", [b"", b"oops\n"], ids=["clean", "early-fault"])
 def test_a_late_undecodable_or_oversized_line_keeps_the_error_order(tmp_path, early, late):
     # the line-by-line readers meet an early faulty row before an undecodable
-    # byte or a field past the csv size limit 20 KiB on, and they report
-    # the byte's position within the 8 KiB chunk that holds it
+    # byte or a field past the csv size limit 20 KiB on; they report the
+    # byte's position within the 8 KiB chunk that holds it (3620 for the
+    # edge file), the loaders its offset within the file
     edges = tmp_path / "edges.txt"
-    edges.write_bytes(b"a b\n" + early + b"b c\n" * 5000 + late)
+    head = b"a b\n" + early + b"b c\n" * 5000
+    edges.write_bytes(head + late)
     bulk, reference = _outcome(_bulk_edges, edges), _outcome(_reference_load_edge_list, edges)
-    assert bulk == reference and bulk.startswith("DataError")
+    assert bulk == _at_file_offset(reference, len(head)) and bulk.startswith("DataError")
+    if late == b"\xff\n" and not early:
+        assert "position 3620:" in reference
+        assert bulk == f"DataError: {edges}: 'utf-8' codec can't decode byte 0xff in position 20004: invalid start byte"
     attrs = tmp_path / "attrs.csv"
-    attrs.write_bytes(b"id,x\n" + early.replace(b"oops", b"a,2") + b"b,1\n" * 5000 + late)
+    head = b"id,x\n" + early.replace(b"oops", b"a,2") + b"b,1\n" * 5000
+    attrs.write_bytes(head + late)
     g = _graph_of(["a b"], tmp_path / "ab.txt")
     bulk, reference = _outcome(_bulk_attributes, attrs, g), _outcome(_reference_load_attributes, attrs, g)
-    assert bulk == reference and bulk.startswith("DataError")
+    assert bulk == _at_file_offset(reference, len(head)) and bulk.startswith("DataError")
+
+
+def _at_file_offset(text: str, offset: int) -> str:
+    """A decode error's text with the byte's position made ``offset``; other texts as they are."""
+    return re.sub(r"can't decode byte (0x[0-9a-f]{2}) in position \d+:", rf"can't decode byte \1 in position {offset}:", text)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from collections import Counter, defaultdict, deque
@@ -751,3 +752,23 @@ def test_simulator_rejections_and_refills_follow_the_words(tmp_path):
         assert not bits.has or bits.half == ref.half, case
         rejected += ref.rejections
     assert rejected >= 100, rejected
+
+
+# sha256 of node_index and of parent (int64, little-endian) over 20 forests
+# at the benchmark's scale, taken before the recruit loop was last tuned: a
+# change to the loop that moves any draw fails here
+BENCH_SCALE_SHA256 = (
+    "999baf76d470c8dffeb72cd0b46b10a393e0fc1d4a15fec737a103eae16c6ff3",
+    "8bf50d3556abc51aa2b25d4f469b2689dbfe6129f96a7e68049730ed81cc9f7c",
+)
+
+
+def test_forests_at_the_benchmark_scale_are_pinned():
+    g, _ = rv.make_study_population(4000, 20250810)
+    design = rv.RdsDesign(10, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 1000)
+    digests = hashlib.sha256(), hashlib.sha256()
+    for j in range(20):
+        f = rv.simulate_rds(g, design, generator(778, 1, j))
+        for digest, column in zip(digests, (f.node_index, f.parent)):
+            digest.update(column.astype("<i8").tobytes())
+    assert tuple(d.hexdigest() for d in digests) == BENCH_SCALE_SHA256
