@@ -11,13 +11,14 @@ the machine's speed falls on all of them alike. Give the parent and the
 change as two ``--checkout`` options to measure them in alternating
 pairs. Each checkout's file holds the workload's provenance line, every
 run's result, the median and quartiles of each end-to-end metric over
-the seeds, and the median of each traced metric (the per-layer times
-among them) over the traced seeds, so that no single run sets a layer's
-number. A file is labelled with its checkout's git sha (``--label``
-names it instead, for a single checkout) and goes to this repository's
-root, so the checkouts must be at distinct commits. Run it on an
-otherwise idle machine: the runs take about (N + 3) x run_seconds
-seconds per workload and checkout.
+the seeds, and the median, min and max of each traced metric (the
+per-layer times among them) over the traced seeds: no single run sets a
+layer's number, and the spread shows how far the host drifted. A file
+is labelled with its checkout's git sha (``--label`` names it instead,
+for a single checkout) and goes to this repository's root, so the
+checkouts must be at distinct commits. Run it on an otherwise idle
+machine: the runs take about (N + 3) x run_seconds seconds per workload
+and checkout.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def summarize(runs: list[dict], units: dict[str, str]) -> dict:
     return out
 
 
+def trace_spread(runs: list[dict]) -> dict:
+    """The median, min and max of each traced metric over the traced runs."""
+    names = runs[0]["metrics"]
+    values = {name: [r["metrics"][name] for r in runs] for name in names}
+    return {
+        "median": {name: statistics.median(v) for name, v in values.items()},
+        "min": {name: min(v) for name, v in values.items()},
+        "max": {name: max(v) for name, v in values.items()},
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--checkout", type=Path, action="append",
@@ -123,13 +135,7 @@ def main(argv=None) -> int:
                 "provenance": provenance,
                 "runs": runs[i],
                 "summary": summarize(runs[i], units),
-                "trace": {
-                    "median": {
-                        name: statistics.median(r["metrics"][name] for r in traced[i])
-                        for name in traced[i][0]["metrics"]
-                    },
-                    "runs": traced[i],
-                },
+                "trace": {**trace_spread(traced[i]), "runs": traced[i]},
             }
 
     for spec_c, workloads, sha in zip(specs, results, shas):

@@ -44,7 +44,7 @@ from .graph import (
     load_summary,
     read_attribute_rows,
 )
-from .simulate import REGIMES, RdsDesign, read_forest_csv, simulate_rds, write_forest_csv
+from .simulate import REGIMES, RdsDesign, _tape_size, read_forest_csv, simulate_rds, write_forest_csv
 from .rng import generator
 
 class _Parser(argparse.ArgumentParser):
@@ -226,6 +226,29 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
+# Upfront caps on the largest arrays a command allocates (README "CLI"); past
+# one, the command stops with a BudgetError (exit 3) before it allocates them
+MAX_ESTIMATE_FLOATS = 2**26  # bootstrap estimates: B floats per attribute column
+MAX_TAPE_WORDS = 2**25  # simulate_rds's tape of raw 64-bit words for a sample of size n
+
+
+def _check_replicates(B: int, columns: int) -> None:
+    if B * columns > MAX_ESTIMATE_FLOATS:
+        raise BudgetError(
+            f"--B {B} needs {B * columns} bootstrap estimates ({columns} column(s)), "
+            f"past the cap of {MAX_ESTIMATE_FLOATS} floats"
+        )
+
+
+def _check_tape(design: RdsDesign) -> None:
+    words = _tape_size(design)
+    if words > MAX_TAPE_WORDS:
+        raise BudgetError(
+            f"--n {design.target_n} needs a tape of {words} random words per sample, "
+            f"past the cap of {MAX_TAPE_WORDS} words"
+        )
+
+
 def _require(cfg: dict, *names: str) -> None:
     for name in names:
         if cfg.get(name) is None:
@@ -307,6 +330,8 @@ def cmd_simulate(cfg: dict) -> list[str]:
     _require(cfg, "edges")
     g = _load_graph(cfg)
     design = _design_from(cfg)
+    design.validate_for(g)
+    _check_tape(design)
     seed = cfg.get("seed") or 0
     forest = simulate_rds(g, design, generator(seed, 0))
     forest_path = _outpath(cfg, "forest.csv")
@@ -328,6 +353,7 @@ def cmd_simulate(cfg: dict) -> list[str]:
 
 def cmd_bootstrap(cfg: dict) -> list[str]:
     _require(cfg, "method", "B")
+    _check_replicates(cfg["B"], 1)
     forest, z, column = _forest_z(cfg)
     options = _given(cfg, selection_pool="pool", tree_seed_mode="tree_seed_mode", estimator="estimator")
     bc = BootstrapConfig(cfg["method"], cfg["B"], **options)
@@ -385,6 +411,9 @@ def cmd_experiment(cfg: dict) -> list[str]:
     if workers < 1:
         raise UsageError("--workers must be at least 1")
     ec = ExperimentConfig(design, columns, cfg["R"], cfg["B"], cfg["seed"], **options)
+    design.validate_for(g)
+    _check_replicates(ec.n_bootstrap, len(ec.attributes))
+    _check_tape(design)
     report = run_full(ec, g, attrs, workers=workers)
     csv_path = _outpath(cfg, "experiment_report.csv")
     write_text_atomic(csv_path, report.to_csv_text())

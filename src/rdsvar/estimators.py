@@ -8,13 +8,17 @@ multiplicity-m observation into m unit copies changes nothing, rescaling
 all degrees by a constant leaves the degree-weighted estimate bit-identical,
 and equal-degree samples collapse exactly to the plain sample mean. The
 bootstrap evaluates its replicates from the same integer terms
-(``_degree_terms``), cast to float64.
+(``_degree_terms``), cast to float64. An estimate is a grouping of the
+observations by degree (``_per_degree_sums``) and one exact reduction of
+the per-degree sums (``_ratio``); the experiment's width reference
+groups its forests itself and shares the reduction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -144,27 +148,48 @@ def _degree_terms(
     raise DataError(f"unknown estimator: {estimator!r}")
 
 
+def _per_degree_sums(inverse: np.ndarray, n_degrees: int, multiplicity: np.ndarray, columns) -> list[list[int]]:
+    """Per-degree integer sums of the observations' multiplicities.
+
+    Row 0 sums every observation's multiplicity per degree, row c + 1 those
+    with z = 1 in column c; observation i has degree ``inverse[i]``.
+    """
+    weights = [multiplicity] + [multiplicity * (np.asarray(z) == 1.0) for z in columns]
+    sums = np.zeros((len(weights), n_degrees), dtype=np.int64)
+    for row, w in zip(sums, weights):
+        np.add.at(row, inverse, w)
+    return sums.tolist()
+
+
+def _ratio(den_sums: list[int], num_sums: list[list[int]], a: list[int], b: list[int]) -> list[float]:
+    """The correctly rounded estimate of each column from its per-degree integer sums.
+
+    ``den_sums[k]`` sums the multiplicities of the observations of degree
+    k and ``num_sums[c][k]`` those with z = 1 in column c; ``a`` and ``b``
+    are ``_degree_terms``' terms of the same degrees, in the same order.
+    Degrees no observation has may be left out of all four lists. Both
+    sums are exact Python ints, so the int division rounds their ratio
+    once; the ratio, and so the float, does not depend on which common
+    multiple of the degrees the terms were put over.
+    """
+    den = sum(map(mul, den_sums, b))
+    return [sum(map(mul, col, a)) / den for col in num_sums]
+
+
 def _estimate(
     degree: np.ndarray, multiplicity: np.ndarray, columns, estimator: str, totals: PopulationTotals | None = None
 ) -> list[float]:
     """Correctly rounded estimates of several z columns over one set of observations.
 
     Observation i has degree[i], multiplicity[i] and attribute column[i]
-    in every column. Each estimate is the exact ratio over per-degree
-    integer sums; the degree terms and multiplicity sums are found once
-    for all columns.
+    in every column. The observations are grouped by degree once for all
+    columns, and each estimate is the exact ratio over the per-degree sums.
     """
     if degree.size == 0:
         raise DataError("empty sample")
     inverse, a, b = _degree_terms(degree, estimator, totals)
-    # row 0 sums every observation's multiplicity per degree, row c + 1 those with z = 1 in column c
-    weights = [multiplicity] + [multiplicity * (np.asarray(z) == 1.0) for z in columns]
-    sums = np.zeros((len(weights), len(a)), dtype=np.int64)
-    for row, w in zip(sums, weights):
-        np.add.at(row, inverse, w)
-    den_sums, *num_sums = sums.tolist()
-    den = sum(m * bi for m, bi in zip(den_sums, b))
-    return [sum(m * ai for m, ai in zip(col, a)) / den for col in num_sums]
+    den_sums, *num_sums = _per_degree_sums(inverse, len(a), multiplicity, columns)
+    return _ratio(den_sums, num_sums, a, b)
 
 
 def sample_mean(ws: WeightedSample) -> float:

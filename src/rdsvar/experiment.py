@@ -4,11 +4,16 @@
 computes the inverse-degree weighted point estimate per attribute, and
 runs every configured bootstrap method once; a single resample per
 replicate serves all attributes. The width reference is the estimator's
-sampling distribution over fresh forests. Replication i draws from
-substream (master, 0, i) and width-reference forest j from (master, 1, j).
-Both kinds of work unit go through one index-keyed map, serial or one
-worker pool, that returns results in index order, and the reduction uses
-exactly rounded sums, so reports are identical for any worker count.
+sampling distribution over fresh forests. A width-reference forest is
+reduced to per-degree counts by one ``bincount`` over keys that each run
+makes once from the graph's distinct degrees and the attributes; its
+estimates are the exact ratios of those counts under the run's degree
+terms, bit for bit the point estimator's floats on the forest.
+Replication i draws from substream (master, 0, i) and width-reference
+forest j from (master, 1, j). Both kinds of work unit go through one
+index-keyed map, serial or one worker pool, that returns results in
+index order, and the reduction uses exactly rounded sums, so reports are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .bootstrap import (
     percentile_ci,
 )
 from .errors import BudgetError, DataError
-from .estimators import _estimate
+from .estimators import _degree_terms, _ratio
 from .graph import AttributeTable, PopulationGraph
 from .rng import generator, substream
 from .simulate import RdsDesign, simulate_rds
@@ -147,6 +152,13 @@ def _init_worker(graph, attrs, cfg):
     _WORKER["graph"] = graph
     _WORKER["attrs"] = attrs
     _WORKER["cfg"] = cfg
+    # what the width reference groups each forest by, made once per run: node v's key
+    # in attribute j's block is 2 * (rank of v's degree among the graph's distinct
+    # degrees) + z_j(v), and a, b are the estimator's terms of those degrees
+    rank, a, b = _degree_terms(graph.degree, _ESTIMATOR)
+    blocks = 2 * len(a) * np.arange(len(cfg.attributes))
+    z = np.stack([attrs.column(name) for name in cfg.attributes])
+    _WORKER["width_keys"] = (blocks[:, None] + 2 * rank) + z, a, b
 
 
 def _replication(index: int) -> _RepResult | None:
@@ -177,11 +189,28 @@ def _replication(index: int) -> _RepResult | None:
 def _width_forest(index: int) -> tuple[float, ...]:
     """The estimate of every attribute on one fresh forest, substream (master, 1, index)."""
     g: PopulationGraph = _WORKER["graph"]
-    attrs: AttributeTable = _WORKER["attrs"]
     cfg: ExperimentConfig = _WORKER["cfg"]
     forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, index))
-    z_cols = [attrs.column(a)[forest.node_index] for a in cfg.attributes]
-    return tuple(_estimate(forest.degree, np.ones(forest.n, dtype=np.int64), z_cols, _ESTIMATOR))
+    return _width_estimates(forest.node_index)
+
+
+def _width_estimates(node_index: np.ndarray) -> tuple[float, ...]:
+    """The estimate of every attribute over the nodes at ``node_index``, each drawn once.
+
+    One ``bincount`` of the nodes' keys gives, per attribute and degree,
+    the nodes with z = 0 and with z = 1; the exact ratio then sums the
+    degrees present. The floats are those of ``_estimate`` on the sample,
+    bit for bit.
+    """
+    keys, a, b = _WORKER["width_keys"]
+    n_attrs, n_degrees = keys.shape[0], len(a)
+    counts = np.bincount(np.take(keys, node_index, axis=1).ravel(), minlength=n_attrs * n_degrees * 2)
+    counts = counts.reshape(n_attrs, n_degrees, 2)
+    den = counts[0].sum(1)
+    present = np.flatnonzero(den)
+    at = present.tolist()
+    num = counts[:, present, 1].tolist()
+    return tuple(_ratio(den[present].tolist(), num, [a[k] for k in at], [b[k] for k in at]))
 
 
 def _usable_cpus() -> int:

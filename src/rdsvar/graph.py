@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -60,6 +61,16 @@ class PopulationGraph:
     @property
     def total_degree(self) -> int:
         return int(self.indices.shape[0])
+
+    @cached_property
+    def _degree_cumsum(self) -> np.ndarray:
+        """The float64 running sums of ``degree``, made once per graph (read-only).
+
+        They are exact while the total degree is below 2**53.
+        """
+        sums = np.cumsum(self.degree, dtype=np.float64)
+        sums.flags.writeable = False
+        return sums
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]

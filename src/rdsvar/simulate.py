@@ -23,8 +23,10 @@ forest, and leaves the generator in the same state, as that loop did.
 It reads them from the bit generator's raw words, drawn ahead in bulk and
 decoded with numpy's algorithms (see ``_Tape``), so a draw costs an index
 and a few integer operations instead of a method call: a recruit count is
-a list lookup (the counts of all words come from one ``searchsorted``),
-and a 32-bit word is read from an array only when it is drawn.
+a list lookup (the counts of all words come from one comparison per
+coupon), and a 32-bit word is read from an array only when it is drawn.
+The seeds are drawn from the graph's running degree sums, which are made
+once per graph.
 Afterwards the bit generator is rewound to just past the words read, so
 the generator must not be shared with another thread during the call.
 """
@@ -250,7 +252,9 @@ class _Tape:
     buffer that doubles leave alone. Other bit generators are rejected.
 
     Read at position i, a double is ``double[i]`` and gives the recruit
-    count ``counts[i]`` (a list: every entry reads one); a 32-bit word is
+    count ``counts[i]``, the number of bounds of ``cum`` at or below it
+    (a list: every entry reads one; the last bound is inf and is never
+    compared, so a count costs one comparison per coupon); a 32-bit word is
     ``lo[i]``, its buffered partner ``hi[i]`` (memoryviews over uint32
     arrays, since most halves are never read and so are never made Python
     ints). ``rewind`` puts the bit generator where the Generator methods
@@ -274,7 +278,10 @@ class _Tape:
         self.double = (raw >> 11) * 2.0**-53
         self.lo = memoryview((raw & 0xFFFFFFFF).astype(np.uint32))
         self.hi = memoryview((raw >> 32).astype(np.uint32))
-        self.counts = self.cum.searchsorted(self.double, side="right").tolist()
+        counts = np.zeros(raw.size, dtype=np.intp)
+        for bound in self.cum[:-1].tolist():
+            counts += self.double >= bound
+        self.counts = counts.tolist()
 
     def more(self) -> tuple[list[int], memoryview, memoryview]:
         """Draw another chunk; returns the longer (counts, lo, hi)."""
@@ -301,14 +308,15 @@ def _tape_size(design: RdsDesign) -> int:
     return int(1.2 * design.target_n * (1 + mean_count / 2)) + 64
 
 
-def _pps_draw_indices(candidates: np.ndarray, weights: np.ndarray, us) -> list[int]:
+def _pps_draw_indices(weights: np.ndarray, cums: np.ndarray, us) -> list[int]:
     """Successive draws without replacement with probability proportional to weight.
 
-    Draw i takes the uniform ``us[i]`` on [0, 1), and the drawn candidate
-    swaps places with the last remaining one. The weights are integers, so
-    their running sums are exact in float64 and are updated in place.
+    Returns positions in ``weights``. ``cums`` holds the float64 running
+    sums of ``weights`` and is updated in place. Draw i takes the uniform
+    ``us[i]`` on [0, 1), and the drawn position swaps places with the last
+    remaining one. The weights are integers, so their running sums are
+    exact in float64.
     """
-    cums = np.cumsum(weights, dtype=np.float64)
     m = cums.size
     total = int(cums[-1]) if m else 0
     moved: dict[int, int] = {}  # position -> the candidate's first position, once swapped
@@ -317,7 +325,7 @@ def _pps_draw_indices(candidates: np.ndarray, weights: np.ndarray, us) -> list[i
         # the sums past the remaining candidates are inf, so never <= u * total
         j = min(int(cums.searchsorted(u * total, side="right")), m - 1)
         a, b = moved.get(j, j), moved.get(m - 1, m - 1)
-        picked.append(int(candidates[a]))
+        picked.append(a)
         wa, wb = int(weights[a]), int(weights[b])
         cums[j : m - 1] += wb - wa
         cums[m - 1] = math.inf
@@ -355,7 +363,7 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
 
     w = s
     try:
-        node = _pps_draw_indices(np.arange(g.n_nodes), g.degree, tape.double[:s])
+        node = _pps_draw_indices(g.degree, g._degree_cumsum.copy(), tape.double[:s])
         parent = [-1] * s
         add_node, add_parent = node.append, parent.append
         sampled = bytearray(g.n_nodes)
@@ -376,8 +384,13 @@ def simulate_rds(g: PopulationGraph, design: RdsDesign, rng: RngStream) -> Recru
                     raise BudgetError(
                         f"sample starved: all chains dead at {count} of {target} entries"
                     )
-                fresh = np.flatnonzero(~np.frombuffer(sampled, dtype=bool)) if wor else np.arange(g.n_nodes)
-                v = _pps_draw_indices(fresh, g.degree[fresh], tape.double[w : w + 1])[0]
+                if wor:
+                    fresh = np.flatnonzero(~np.frombuffer(sampled, dtype=bool))
+                    weights = g.degree[fresh]
+                    j = _pps_draw_indices(weights, np.cumsum(weights, dtype=np.float64), tape.double[w : w + 1])[0]
+                    v = int(fresh[j])
+                else:
+                    v = _pps_draw_indices(g.degree, g._degree_cumsum.copy(), tape.double[w : w + 1])[0]
                 w += 1
                 add_node(v)
                 add_parent(-1)

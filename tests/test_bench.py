@@ -105,3 +105,18 @@ def test_traces_three_seeds_and_stores_each_metrics_median(bench, tmp_path, monk
             trace = payload["workloads"][w["name"]]["trace"]
             assert [r["seed"] for r in trace["runs"]] == [1, 2, 3]
             assert trace["median"] == {name: 3.0 * scale for name in layers}
+            assert trace["min"] == {name: 1.0 * scale for name in layers}
+            assert trace["max"] == {name: 10.0 * scale for name in layers}
+
+
+def test_trace_spread_is_each_metrics_median_min_and_max():
+    # a pure reduction of the traced runs: nothing is run
+    spec = importlib.util.spec_from_file_location("bench_spread", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = [{"metrics": {"a.s": a, "n.calls": n}} for a, n in ((0.3, 104), (0.1, 104), (0.25, 110))]
+    assert module.trace_spread(runs) == {
+        "median": {"a.s": 0.25, "n.calls": 104},
+        "min": {"a.s": 0.1, "n.calls": 104},
+        "max": {"a.s": 0.3, "n.calls": 110},
+    }

@@ -576,6 +576,72 @@ def test_memory_error_is_a_budget_error(monkeypatch, tmp_path, capsys, argv, exc
     validate_schema(err, "error.schema.json")
 
 
+def _capped_argv(study_files, tmp_path, command):
+    """(argv, cap name, what the command needs under that cap) for a small run of ``command``."""
+    tmp, edges, attr_path, g, attrs = study_files
+    design = ["--seeds", "3", "--coupons", "3", "--pmf", "1/3,1/6,1/6,1/3", "--n", "40"]
+    if command == "simulate":
+        return ["simulate", "--edges", edges, *design], "MAX_TAPE_WORDS", rv.simulate._tape_size(
+            rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 40)
+        )
+    if command == "bootstrap":
+        sim_dir = tmp_path / "sim"
+        assert run_cli("simulate", "--edges", edges, *design, "--out", sim_dir) == 0
+        argv = ["bootstrap", "--forest", sim_dir / "forest.csv", "--attrs", attr_path, "--attribute", "mix_half",
+                "--method", "tree", "--B", "150"]
+        return argv, "MAX_ESTIMATE_FLOATS", 150
+    argv = ["experiment", "--edges", edges, "--attrs", attr_path, "--columns", "mix_half,rare_tenth", *design,
+            "--R", "2", "--B", "150", "--width-ref", "100", "--seed", "1"]
+    return argv, "MAX_ESTIMATE_FLOATS", 2 * 150
+
+
+@pytest.mark.parametrize("command", ["simulate", "bootstrap", "experiment"])
+def test_a_size_past_its_cap_stops_before_any_draw(study_files, tmp_path, monkeypatch, capsys, command):
+    # at the cap the command runs; one past it, it is a BudgetError naming the
+    # flag before anything is drawn or allocated
+    argv, cap, need = _capped_argv(study_files, tmp_path, command)
+    monkeypatch.setattr(rv.cli, cap, need)
+    assert run_cli(*argv, "--out", tmp_path / "at") == 0
+    capsys.readouterr()
+
+    def drew(*args, **kwargs):
+        raise AssertionError("drew past a cap")
+
+    for name in ("simulate_rds", "bootstrap_distribution", "run_full"):
+        monkeypatch.setattr(rv.cli, name, drew)
+    monkeypatch.setattr(rv.cli, cap, need - 1)
+    assert run_cli(*argv, "--out", tmp_path / "past") == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    flag = "--n 40" if cap == "MAX_TAPE_WORDS" else "--B 150"
+    assert err["error"]["type"] == "BudgetError" and err["error"]["message"].startswith(flag + " needs ")
+    assert err["error"]["message"].endswith(f"past the cap of {need - 1} {'words' if flag == '--n 40' else 'floats'}")
+    assert captured.out == ""
+    validate_schema(err, "error.schema.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bootstrap", "--forest", "absent.csv", "--attrs", "absent.csv", "--attribute", "x", "--method", "tree",
+          "--B", "100000000000"],
+         "--B 100000000000 needs 100000000000 bootstrap estimates (1 column(s)), past the cap of 67108864 floats"),
+        (["simulate", "--seeds", "1", "--coupons", "1", "--pmf", "0,1", "--regime", "with_replacement_walk",
+          "--n", "10000000000"],
+         "--n 10000000000 needs a tape of 18000000064 random words per sample, past the cap of 33554432 words"),
+    ],
+    ids=["bootstrap", "simulate"],
+)
+def test_the_caps_stop_sizes_that_once_ran_out_of_memory(study_files, tmp_path, capsys, argv, message):
+    # the two sizes that died in numpy's allocation before there were caps;
+    # the bootstrap is stopped before it reads its files
+    if argv[0] == "simulate":
+        argv = [*argv, "--edges", study_files[1]]
+    assert run_cli(*argv, "--out", tmp_path) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "BudgetError", "message": message, "exit_code": 3}
+
+
 def test_oracle_tree_on_a_long_chain(tmp_path):
     # the tree law is built leaves first without recursion, so a chain far
     # deeper than Python's recursion limit has its one outcome

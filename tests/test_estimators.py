@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
-from rdsvar.estimators import _estimate
+from rdsvar.estimators import _degree_terms, _estimate, _ratio
 
 
 def ws(*pairs):
@@ -212,3 +212,32 @@ def test_columns_share_one_set_of_degree_terms():
         for name, estimate in one.items():
             expected = [estimate(rv.WeightedSample(z, degree, mult)) for z in cols]
             assert _estimate(degree, mult, cols, name, totals) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(1, 2**63 - 1) | st.integers(1, 12), st.integers(1, 2**58)),
+        min_size=1,
+        max_size=12,
+    ),
+    absent=st.lists(st.integers(1, 2**63 - 1) | st.integers(1, 12), max_size=4),
+    n_population=st.integers(1, 10**6),
+)
+@example(rows=[(1, 2**63 - 1, 2**58), (0, 2**63 - 2, 1), (1, 3, 2**58)], absent=[5, 7], n_population=7)
+def test_per_degree_reduction_equals_estimate(rows, absent, n_population):
+    # the exact reduction over per-degree sums, with terms put over the lcm
+    # of more degrees than the sample has, gives _estimate's floats
+    totals = rv.PopulationTotals(n_population, 3 * n_population)
+    den, num = {}, {}
+    for z, d, m in rows:
+        den[d] = den.get(d, 0) + m
+        num[d] = num.get(d, 0) + m * z
+    degrees = sorted(set(den) | set(absent))
+    z, degree, mult = (np.array(c, dtype=dtype) for c, dtype in zip(zip(*rows), (float, np.int64, np.int64)))
+    for estimator in ("sample_mean", "vh", "ipw"):
+        _, a, b = _degree_terms(np.array(degrees, dtype=np.int64), estimator, totals)
+        at = [k for k, d in enumerate(degrees) if d in den]
+        sums = [den[degrees[k]] for k in at], [[num[degrees[k]] for k in at]]
+        got = _ratio(*sums, [a[k] for k in at], [b[k] for k in at])
+        assert got == _estimate(degree, mult, [z], estimator, totals), estimator

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import multiprocessing
 import os
 
@@ -6,7 +9,8 @@ import pytest
 
 import rdsvar as rv
 from rdsvar.errors import DataError
-from rdsvar.experiment import _quantile_width
+from rdsvar.experiment import _init_worker, _quantile_width, _width_forest
+from rdsvar.rng import generator
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,60 @@ def test_worker_determinism(small_world):
     parallel = rv.run_full(cfg, g, attrs, workers=3)
     assert serial.to_csv_text() == parallel.to_csv_text()
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_full_bytes_are_pinned(small_world, workers):
+    # the digests of the report CSV and of the report JSON as the CLI writes
+    # it; a change that keeps the numbers keeps them at any worker count
+    g, attrs = small_world
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("always", "coin"), n_replications=6, n_bootstrap=12,
+        master_seed=11, n_width_reference=100,
+    )
+    rep = rv.run_full(cfg, g, attrs, workers=workers)
+    csv_text = rep.to_csv_text()
+    json_text = json.dumps(rep.to_json_dict(), indent=2, allow_nan=False)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "2e5e351e290f9bbdf0431f775a334a96f03a582fb35bb605575a9e769c576adf"
+    )
+    assert hashlib.sha256(json_text.encode()).hexdigest() == (
+        "d30b9e2282f3ae63624612691e04523b88b70a2fbf78f65f9b8641d924e60355"
+    )
+
+
+def _width_forests_equal_vh_estimate(g, attrs, design, n_forests):
+    cfg = rv.ExperimentConfig(
+        design=design, attributes=tuple(attrs.column_names), n_replications=2, n_bootstrap=2,
+        master_seed=778, n_width_reference=100,
+    )
+    _init_worker(g, attrs, cfg)
+    for j in range(n_forests):
+        forest = rv.simulate_rds(g, design, generator(cfg.master_seed, 1, j))
+        one = np.ones(forest.n, dtype=np.int64)
+        expected = tuple(
+            rv.vh_estimate(rv.WeightedSample(attrs.column(a)[forest.node_index], forest.degree, one))
+            for a in cfg.attributes
+        )
+        assert _width_forest(j) == expected, j
+
+
+def test_width_forests_equal_vh_estimate_on_the_study_population():
+    # the width reference's per-degree counts give vh_estimate's floats on the same substreams
+    g, attrs = rv.make_study_population(4000, 20250810)
+    _width_forests_equal_vh_estimate(g, attrs, rv.RdsDesign(10, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 1000), 100)
+
+
+@pytest.mark.parametrize("regime", ["without_replacement", "with_replacement_walk"])
+def test_width_forests_equal_vh_estimate_past_64_bit_degree_terms(regime):
+    # the terms are put over the lcm of the graph's distinct degrees, here past 2**64;
+    # the walk regime draws some nodes more than once
+    g = rv.generate_configuration_graph(600, rv.PowerLawDegree(1.2, 1, 120), np.random.default_rng(9))
+    g = rv.largest_connected_component(g)
+    assert math.lcm(*np.unique(g.degree).tolist()) > 2**64
+    rng = np.random.default_rng(10)
+    attrs = rv.AttributeTable(["a", "b"], rng.integers(0, 2, size=(g.n_nodes, 2)))
+    _width_forests_equal_vh_estimate(g, attrs, rv.RdsDesign(5, 3, (0.1, 0.3, 0.3, 0.3), 300, regime), 40)
 
 
 def test_expected_width_op(small_world):

@@ -31,7 +31,7 @@ def star_graph(tmp_path):
 
 def pps_seeds(g, s, rng):
     """s distinct node ids drawn successively with probability proportional to degree."""
-    return [g.node_ids[i] for i in _pps_draw_indices(np.arange(g.n_nodes), g.degree, rng.random(s))]
+    return [g.node_ids[i] for i in _pps_draw_indices(g.degree, np.cumsum(g.degree, dtype=np.float64), rng.random(s))]
 
 
 def test_pps_two_nodes_frequency(tmp_path):
@@ -757,6 +757,32 @@ def test_simulator_rejections_and_refills_follow_the_words(tmp_path):
 # sha256 of node_index and of parent (int64, little-endian) over 20 forests
 # at the benchmark's scale, taken before the recruit loop was last tuned: a
 # change to the loop that moves any draw fails here
+@pytest.mark.parametrize("regime", ["without_replacement", "with_replacement_walk"])
+def test_graphs_of_one_size_draw_their_own_seeds_when_alternated(tmp_path, regime):
+    # the seed draw keeps its running sums on each graph: two graphs with as
+    # many nodes and other degrees, alternated in one process, and reloaded so
+    # that a freed graph's id can come back, each draw the forests that the
+    # one-call-per-draw loop draws on them alone
+    n = 40
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    hubs = ring + [(0, j) for j in range(2, n - 1)] + [(1, j) for j in range(3, 20)]
+    paths = []
+    for name, pairs in (("ring", ring), ("hubs", hubs)):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text("".join(f"v{a} v{b}\n" for a, b in pairs))
+    # a fifth of the recruiters recruit nobody, so chains die and reseed
+    design = rv.RdsDesign(3, 2, (0.2, 0.4, 0.4), 30, regime)
+    expected = [[scalar_draw_loop(rv.load_edge_list(p), design, generator(k)) for k in range(6)] for p in paths]
+    kept = [rv.load_edge_list(p) for p in paths]
+    assert kept[0].n_nodes == kept[1].n_nodes and not np.array_equal(kept[0].degree, kept[1].degree)
+    for k in range(6):
+        for p, g, want in zip(paths, kept, expected):
+            for graph in (g, rv.load_edge_list(p)):
+                f = rv.simulate_rds(graph, design, generator(k))
+                got = (f.node_index.tolist(), f.parent.tolist(), f.seed_index.tolist(), f.n_reseeds, f.n_truncated)
+                assert got == want[k], (p.name, k)
+
+
 BENCH_SCALE_SHA256 = (
     "999baf76d470c8dffeb72cd0b46b10a393e0fc1d4a15fec737a103eae16c6ff3",
     "8bf50d3556abc51aa2b25d4f469b2689dbfe6129f96a7e68049730ed81cc9f7c",
