@@ -164,7 +164,9 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", help="comma-separated confidence levels (default 0.95,0.80)")
     p.add_argument("--width-ref", type=int, help="simulations for expected widths (default 5000)")
     p.add_argument("--seed", type=_seed, help="master seed (required)")
-    p.add_argument("--workers", type=int, help="worker processes, at most the usable CPUs (default 1)")
+    p.add_argument(
+        "--workers", type=int, help="working processes, the main one among them, at most the usable CPUs (default 1)"
+    )
     p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--no-reseed", action="store_true", default=None)
     p.add_argument("--lcc", action="store_true", default=None)
@@ -228,16 +230,22 @@ def _config_value(action: argparse.Action, key: str, value):
 
 # Upfront caps on the largest arrays a command allocates (README "CLI"); past
 # one, the command stops with a BudgetError (exit 3) before it allocates them
-MAX_ESTIMATE_FLOATS = 2**26  # bootstrap estimates: B floats per attribute column
+MAX_ESTIMATE_FLOATS = 2**26  # estimates: B bootstrap or W width-reference floats per attribute column
 MAX_TAPE_WORDS = 2**25  # simulate_rds's tape of raw 64-bit words for a sample of size n
+MAX_REPLICATIONS = 2**20  # experiment's per-replication results, all held until the reduction
 
 
-def _check_replicates(B: int, columns: int) -> None:
-    if B * columns > MAX_ESTIMATE_FLOATS:
+def _check_estimates(flag: str, count: int, what: str, columns: int) -> None:
+    if count * columns > MAX_ESTIMATE_FLOATS:
         raise BudgetError(
-            f"--B {B} needs {B * columns} bootstrap estimates ({columns} column(s)), "
+            f"{flag} {count} needs {count * columns} {what} estimates ({columns} column(s)), "
             f"past the cap of {MAX_ESTIMATE_FLOATS} floats"
         )
+
+
+def _check_replications(R: int) -> None:
+    if R > MAX_REPLICATIONS:
+        raise BudgetError(f"--R {R} needs {R} replication results, past the cap of {MAX_REPLICATIONS} replications")
 
 
 def _check_tape(design: RdsDesign) -> None:
@@ -353,7 +361,7 @@ def cmd_simulate(cfg: dict) -> list[str]:
 
 def cmd_bootstrap(cfg: dict) -> list[str]:
     _require(cfg, "method", "B")
-    _check_replicates(cfg["B"], 1)
+    _check_estimates("--B", cfg["B"], "bootstrap", 1)
     forest, z, column = _forest_z(cfg)
     options = _given(cfg, selection_pool="pool", tree_seed_mode="tree_seed_mode", estimator="estimator")
     bc = BootstrapConfig(cfg["method"], cfg["B"], **options)
@@ -412,7 +420,9 @@ def cmd_experiment(cfg: dict) -> list[str]:
         raise UsageError("--workers must be at least 1")
     ec = ExperimentConfig(design, columns, cfg["R"], cfg["B"], cfg["seed"], **options)
     design.validate_for(g)
-    _check_replicates(ec.n_bootstrap, len(ec.attributes))
+    _check_replications(ec.n_replications)
+    _check_estimates("--B", ec.n_bootstrap, "bootstrap", len(ec.attributes))
+    _check_estimates("--width-ref", ec.n_width_reference, "width-reference", len(ec.attributes))
     _check_tape(design)
     report = run_full(ec, g, attrs, workers=workers)
     csv_path = _outpath(cfg, "experiment_report.csv")

@@ -10,10 +10,13 @@ makes once from the graph's distinct degrees and the attributes; its
 estimates are the exact ratios of those counts under the run's degree
 terms, bit for bit the point estimator's floats on the forest.
 Replication i draws from substream (master, 0, i) and width-reference
-forest j from (master, 1, j). Both kinds of work unit go through one
-index-keyed map, serial or one worker pool, that returns results in
-index order, and the reduction uses exactly rounded sums, so reports are
-identical for any worker count.
+forest j from (master, 1, j). Both kinds of work unit are numbered in one
+sequence, the R replications and then the width forests, and every
+working process takes the next unclaimed index from one shared counter
+until none is left: this process, and at ``workers`` > 1 the children it
+forks once per run. Results are keyed by index, errors are raised in the
+order a serial run meets them, and the reduction uses exactly rounded
+sums, so reports and errors are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import csv
 import io
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -219,21 +223,96 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _work_map(workers: int, g: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConfig):
-    """``map`` over work units by index, results in index order.
+def _work(state, lock, n_replications: int, n_units: int) -> list[tuple[int, bool, object]]:
+    """Run work units by claimed index until none is left; [(index, ok, result or exception)].
 
-    The builtin ``map`` at one process; otherwise ``Pool.map`` of one fork
-    pool of min(workers, usable CPUs) processes.
+    ``state`` is [next index, starved replications, stopped], read and
+    written under ``lock``. Indices below ``n_replications`` are
+    replications, the rest width-reference forests. No width forest is
+    claimed once more than R - 2 replications have starved, since the run
+    then fails, and a unit that raises stops every further claim.
     """
-    processes = min(workers, _usable_cpus())
-    if processes <= 1:
-        _init_worker(g, attrs, cfg)
-        yield map
-        return
+    done = []
+    while True:
+        with lock:
+            i = state[0]
+            if state[2] or i >= n_units or (i >= n_replications and state[1] > n_replications - 2):
+                return done
+            state[0] = i + 1
+        try:
+            value = _replication(i) if i < n_replications else _width_forest(i - n_replications)
+        except Exception as exc:
+            with lock:
+                state[2] = 1
+            done.append((i, False, exc))
+            return done
+        if value is None:
+            with lock:
+                state[1] += 1
+        done.append((i, True, value))
+
+
+def _child(state, lock, n_replications: int, n_units: int, conn) -> None:
+    conn.send(_work(state, lock, n_replications, n_units))
+
+
+def _run_units(cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, workers: int) -> list:
+    """Every claimed unit's (index, ok, result or exception), in no particular order.
+
+    min(workers, usable CPUs) processes run ``_work``: this one and the
+    children it forks. The start method is fork on purpose: the children
+    inherit the graph, the width keys of ``_init_worker`` and the shared
+    counter without pickling any of them, and this process starts no
+    thread before it forks. Where fork does not exist (Windows) the units
+    run in this process alone, with the same results. A child sends its
+    results once, when it runs out of work; one that exits without
+    sending them ends the run with a ``BudgetError``, and no child
+    outlives the call.
+    """
+    R, n_units = cfg.n_replications, cfg.n_replications + cfg.n_width_reference
+    _init_worker(g, attrs, cfg)
+    n_children = min(workers, _usable_cpus()) - 1
+    if n_children < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return _work([0, 0, 0], nullcontext(), R, n_units)
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes, initializer=_init_worker, initargs=(g, attrs, cfg)) as pool:
-        yield pool.map
+    shared = ctx.Array("q", 3)
+    state, lock = shared.get_obj(), shared.get_lock()
+    children, readers = [], {}
+    try:
+        for _ in range(n_children):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(state, lock, R, n_units, writer))
+            child.start()
+            writer.close()  # so that a child that dies leaves its reader at EOF
+            children.append(child)
+            readers[reader] = child
+        done = _work(state, lock, R, n_units)
+        with lock:
+            missing = state[0] - len(done)  # claimed by the children: every claim is final now
+        while missing:
+            for reader in multiprocessing.connection.wait(list(readers)):
+                child = readers.pop(reader)
+                try:
+                    theirs = reader.recv()
+                except EOFError:
+                    child.join()
+                    raise BudgetError(
+                        f"a worker process exited with code {child.exitcode} before sending its results"
+                    ) from None
+                finally:
+                    reader.close()
+                done += theirs
+                missing -= len(theirs)
+        return done
+    finally:
+        # SIGKILL, not SIGTERM: a child that inherited a SIGTERM handler must
+        # not keep this call waiting; one that sent its results has no more to do
+        for child in children:
+            child.kill()
+        for child in children:
+            child.join()
+        for reader in readers:
+            reader.close()
 
 
 def _quantile_width(estimates: np.ndarray, level: float) -> float:
@@ -294,17 +373,24 @@ def run_full(
 ) -> ExperimentReport:
     """Coverage, interval widths against the width reference, and variance bias.
 
-    The R replications run first; the width-reference forests are
-    simulated only when at least 2 of them completed.
+    The R replications are claimed first; no width-reference forest is
+    claimed once more than R - 2 of them have starved. Errors come out as
+    a serial run meets them: the lowest-index replication error, then the
+    starvation ``DataError``, then the lowest-index width-forest error.
     """
     for a in cfg.attributes:
         attrs.column(a)  # fail fast on unknown columns
     cfg.design.validate_for(g)
-    with _work_map(workers, g, attrs, cfg) as work_map:
-        results = list(work_map(_replication, range(cfg.n_replications)))
-        completed = [r for r in results if r is not None]
-        n_excluded = len(results) - len(completed)
-        if len(completed) < 2:
-            raise DataError(f"fewer than 2 completed replications ({n_excluded} starved)")
-        width_ref = np.array(list(work_map(_width_forest, range(cfg.n_width_reference))))
+    R = cfg.n_replications
+    by_index = {i: (ok, value) for i, ok, value in _run_units(cfg, g, attrs, workers)}
+    failed = sorted(i for i, (ok, _) in by_index.items() if not ok)
+    if failed and failed[0] < R:
+        raise by_index[failed[0]][1]
+    completed = [r for r in (by_index[i][1] for i in range(R)) if r is not None]
+    n_excluded = R - len(completed)
+    if len(completed) < 2:
+        raise DataError(f"fewer than 2 completed replications ({n_excluded} starved)")
+    if failed:
+        raise by_index[failed[0]][1]
+    width_ref = np.array([by_index[R + j][1] for j in range(cfg.n_width_reference)])
     return _reduce(cfg, g, attrs, completed, n_excluded, width_ref)

@@ -576,30 +576,35 @@ def test_memory_error_is_a_budget_error(monkeypatch, tmp_path, capsys, argv, exc
     validate_schema(err, "error.schema.json")
 
 
-def _capped_argv(study_files, tmp_path, command):
-    """(argv, cap name, what the command needs under that cap) for a small run of ``command``."""
+def _capped_argv(study_files, tmp_path, case):
+    """(argv, cap name, what the run needs under that cap, flag, cap unit) for a small run of ``case``."""
     tmp, edges, attr_path, g, attrs = study_files
     design = ["--seeds", "3", "--coupons", "3", "--pmf", "1/3,1/6,1/6,1/3", "--n", "40"]
-    if command == "simulate":
+    if case == "simulate":
         return ["simulate", "--edges", edges, *design], "MAX_TAPE_WORDS", rv.simulate._tape_size(
             rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 40)
-        )
-    if command == "bootstrap":
+        ), "--n 40", "words"
+    if case == "bootstrap":
         sim_dir = tmp_path / "sim"
         assert run_cli("simulate", "--edges", edges, *design, "--out", sim_dir) == 0
         argv = ["bootstrap", "--forest", sim_dir / "forest.csv", "--attrs", attr_path, "--attribute", "mix_half",
                 "--method", "tree", "--B", "150"]
-        return argv, "MAX_ESTIMATE_FLOATS", 150
+        return argv, "MAX_ESTIMATE_FLOATS", 150, "--B 150", "floats"
     argv = ["experiment", "--edges", edges, "--attrs", attr_path, "--columns", "mix_half,rare_tenth", *design,
-            "--R", "2", "--B", "150", "--width-ref", "100", "--seed", "1"]
-    return argv, "MAX_ESTIMATE_FLOATS", 2 * 150
+            "--R", "2", "--seed", "1"]
+    if case == "experiment":
+        return [*argv, "--B", "150", "--width-ref", "100"], "MAX_ESTIMATE_FLOATS", 2 * 150, "--B 150", "floats"
+    if case == "experiment-width-ref":
+        # B * columns stays under the cap, W * columns is what reaches it
+        return [*argv, "--B", "50", "--width-ref", "200"], "MAX_ESTIMATE_FLOATS", 2 * 200, "--width-ref 200", "floats"
+    return [*argv, "--B", "20", "--width-ref", "100"], "MAX_REPLICATIONS", 2, "--R 2", "replications"
 
 
-@pytest.mark.parametrize("command", ["simulate", "bootstrap", "experiment"])
-def test_a_size_past_its_cap_stops_before_any_draw(study_files, tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("case", ["simulate", "bootstrap", "experiment", "experiment-width-ref", "experiment-R"])
+def test_a_size_past_its_cap_stops_before_any_draw(study_files, tmp_path, monkeypatch, capsys, case):
     # at the cap the command runs; one past it, it is a BudgetError naming the
     # flag before anything is drawn or allocated
-    argv, cap, need = _capped_argv(study_files, tmp_path, command)
+    argv, cap, need, flag, unit = _capped_argv(study_files, tmp_path, case)
     monkeypatch.setattr(rv.cli, cap, need)
     assert run_cli(*argv, "--out", tmp_path / "at") == 0
     capsys.readouterr()
@@ -613,9 +618,8 @@ def test_a_size_past_its_cap_stops_before_any_draw(study_files, tmp_path, monkey
     assert run_cli(*argv, "--out", tmp_path / "past") == 3
     captured = capsys.readouterr()
     err = json.loads(captured.err)
-    flag = "--n 40" if cap == "MAX_TAPE_WORDS" else "--B 150"
     assert err["error"]["type"] == "BudgetError" and err["error"]["message"].startswith(flag + " needs ")
-    assert err["error"]["message"].endswith(f"past the cap of {need - 1} {'words' if flag == '--n 40' else 'floats'}")
+    assert err["error"]["message"].endswith(f"past the cap of {need - 1} {unit}")
     assert captured.out == ""
     validate_schema(err, "error.schema.json")
 

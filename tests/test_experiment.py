@@ -3,12 +3,15 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 import rdsvar as rv
-from rdsvar.errors import DataError
+from rdsvar import experiment
+from rdsvar.errors import BudgetError, DataError
 from rdsvar.experiment import _init_worker, _quantile_width, _width_forest
 from rdsvar.rng import generator
 
@@ -182,38 +185,114 @@ def test_expected_width_op(small_world):
         assert 0.0 <= width[0.80] <= width[0.95] <= 1.0
 
 
-def test_pool_is_bounded_by_usable_cpus(small_world, monkeypatch):
-    # no process is started: the fake pool maps in this process
+def test_children_are_bounded_by_usable_cpus(small_world, monkeypatch):
+    # no process is started: the fake children run nothing, so this process
+    # claims every unit itself
     g, attrs = small_world
-    asked = []
+    started = []
 
-    class FakePool:
-        def __init__(self, processes, initializer, initargs):
-            asked.append(processes)
-            initializer(*initargs)
+    class FakeProcess:
+        exitcode = None
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+        def start(self):
+            started.append(self)
 
-        def map(self, fn, items):
-            return [fn(i) for i in items]
+        def kill(self):
+            pass
 
-    class FakeContext:
-        Pool = FakePool
+        def join(self):
+            pass
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", FakeProcess)
     cfg = rv.ExperimentConfig(
         design=design_for(g), attributes=("coin",), n_replications=3, n_bootstrap=4,
         master_seed=17, n_width_reference=100,
     )
     rep = rv.run_full(cfg, g, attrs, workers=64)
-    assert asked == [2]  # one pool per run, of min(workers, usable CPUs) processes
+    assert len(started) == 1  # min(workers, usable CPUs) working processes, this one among them
     assert rep.to_json_dict() == rv.run_full(cfg, g, attrs, workers=1).to_json_dict()
+
+
+def test_without_fork_the_units_run_in_this_process(small_world, monkeypatch):
+    # where fork does not exist (Windows), workers > 1 starts no process and
+    # writes the same bytes
+    g, attrs = small_world
+
+    def no_context(method=None):
+        raise AssertionError("asked for a multiprocessing context")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("always", "coin"), n_replications=6, n_bootstrap=12,
+        master_seed=11, n_width_reference=100,
+    )
+    rep = rv.run_full(cfg, g, attrs, workers=2)
+    assert hashlib.sha256(rep.to_csv_text().encode()).hexdigest() == (
+        "2e5e351e290f9bbdf0431f775a334a96f03a582fb35bb605575a9e769c576adf"
+    )
+
+
+@pytest.mark.parametrize("master_seed", [3, 4, 5])
+def test_errors_are_the_same_at_any_worker_count(master_seed):
+    # width forests of this design starve; the run raises the error of the
+    # lowest-index failing forest, as a serial run meets it, whichever
+    # process fails first
+    g, attrs = rv.make_study_population(400, 5)
+    cfg = rv.ExperimentConfig(
+        design=rv.RdsDesign(2, 3, (0.3, 0.2, 0.2, 0.3), 60, reseed_on_death=False),
+        attributes=tuple(attrs.column_names), n_replications=6, n_bootstrap=20,
+        master_seed=master_seed, n_width_reference=300,
+    )
+    with pytest.raises(BudgetError, match="sample starved") as serial:
+        rv.run_full(cfg, g, attrs, workers=1)
+    for _ in range(4):
+        with pytest.raises(BudgetError) as parallel:
+            rv.run_full(cfg, g, attrs, workers=2)
+        assert str(parallel.value) == str(serial.value)
+
+
+def test_a_child_that_dies_ends_the_run(small_world, monkeypatch):
+    # a child that exits without sending its results is a BudgetError naming
+    # its exit code, never a hang, and no process outlives the run
+    g, attrs = small_world
+    if experiment._usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    test_pid = os.getpid()
+    width_forest = experiment._width_forest
+
+    def dies_in_a_child(index):
+        if os.getpid() != test_pid:
+            os._exit(1)
+        time.sleep(0.005)  # leaves the child time to claim a forest
+        return width_forest(index)
+
+    monkeypatch.setattr(experiment, "_width_forest", dies_in_a_child)
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("coin",), n_replications=2, n_bootstrap=4,
+        master_seed=19, n_width_reference=100,
+    )
+
+    def hung(signum, frame):
+        raise TimeoutError("run_full still waits on a dead child")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(BudgetError, match="exited with code 1 before sending its results"):
+            rv.run_full(cfg, g, attrs, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - t0 < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_single_resample_serves_all_attributes(small_world):
