@@ -230,13 +230,11 @@ def test_without_fork_the_units_run_in_this_process(small_world, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_context)
     cfg = rv.ExperimentConfig(
-        design=design_for(g), attributes=("always", "coin"), n_replications=6, n_bootstrap=12,
-        master_seed=11, n_width_reference=100,
+        design=design_for(g), attributes=("coin",), n_replications=3, n_bootstrap=4,
+        master_seed=17, n_width_reference=100,
     )
     rep = rv.run_full(cfg, g, attrs, workers=2)
-    assert hashlib.sha256(rep.to_csv_text().encode()).hexdigest() == (
-        "2e5e351e290f9bbdf0431f775a334a96f03a582fb35bb605575a9e769c576adf"
-    )
+    assert rep.to_csv_text() == rv.run_full(cfg, g, attrs, workers=1).to_csv_text()
 
 
 @pytest.mark.parametrize("master_seed", [3, 4, 5])
