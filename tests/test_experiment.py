@@ -115,6 +115,7 @@ def test_worker_determinism(small_world):
     )
     serial = rv.run_full(cfg, g, attrs, workers=1)
     parallel = rv.run_full(cfg, g, attrs, workers=3)
+    assert multiprocessing.active_children() == []  # no child outlives a run that returns
     assert serial.to_csv_text() == parallel.to_csv_text()
     assert serial.to_json_dict() == parallel.to_json_dict()
 
