@@ -43,9 +43,7 @@ A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
 ``estimators._degree_terms`` (see ``_replicate_terms``). It equals the
 exact estimator of the resample whenever every term and partial sum is an
-integer below 2**53, and can differ in the last bits otherwise. Revisions
-that used float 1/d weights give, at the same seeds, bootstrap values and
-reports that differ from today's in the last digits.
+integer below 2**53, and can differ in the last bits otherwise.
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ until none is left: this process, and at ``workers`` > 1 the children it
 forks once per run. Results are keyed by index, errors are raised in the
 order a serial run meets them, and the reduction uses exactly rounded
 sums, so reports and errors are identical for any worker count.
+Each call builds one frozen run object (graph, attributes, config and
+width keys) and passes it to every work unit; forked children inherit
+it. The module keeps no state between calls, so calls may run at once
+in several threads, and nothing of a run outlives its call.
 """
 
 from __future__ import annotations
@@ -149,33 +153,42 @@ class _RepResult:
     n_truncated: int
 
 
-_WORKER: dict = {}
+@dataclass(frozen=True)
+class _Run:
+    """One ``run_full`` call's inputs, made once per call and passed to every work unit.
+
+    ``width_keys`` is what the width reference groups each forest by:
+    node v's key in attribute j's block is 2 * (rank of v's degree among
+    the graph's distinct degrees) + z_j(v), and a, b are the estimator's
+    terms of those degrees.
+    """
+
+    graph: PopulationGraph
+    attrs: AttributeTable
+    cfg: ExperimentConfig
+    width_keys: tuple[np.ndarray, list[int], list[int]]
 
 
-def _init_worker(graph, attrs, cfg):
-    _WORKER["graph"] = graph
-    _WORKER["attrs"] = attrs
-    _WORKER["cfg"] = cfg
-    # what the width reference groups each forest by, made once per run: node v's key
-    # in attribute j's block is 2 * (rank of v's degree among the graph's distinct
-    # degrees) + z_j(v), and a, b are the estimator's terms of those degrees
+def _make_run(graph: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConfig) -> _Run:
+    """The run's inputs, checked before any draw: columns, table size, then the design."""
+    z = np.stack([attrs.column(name) for name in cfg.attributes])
+    if z.shape[1] != graph.n_nodes:
+        raise DataError("attribute table does not match graph")
+    cfg.design.validate_for(graph)  # before the degree terms, which need every degree >= 1
     rank, a, b = _degree_terms(graph.degree, _ESTIMATOR)
     blocks = 2 * len(a) * np.arange(len(cfg.attributes))
-    z = np.stack([attrs.column(name) for name in cfg.attributes])
-    _WORKER["width_keys"] = (blocks[:, None] + 2 * rank) + z, a, b
+    return _Run(graph, attrs, cfg, ((blocks[:, None] + 2 * rank) + z, a, b))
 
 
-def _replication(index: int) -> _RepResult | None:
+def _replication(run: _Run, index: int) -> _RepResult | None:
     """One replication on substream (master, 0, index); None when its sample starves."""
-    g: PopulationGraph = _WORKER["graph"]
-    attrs: AttributeTable = _WORKER["attrs"]
-    cfg: ExperimentConfig = _WORKER["cfg"]
+    cfg = run.cfg
     rep_root = substream(cfg.master_seed, _REPLICATION_DOMAIN, index)
     try:
-        forest = simulate_rds(g, cfg.design, generator(rep_root, 0))
+        forest = simulate_rds(run.graph, cfg.design, generator(rep_root, 0))
     except BudgetError:
         return None
-    z_cols = {a: attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
+    z_cols = {a: run.attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
     points: dict[str, float] = {}
     boot_var: dict[tuple[str, str], float] = {}
     cis: dict[tuple[str, str, float], tuple[float, float]] = {}
@@ -190,15 +203,13 @@ def _replication(index: int) -> _RepResult | None:
     return _RepResult(points, boot_var, cis, forest.n_reseeds, forest.n_truncated)
 
 
-def _width_forest(index: int) -> tuple[float, ...]:
+def _width_forest(run: _Run, index: int) -> tuple[float, ...]:
     """The estimate of every attribute on one fresh forest, substream (master, 1, index)."""
-    g: PopulationGraph = _WORKER["graph"]
-    cfg: ExperimentConfig = _WORKER["cfg"]
-    forest = simulate_rds(g, cfg.design, generator(cfg.master_seed, _WIDTH_DOMAIN, index))
-    return _width_estimates(forest.node_index)
+    forest = simulate_rds(run.graph, run.cfg.design, generator(run.cfg.master_seed, _WIDTH_DOMAIN, index))
+    return _width_estimates(run, forest.node_index)
 
 
-def _width_estimates(node_index: np.ndarray) -> tuple[float, ...]:
+def _width_estimates(run: _Run, node_index: np.ndarray) -> tuple[float, ...]:
     """The estimate of every attribute over the nodes at ``node_index``, each drawn once.
 
     One ``bincount`` of the nodes' keys gives, per attribute and degree,
@@ -206,7 +217,7 @@ def _width_estimates(node_index: np.ndarray) -> tuple[float, ...]:
     degrees present. The floats are those of ``_estimate`` on the sample,
     bit for bit.
     """
-    keys, a, b = _WORKER["width_keys"]
+    keys, a, b = run.width_keys
     n_attrs, n_degrees = keys.shape[0], len(a)
     counts = np.bincount(np.take(keys, node_index, axis=1).ravel(), minlength=n_attrs * n_degrees * 2)
     counts = counts.reshape(n_attrs, n_degrees, 2)
@@ -223,24 +234,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _work(state, lock, n_replications: int, n_units: int) -> list[tuple[int, bool, object]]:
+def _work(run: _Run, state, lock) -> list[tuple[int, bool, object]]:
     """Run work units by claimed index until none is left; [(index, ok, result or exception)].
 
     ``state`` is [next index, starved replications, stopped], read and
-    written under ``lock``. Indices below ``n_replications`` are
-    replications, the rest width-reference forests. No width forest is
-    claimed once more than R - 2 replications have starved, since the run
-    then fails, and a unit that raises stops every further claim.
+    written under ``lock``. Indices below R are replications, the next W
+    width-reference forests. No width forest is claimed once more than
+    R - 2 replications have starved, since the run then fails, and a unit
+    that raises stops every further claim.
     """
+    R = run.cfg.n_replications
+    n_units = R + run.cfg.n_width_reference
     done = []
     while True:
         with lock:
             i = state[0]
-            if state[2] or i >= n_units or (i >= n_replications and state[1] > n_replications - 2):
+            if state[2] or i >= n_units or (i >= R and state[1] > R - 2):
                 return done
             state[0] = i + 1
         try:
-            value = _replication(i) if i < n_replications else _width_forest(i - n_replications)
+            value = _replication(run, i) if i < R else _width_forest(run, i - R)
         except Exception as exc:
             with lock:
                 state[2] = 1
@@ -252,16 +265,16 @@ def _work(state, lock, n_replications: int, n_units: int) -> list[tuple[int, boo
         done.append((i, True, value))
 
 
-def _child(state, lock, n_replications: int, n_units: int, conn) -> None:
-    conn.send(_work(state, lock, n_replications, n_units))
+def _child(run: _Run, state, lock, conn) -> None:
+    conn.send(_work(run, state, lock))
 
 
-def _run_units(cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable, workers: int) -> list:
+def _run_units(run: _Run, workers: int) -> list:
     """Every claimed unit's (index, ok, result or exception), in no particular order.
 
     min(workers, usable CPUs) processes run ``_work``: this one and the
     children it forks. The start method is fork on purpose: the children
-    inherit the graph, the width keys of ``_init_worker`` and the shared
+    inherit the run object (graph, attributes, width keys) and the shared
     counter without pickling any of them, and this process starts no
     thread before it forks. Where fork does not exist (Windows) the units
     run in this process alone, with the same results. A child sends its
@@ -269,11 +282,9 @@ def _run_units(cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable,
     sending them ends the run with a ``BudgetError``, and no child
     outlives the call.
     """
-    R, n_units = cfg.n_replications, cfg.n_replications + cfg.n_width_reference
-    _init_worker(g, attrs, cfg)
     n_children = min(workers, _usable_cpus()) - 1
     if n_children < 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return _work([0, 0, 0], nullcontext(), R, n_units)
+        return _work(run, [0, 0, 0], nullcontext())
     ctx = multiprocessing.get_context("fork")
     shared = ctx.Array("q", 3)
     state, lock = shared.get_obj(), shared.get_lock()
@@ -281,12 +292,12 @@ def _run_units(cfg: ExperimentConfig, g: PopulationGraph, attrs: AttributeTable,
     try:
         for _ in range(n_children):
             reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(state, lock, R, n_units, writer))
+            child = ctx.Process(target=_child, args=(run, state, lock, writer))
             child.start()
             writer.close()  # so that a child that dies leaves its reader at EOF
             children.append(child)
             readers[reader] = child
-        done = _work(state, lock, R, n_units)
+        done = _work(run, state, lock)
         with lock:
             missing = state[0] - len(done)  # claimed by the children: every claim is final now
         while missing:
@@ -321,28 +332,17 @@ def _quantile_width(estimates: np.ndarray, level: float) -> float:
     return hi - lo
 
 
-def _mean(values) -> float:
-    vals = list(values)
-    return math.fsum(vals) / len(vals)
-
-
-def _reduce(
-    cfg: ExperimentConfig,
-    g: PopulationGraph,
-    attrs: AttributeTable,
-    completed: list[_RepResult],
-    n_excluded: int,
-    width_ref: np.ndarray,
-) -> ExperimentReport:
+def _reduce(run: _Run, completed: list[_RepResult], n_excluded: int, width_ref: np.ndarray) -> ExperimentReport:
     """One row per attribute x method x level; ``width_ref`` holds one column per attribute."""
+    cfg = run.cfg
     R = len(completed)
-    truths = {a: true_proportion(g, attrs, a) for a in cfg.attributes}
+    truths = {a: true_proportion(run.graph, run.attrs, a) for a in cfg.attributes}
     rows = []
     for k, a in enumerate(cfg.attributes):
         mu = truths[a]
         mse = math.fsum((r.points[a] - mu) ** 2 for r in completed) / R
         for method in cfg.methods:
-            mean_var = _mean(r.boot_var[(a, method)] for r in completed)
+            mean_var = math.fsum(r.boot_var[(a, method)] for r in completed) / R
             rel_bias = (mean_var - mse) / mse if mse > 0.0 else None
             for lv in cfg.ci_levels:
                 cis = [r.cis[(a, method, lv)] for r in completed]
@@ -352,7 +352,7 @@ def _reduce(
                         method=method,
                         level=lv,
                         coverage=sum(1 for lo, hi in cis if lo <= mu <= hi) / R,
-                        mean_width=_mean(hi - lo for lo, hi in cis),
+                        mean_width=math.fsum(hi - lo for lo, hi in cis) / R,
                         expected_width=_quantile_width(width_ref[:, k], lv),
                         mean_boot_var=mean_var,
                         mse=mse,
@@ -377,12 +377,12 @@ def run_full(
     claimed once more than R - 2 of them have starved. Errors come out as
     a serial run meets them: the lowest-index replication error, then the
     starvation ``DataError``, then the lowest-index width-forest error.
+    Unknown columns, an attribute table of another size than the graph and
+    a design the graph cannot serve are ``DataError``s before any draw.
     """
-    for a in cfg.attributes:
-        attrs.column(a)  # fail fast on unknown columns
-    cfg.design.validate_for(g)
+    run = _make_run(g, attrs, cfg)
     R = cfg.n_replications
-    by_index = {i: (ok, value) for i, ok, value in _run_units(cfg, g, attrs, workers)}
+    by_index = {i: (ok, value) for i, ok, value in _run_units(run, workers)}
     failed = sorted(i for i, (ok, _) in by_index.items() if not ok)
     if failed and failed[0] < R:
         raise by_index[failed[0]][1]
@@ -393,4 +393,4 @@ def run_full(
     if failed:
         raise by_index[failed[0]][1]
     width_ref = np.array([by_index[R + j][1] for j in range(cfg.n_width_reference)])
-    return _reduce(cfg, g, attrs, completed, n_excluded, width_ref)
+    return _reduce(run, completed, n_excluded, width_ref)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -45,7 +45,6 @@ class PopulationGraph:
     indptr: np.ndarray
     indices: np.ndarray
     duplicates_collapsed: int = 0
-    _id_to_index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.degree = np.diff(self.indptr).astype(np.int64)
@@ -74,14 +73,6 @@ class PopulationGraph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def index_of(self, node_id: str) -> int:
-        if not self._id_to_index:  # built on first use unless the loader passed it
-            self._id_to_index = dict(zip(self.node_ids, range(self.n_nodes)))
-        try:
-            return self._id_to_index[node_id]
-        except KeyError:
-            raise DataError(f"unknown node id: {node_id!r}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PopulationGraph):
@@ -171,12 +162,12 @@ def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> n
     return indices[np.repeat(starts, lengths) + offsets]
 
 
-def _from_keys(node_ids: list[str], keys: np.ndarray, duplicates: int, index=None) -> PopulationGraph:
+def _from_keys(node_ids: list[str], keys: np.ndarray, duplicates: int) -> PopulationGraph:
     """Graph over sorted ``node_ids`` from the distinct keys ``a * n + b`` of its undirected edges {a, b}."""
     a, b = np.divmod(keys, max(len(node_ids), 1))
     a, b = a.astype(np.int32), b.astype(np.int32)
     indptr, indices = _csr(len(node_ids), np.concatenate([a, b]), np.concatenate([b, a]))
-    return PopulationGraph(node_ids, indptr, indices, duplicates, index or {})
+    return PopulationGraph(node_ids, indptr, indices, duplicates)
 
 
 def load_edge_list(path) -> PopulationGraph:
@@ -209,7 +200,7 @@ def load_edge_list(path) -> PopulationGraph:
     ab = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends)).reshape(-1, 2)
     keys = np.sort(ab.min(axis=1) * n + ab.max(axis=1))
     distinct = keys[np.diff(keys, prepend=-1) != 0]
-    return _from_keys(node_ids, distinct, keys.size - distinct.size, index)
+    return _from_keys(node_ids, distinct, keys.size - distinct.size)
 
 
 def _component_labels(g: PopulationGraph) -> tuple[np.ndarray, int]:

@@ -34,8 +34,4 @@ def substream(root: int | np.random.SeedSequence, *keys: int) -> np.random.SeedS
 
 def generator(root: int | np.random.SeedSequence, *keys: int) -> RngStream:
     """A fresh Generator for the named substream."""
-    if keys:
-        return np.random.default_rng(substream(root, *keys))
-    if isinstance(root, np.random.SeedSequence):
-        return np.random.default_rng(root)
-    return np.random.default_rng(np.random.SeedSequence(int(root)))
+    return np.random.default_rng(substream(root, *keys))

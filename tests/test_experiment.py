@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 import rdsvar as rv
 from rdsvar import experiment
 from rdsvar.errors import BudgetError, DataError
-from rdsvar.experiment import _init_worker, _quantile_width, _width_forest
+from rdsvar.experiment import _make_run, _quantile_width, _width_forest
 from rdsvar.rng import generator
 
 
@@ -145,7 +148,7 @@ def _width_forests_equal_vh_estimate(g, attrs, design, n_forests):
         design=design, attributes=tuple(attrs.column_names), n_replications=2, n_bootstrap=2,
         master_seed=778, n_width_reference=100,
     )
-    _init_worker(g, attrs, cfg)
+    run = _make_run(g, attrs, cfg)
     for j in range(n_forests):
         forest = rv.simulate_rds(g, design, generator(cfg.master_seed, 1, j))
         one = np.ones(forest.n, dtype=np.int64)
@@ -153,7 +156,7 @@ def _width_forests_equal_vh_estimate(g, attrs, design, n_forests):
             rv.vh_estimate(rv.WeightedSample(attrs.column(a)[forest.node_index], forest.degree, one))
             for a in cfg.attributes
         )
-        assert _width_forest(j) == expected, j
+        assert _width_forest(run, j) == expected, j
 
 
 def test_width_forests_equal_vh_estimate_on_the_study_population():
@@ -266,11 +269,11 @@ def test_a_child_that_dies_ends_the_run(small_world, monkeypatch):
     test_pid = os.getpid()
     width_forest = experiment._width_forest
 
-    def dies_in_a_child(index):
+    def dies_in_a_child(run, index):
         if os.getpid() != test_pid:
             os._exit(1)
         time.sleep(0.005)  # leaves the child time to claim a forest
-        return width_forest(index)
+        return width_forest(run, index)
 
     monkeypatch.setattr(experiment, "_width_forest", dies_in_a_child)
     cfg = rv.ExperimentConfig(
@@ -292,6 +295,77 @@ def test_a_child_that_dies_ends_the_run(small_world, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - t0 < 10
     assert multiprocessing.active_children() == []
+
+
+def test_concurrent_calls_give_their_serial_reports(small_world):
+    # run_full keeps no state between calls: two threads that run different
+    # configs at once each get the report a call alone gives
+    g, attrs = small_world
+    base = dict(design=design_for(g), n_replications=4, n_bootstrap=10, n_width_reference=100)
+    configs = [
+        rv.ExperimentConfig(attributes=("always", "coin"), master_seed=23, **base),
+        rv.ExperimentConfig(attributes=("coin",), master_seed=24, methods=("tree",), **base),
+    ]
+    serial = [rv.run_full(cfg, g, attrs).to_csv_text() for cfg in configs]
+
+    def hung(signum, frame):
+        raise TimeoutError("concurrent run_full calls did not finish")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        for _ in range(4):
+            out = [None, None]
+            start = threading.Barrier(2)
+
+            def call(k):
+                start.wait()
+                try:
+                    out[k] = rv.run_full(configs[k], g, attrs).to_csv_text()
+                except Exception as exc:
+                    out[k] = exc
+
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert out == serial
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_graph_outlives_the_call(workers):
+    g = rv.generate_configuration_graph(80, rv.PowerLawDegree(2.2, 2, 10), np.random.default_rng(41))
+    g = rv.largest_connected_component(g)
+    attrs = rv.AttributeTable(["coin"], np.random.default_rng(42).integers(0, 2, size=(g.n_nodes, 1)))
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("coin",), n_replications=2, n_bootstrap=4,
+        master_seed=29, n_width_reference=100,
+    )
+    rv.run_full(cfg, g, attrs, workers=workers)
+    graph = weakref.ref(g)
+    del g
+    gc.collect()
+    assert graph() is None
+
+
+def test_a_table_of_another_size_is_a_data_error_before_any_draw(small_world, monkeypatch):
+    g, attrs = small_world
+
+    def draws(*args, **kwargs):
+        raise AssertionError("run_full drew a forest")
+
+    monkeypatch.setattr(experiment, "simulate_rds", draws)
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("coin",), n_replications=2, n_bootstrap=4,
+        master_seed=31, n_width_reference=100,
+    )
+    for values in (attrs.values[:-3], np.vstack([attrs.values, attrs.values[:2]])):
+        with pytest.raises(DataError, match="attribute table does not match graph"):
+            rv.run_full(cfg, g, rv.AttributeTable(attrs.column_names, values))
 
 
 def test_single_resample_serves_all_attributes(small_world):

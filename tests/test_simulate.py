@@ -95,7 +95,7 @@ def test_walk_regime_transition_frequencies(tmp_path):
     for i in range(1, f.n):
         pair = (f.node_id[int(f.parent[i])], f.node_id[i])
         trans[pair] = trans.get(pair, 0) + 1
-        assert g.index_of(pair[1]) in g.neighbors(g.index_of(pair[0]))
+        assert g.node_ids.index(pair[1]) in g.neighbors(g.node_ids.index(pair[0]))
     # uniform kernel: each neighbour with probability 1/2
     for a in "abc":
         out = [trans.get((a, b), 0) for b in "abc" if b != a]
