@@ -313,10 +313,15 @@ def nearest_rank_bounds(values: np.ndarray, level: float) -> tuple[float, float]
     return float(ordered[rank(alpha / 2.0) - 1]), float(ordered[rank(1.0 - alpha / 2.0) - 1])
 
 
-def percentile_ci(dist: BootstrapDistribution, level: float) -> tuple[float, float]:
-    """Nearest-rank percentile interval at the given coverage level."""
+def _check_level(level: float) -> None:
+    """Raise ``DataError`` unless the confidence ``level`` lies strictly between 0 and 1."""
     if not (0.0 < level < 1.0):
         raise DataError(f"confidence level must be in (0, 1), got {level!r}")
+
+
+def percentile_ci(dist: BootstrapDistribution, level: float) -> tuple[float, float]:
+    """Nearest-rank percentile interval at the given coverage level."""
+    _check_level(level)
     if dist.n_replicates < 2:
         raise DataError("need at least 2 bootstrap estimates")
     return nearest_rank_bounds(dist.estimates, level)

@@ -29,6 +29,7 @@ from .bootstrap import (
     POOLS,
     SEED_MODES,
     BootstrapConfig,
+    _check_level,
     bootstrap_distribution,
     bootstrap_variance,
     percentile_ci,
@@ -36,7 +37,7 @@ from .bootstrap import (
 from .errors import BudgetError, DataError, RdsVarError, UsageError
 from .estimators import PopulationTotals
 from .exact import check_moment_identity, enumerate_neighbourhood, enumerate_tree
-from .experiment import ExperimentConfig, run_full
+from .experiment import ExperimentConfig, _row_width, run_full
 from .graph import (
     largest_connected_component,
     load_attributes,
@@ -60,6 +61,9 @@ def write_text_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rdsvar-", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes it 0600; give it the mode a plain open() would
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -230,9 +234,8 @@ def _config_value(action: argparse.Action, key: str, value):
 
 # Upfront caps on the largest arrays a command allocates (README "CLI"); past
 # one, the command stops with a BudgetError (exit 3) before it allocates them
-MAX_ESTIMATE_FLOATS = 2**26  # estimates: B bootstrap or W width-reference floats per attribute column
+MAX_ESTIMATE_FLOATS = 2**26  # B bootstrap or W width-reference floats per attribute column, or R replication rows
 MAX_TAPE_WORDS = 2**25  # simulate_rds's tape of raw 64-bit words for a sample of size n
-MAX_REPLICATIONS = 2**20  # experiment's per-replication results, all held until the reduction
 
 
 def _check_estimates(flag: str, count: int, what: str, columns: int) -> None:
@@ -241,11 +244,6 @@ def _check_estimates(flag: str, count: int, what: str, columns: int) -> None:
             f"{flag} {count} needs {count * columns} {what} estimates ({columns} column(s)), "
             f"past the cap of {MAX_ESTIMATE_FLOATS} floats"
         )
-
-
-def _check_replications(R: int) -> None:
-    if R > MAX_REPLICATIONS:
-        raise BudgetError(f"--R {R} needs {R} replication results, past the cap of {MAX_REPLICATIONS} replications")
 
 
 def _check_tape(design: RdsDesign) -> None:
@@ -362,12 +360,13 @@ def cmd_simulate(cfg: dict) -> list[str]:
 def cmd_bootstrap(cfg: dict) -> list[str]:
     _require(cfg, "method", "B")
     _check_estimates("--B", cfg["B"], "bootstrap", 1)
+    level = cfg["level"] if cfg.get("level") is not None else 0.95
+    _check_level(level)
     forest, z, column = _forest_z(cfg)
     options = _given(cfg, selection_pool="pool", tree_seed_mode="tree_seed_mode", estimator="estimator")
     bc = BootstrapConfig(cfg["method"], cfg["B"], **options)
     totals = _ipw_totals({**cfg, "estimator": bc.estimator})
     dist = bootstrap_distribution(forest, bc, z, totals=totals, root=cfg.get("seed") or 0)
-    level = cfg["level"] if cfg.get("level") is not None else 0.95
     lo, hi = percentile_ci(dist, level)
     variance = bootstrap_variance(dist)
     notes = []
@@ -420,7 +419,7 @@ def cmd_experiment(cfg: dict) -> list[str]:
         raise UsageError("--workers must be at least 1")
     ec = ExperimentConfig(design, columns, cfg["R"], cfg["B"], cfg["seed"], **options)
     design.validate_for(g)
-    _check_replications(ec.n_replications)
+    _check_estimates("--R", ec.n_replications, "replication", _row_width(ec))
     _check_estimates("--B", ec.n_bootstrap, "bootstrap", len(ec.attributes))
     _check_estimates("--width-ref", ec.n_width_reference, "width-reference", len(ec.attributes))
     _check_tape(design)

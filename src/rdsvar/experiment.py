@@ -3,12 +3,10 @@
 ``run_full`` is the one runner. Each replication simulates one RDS sample,
 computes the inverse-degree weighted point estimate per attribute, and
 runs every configured bootstrap method once; a single resample per
-replicate serves all attributes. The width reference is the estimator's
-sampling distribution over fresh forests. A width-reference forest is
-reduced to per-degree counts by one ``bincount`` over keys that each run
-makes once from the graph's distinct degrees and the attributes; its
-estimates are the exact ratios of those counts under the run's degree
-terms, bit for bit the point estimator's floats on the forest.
+replicate serves all attributes. A replication's results are one row of
+floats (``_row_shapes``), and the completed rows one (R, width) array.
+The width reference is the estimator's sampling distribution over fresh
+forests, each reduced to exact estimates by ``_width_estimates``.
 Replication i draws from substream (master, 0, i) and width-reference
 forest j from (master, 1, j). Both kinds of work unit are numbered in one
 sequence, the R replications and then the width forests, and every
@@ -144,15 +142,6 @@ def true_proportion(g: PopulationGraph, attrs: AttributeTable, column: str) -> f
     return float(col.sum()) / g.n_nodes
 
 
-@dataclass
-class _RepResult:
-    points: dict[str, float]
-    boot_var: dict[tuple[str, str], float]
-    cis: dict[tuple[str, str, float], tuple[float, float]]
-    n_reseeds: int
-    n_truncated: int
-
-
 @dataclass(frozen=True)
 class _Run:
     """One ``run_full`` call's inputs, made once per call and passed to every work unit.
@@ -180,8 +169,26 @@ def _make_run(graph: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConf
     return _Run(graph, attrs, cfg, ((blocks[:, None] + 2 * rank) + z, a, b))
 
 
-def _replication(run: _Run, index: int) -> _RepResult | None:
-    """One replication on substream (master, 0, index); None when its sample starves."""
+def _row_shapes(cfg: ExperimentConfig) -> tuple[tuple[int, ...], ...]:
+    """A replication's row: point estimates, bootstrap variances, interval bounds (lo, hi), reseeds and truncations."""
+    A, M, L = len(cfg.attributes), len(cfg.methods), len(cfg.ci_levels)
+    return (A,), (A, M), (A, M, L, 2), (2,)
+
+
+def _row_width(cfg: ExperimentConfig) -> int:
+    """Floats in a replication's row: A (1 + M (1 + 2 L)) + 2 for A attributes, M methods and L levels."""
+    return sum(math.prod(shape) for shape in _row_shapes(cfg))
+
+
+def _row_fields(cfg: ExperimentConfig, rows: np.ndarray) -> list[np.ndarray]:
+    """Views of the fields of ``rows``, whose last axis is a replication's row, shaped as ``_row_shapes``."""
+    shapes = _row_shapes(cfg)
+    parts = np.split(rows, np.cumsum([math.prod(shape) for shape in shapes])[:-1], axis=-1)
+    return [part.reshape(rows.shape[:-1] + shape) for part, shape in zip(parts, shapes)]
+
+
+def _replication(run: _Run, index: int) -> np.ndarray | None:
+    """One replication's row on substream (master, 0, index); None when its sample starves."""
     cfg = run.cfg
     rep_root = substream(cfg.master_seed, _REPLICATION_DOMAIN, index)
     try:
@@ -189,18 +196,18 @@ def _replication(run: _Run, index: int) -> _RepResult | None:
     except BudgetError:
         return None
     z_cols = {a: run.attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
-    points: dict[str, float] = {}
-    boot_var: dict[tuple[str, str], float] = {}
-    cis: dict[tuple[str, str, float], tuple[float, float]] = {}
-    for method in cfg.methods:
+    row = np.empty(_row_width(cfg))
+    points, boot_var, cis, counts = _row_fields(cfg, row)
+    for m, method in enumerate(cfg.methods):
         bc = BootstrapConfig(method, cfg.n_bootstrap, estimator=_ESTIMATOR)
         dists = bootstrap_distributions(forest, bc, z_cols, root=substream(rep_root, _METHOD_KEY[method]))
-        for a, dist in dists.items():
-            points[a] = dist.estimator_on_original  # the point estimate, the same for every method
-            boot_var[(a, method)] = bootstrap_variance(dist)
-            for lv in cfg.ci_levels:
-                cis[(a, method, lv)] = percentile_ci(dist, lv)
-    return _RepResult(points, boot_var, cis, forest.n_reseeds, forest.n_truncated)
+        for k, a in enumerate(cfg.attributes):
+            points[k] = dists[a].estimator_on_original  # the point estimate, the same for every method
+            boot_var[k, m] = bootstrap_variance(dists[a])
+            for j, lv in enumerate(cfg.ci_levels):
+                cis[k, m, j] = percentile_ci(dists[a], lv)
+    counts[:] = forest.n_reseeds, forest.n_truncated
+    return row
 
 
 def _width_forest(run: _Run, index: int) -> tuple[float, ...]:
@@ -332,27 +339,28 @@ def _quantile_width(estimates: np.ndarray, level: float) -> float:
     return hi - lo
 
 
-def _reduce(run: _Run, completed: list[_RepResult], n_excluded: int, width_ref: np.ndarray) -> ExperimentReport:
-    """One row per attribute x method x level; ``width_ref`` holds one column per attribute."""
+def _reduce(run: _Run, completed: np.ndarray, n_excluded: int, width_ref: np.ndarray) -> ExperimentReport:
+    """One report row per attribute x method x level; ``completed`` holds rows in index order, ``width_ref`` columns."""
     cfg = run.cfg
     R = len(completed)
+    points, boot_var, cis, counts = _row_fields(cfg, completed)
     truths = {a: true_proportion(run.graph, run.attrs, a) for a in cfg.attributes}
     rows = []
     for k, a in enumerate(cfg.attributes):
         mu = truths[a]
-        mse = math.fsum((r.points[a] - mu) ** 2 for r in completed) / R
-        for method in cfg.methods:
-            mean_var = math.fsum(r.boot_var[(a, method)] for r in completed) / R
+        mse = math.fsum((p - mu) ** 2 for p in points[:, k].tolist()) / R
+        for m, method in enumerate(cfg.methods):
+            mean_var = math.fsum(boot_var[:, k, m].tolist()) / R
             rel_bias = (mean_var - mse) / mse if mse > 0.0 else None
-            for lv in cfg.ci_levels:
-                cis = [r.cis[(a, method, lv)] for r in completed]
+            for j, lv in enumerate(cfg.ci_levels):
+                bounds = cis[:, k, m, j].tolist()
                 rows.append(
                     ReportRow(
                         attribute=a,
                         method=method,
                         level=lv,
-                        coverage=sum(1 for lo, hi in cis if lo <= mu <= hi) / R,
-                        mean_width=math.fsum(hi - lo for lo, hi in cis) / R,
+                        coverage=sum(1 for lo, hi in bounds if lo <= mu <= hi) / R,
+                        mean_width=math.fsum(hi - lo for lo, hi in bounds) / R,
                         expected_width=_quantile_width(width_ref[:, k], lv),
                         mean_boot_var=mean_var,
                         mse=mse,
@@ -362,8 +370,8 @@ def _reduce(run: _Run, completed: list[_RepResult], n_excluded: int, width_ref: 
     diagnostics = {
         "completed_replications": R,
         "excluded_starved": n_excluded,
-        "total_reseeds": sum(r.n_reseeds for r in completed),
-        "total_truncated_recruits": sum(r.n_truncated for r in completed),
+        "total_reseeds": int(counts[:, 0].sum()),
+        "total_truncated_recruits": int(counts[:, 1].sum()),
     }
     return ExperimentReport(rows, truths, diagnostics, asdict(cfg))
 
@@ -386,7 +394,7 @@ def run_full(
     failed = sorted(i for i, (ok, _) in by_index.items() if not ok)
     if failed and failed[0] < R:
         raise by_index[failed[0]][1]
-    completed = [r for r in (by_index[i][1] for i in range(R)) if r is not None]
+    completed = np.array([row for row in (by_index[i][1] for i in range(R)) if row is not None])
     n_excluded = R - len(completed)
     if len(completed) < 2:
         raise DataError(f"fewer than 2 completed replications ({n_excluded} starved)")

@@ -590,14 +590,18 @@ def _capped_argv(study_files, tmp_path, case):
         argv = ["bootstrap", "--forest", sim_dir / "forest.csv", "--attrs", attr_path, "--attribute", "mix_half",
                 "--method", "tree", "--B", "150"]
         return argv, "MAX_ESTIMATE_FLOATS", 150, "--B 150", "floats"
+    R = 10 if case == "experiment-R" else 2
     argv = ["experiment", "--edges", edges, "--attrs", attr_path, "--columns", "mix_half,rare_tenth", *design,
-            "--R", "2", "--seed", "1"]
+            "--R", R, "--seed", "1"]
     if case == "experiment":
         return [*argv, "--B", "150", "--width-ref", "100"], "MAX_ESTIMATE_FLOATS", 2 * 150, "--B 150", "floats"
     if case == "experiment-width-ref":
         # B * columns stays under the cap, W * columns is what reaches it
         return [*argv, "--B", "50", "--width-ref", "200"], "MAX_ESTIMATE_FLOATS", 2 * 200, "--width-ref 200", "floats"
-    return [*argv, "--B", "20", "--width-ref", "100"], "MAX_REPLICATIONS", 2, "--R 2", "replications"
+    # R rows of the layout's width reach the cap; B * columns = 40 and W * columns = 200 stay under it
+    ec = rv.ExperimentConfig(rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 40), ("mix_half", "rare_tenth"), R, 20, 1)
+    return [*argv, "--B", "20", "--width-ref", "100"], "MAX_ESTIMATE_FLOATS", R * rv.experiment._row_width(ec), \
+        f"--R {R}", "floats"
 
 
 @pytest.mark.parametrize("case", ["simulate", "bootstrap", "experiment", "experiment-width-ref", "experiment-R"])
@@ -622,6 +626,56 @@ def test_a_size_past_its_cap_stops_before_any_draw(study_files, tmp_path, monkey
     assert err["error"]["message"].endswith(f"past the cap of {need - 1} {unit}")
     assert captured.out == ""
     validate_schema(err, "error.schema.json")
+
+
+def test_the_replication_cap_counts_every_level(study_files, tmp_path, monkeypatch, capsys):
+    # a row holds 2 columns x (1 point + 2 methods x (1 variance + 2 bounds x L levels)) + 2 counts:
+    # 16 floats at one level, 24 at two, so 20 rows fit a cap of 320 at one level only
+    tmp, edges, attr_path, g, attrs = study_files
+    argv = ["experiment", "--edges", edges, "--attrs", attr_path, "--columns", "mix_half,rare_tenth", "--seeds", "3",
+            "--coupons", "3", "--pmf", "1/3,1/6,1/6,1/3", "--n", "40", "--seed", "1", "--R", "20", "--B", "20",
+            "--width-ref", "100"]
+    monkeypatch.setattr(rv.cli, "MAX_ESTIMATE_FLOATS", 320)
+    assert run_cli(*argv, "--levels", "0.9", "--out", tmp_path / "one") == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--levels", "0.9,0.8", "--out", tmp_path / "two") == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {
+        "type": "BudgetError",
+        "message": "--R 20 needs 480 replication estimates (24 column(s)), past the cap of 320 floats",
+        "exit_code": 3,
+    }
+
+
+def test_a_bad_bootstrap_level_stops_before_any_draw(study_files, tmp_path, monkeypatch, capsys):
+    tmp, edges, attr_path, g, attrs = study_files
+    sim_dir = tmp_path / "sim"
+    assert run_cli("simulate", "--edges", edges, "--seeds", "3", "--coupons", "3", "--pmf", "1/3,1/6,1/6,1/3",
+                   "--n", "40", "--out", sim_dir) == 0
+    capsys.readouterr()
+
+    def drew(*args, **kwargs):
+        raise AssertionError("drew with a bad level")
+
+    monkeypatch.setattr(rv.cli, "bootstrap_distribution", drew)
+    assert run_cli("bootstrap", "--forest", sim_dir / "forest.csv", "--attrs", attr_path, "--attribute", "mix_half",
+                   "--method", "tree", "--B", "100", "--level", "1.5", "--out", tmp_path / "boot") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {
+        "type": "DataError", "message": "confidence level must be in (0, 1), got 1.5", "exit_code": 2,
+    }
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct)
+def test_outputs_honour_the_umask(study_files, tmp_path, umask, mode):
+    # as a plain open() would create them: 0o666 less the umask
+    old = os.umask(umask)
+    try:
+        assert run_cli("ingest", "--edges", study_files[1], "--out", tmp_path) == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "load_summary.json").stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["load_summary.json"]
 
 
 @pytest.mark.parametrize(
