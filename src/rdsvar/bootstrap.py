@@ -20,7 +20,9 @@ per distinct k among its recruiters, over all of them and all replicates
 at once (``RecruitmentForest.recruiter_groups``), and a recruiter with one
 recruit copies its count without a draw -- the same random object as the
 recursive description, grouped by node and wave. The single-sample
-resamplers are the kernels at batch size 1.
+resamplers are the kernels at batch size 1. ``mc_bootstrap_moments``
+makes the kernels' draws for its single stream ``MC_CHUNK`` replicates at
+a time (``_mc_sums``), so that a large B holds no float64 count matrix.
 
 Multiplicities are accumulated rather than materializing duplicate
 records. A bootstrap distribution draws its replicates in blocks of
@@ -76,6 +78,7 @@ POOLS = ("recruiters_only", "all_participants")
 SEED_MODES = ("with_replacement", "without_replacement")
 ESTIMATORS = ("sample_mean", "vh", "ipw")
 BLOCK = 100  # replicates per keyed substream in bootstrap_distributions
+MC_CHUNK = 1 << 13  # replicates per draw in mc_bootstrap_moments
 
 
 def _check_option(what: str, value, allowed: tuple[str, ...]) -> None:
@@ -349,6 +352,50 @@ class MonteCarloMoments:
     n_replicates: int
 
 
+def _mc_sums(forest: RecruitmentForest, cfg: BootstrapConfig, rng: RngStream, terms: np.ndarray) -> np.ndarray:
+    """``terms @ _counts(forest, cfg, rng, B).T``, shape (len(terms), B), ``MC_CHUNK`` replicates at a time.
+
+    A bounded draw or a multinomial over a run of replicates continues the
+    stream where the last run stopped, so these are the kernels' draws and
+    bits: the neighbourhood kernel runs on successive runs (all_participants
+    in one batch, as it redraws after the whole batch), and the tree counts
+    are drawn one recruiter and one run at a time, the kernel's (m, size)
+    trials in C order, into the smallest unsigned type that holds any count.
+    Each run is cast to float64 for the kernel's product.
+    """
+    B = cfg.n_replicates
+    sums = np.empty((len(terms), B))
+    if cfg.method == "neighbourhood":
+        step = B if cfg.selection_pool == "all_participants" else MC_CHUNK
+        for lo in range(0, B, step):
+            sums[:, lo : lo + step] = terms @ _counts(forest, cfg, rng, min(step, B - lo)).T
+        return sums
+    seeds = forest.seed_entries()
+    s = int(seeds.size)
+    drawn = cfg.tree_seed_mode == "with_replacement" and s > 1
+    # a count is at most s times the recruit counts on the path from its seed
+    most = np.ones(forest.n)
+    most[seeds] = s
+    for recruiters, recruits in forest.recruiter_groups():
+        most[recruits] = most[recruiters, None] * recruits.shape[1]
+    counts = np.empty((forest.n, B), dtype=np.min_scalar_type(int(min(most.max(), 2.0**63))))
+    for lo in range(0, B, MC_CHUNK):
+        size = min(MC_CHUNK, B - lo)
+        counts[seeds, lo : lo + size] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T if drawn else 1
+    for recruiters, recruits in forest.recruiter_groups():
+        k = recruits.shape[1]
+        if k == 1:
+            counts[recruits[:, 0]] = counts[recruiters]
+            continue
+        for recruiter, kids in zip(recruiters.tolist(), recruits):
+            for lo in range(0, B, MC_CHUNK):
+                trials = counts[recruiter, lo : lo + MC_CHUNK].astype(np.int64) * k
+                counts[kids, lo : lo + MC_CHUNK] = rng.multinomial(trials, np.full(k, 1.0 / k)).T
+    for lo in range(0, B, MC_CHUNK):
+        sums[:, lo : lo + MC_CHUNK] = terms @ counts[:, lo : lo + MC_CHUNK].astype(np.float64)
+    return sums
+
+
 def mc_bootstrap_moments(
     forest: RecruitmentForest,
     z,
@@ -370,9 +417,8 @@ def mc_bootstrap_moments(
     """
     cfg = BootstrapConfig(method, B, pool, seed_mode, estimator)
     nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
-    counts = _counts(forest, cfg, rng, B)
-    # one float64 matrix product; the moments are then taken in place in its output
-    den_sums, est = np.stack([den, nums["z"]]) @ counts.T
+    # the moments are taken in place in the (2, B) sums
+    den_sums, est = _mc_sums(forest, cfg, rng, np.stack([den, nums["z"]]))
     est /= den_sums
     mean = float(est.mean())
     est -= mean  # centred

@@ -1,12 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
-from rdsvar.bootstrap import BLOCK, _nb_counts, _replicate_terms, _tree_counts
-from rdsvar import exact
+from rdsvar.bootstrap import BLOCK, _counts, _nb_counts, _replicate_terms, _tree_counts
+from rdsvar import bootstrap, exact
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
 from rdsvar.rng import generator
@@ -410,6 +412,60 @@ def test_float64_counts_give_the_int64_products_bits():
         assert rng.bit_generator.state == ref.bit_generator.state
         ws = rv.tree_resample(forest, cols["rare_tenth"], generator(7, i), mode)
         assert ws.multiplicity.dtype == np.int64
+
+
+def _one_batch_moments(forest, z, cfg, rng):
+    """Monte Carlo (mean, variance) from one ``_counts`` batch of all B replicates and one product."""
+    nums, den = _replicate_terms(forest, cfg, None, {"z": z})
+    den_sums, est = np.stack([den, nums["z"]]) @ _counts(forest, cfg, rng, cfg.n_replicates).T
+    est /= den_sums
+    centered = est - float(est.mean())
+    return float(est.mean()), float((centered @ centered) / (cfg.n_replicates - 1))
+
+
+def test_monte_carlo_runs_make_the_one_batch_draws_and_bits(monkeypatch):
+    # B = 30 in runs of 7 replicates: the draws, the generator's state after
+    # them and every bit of the moments are those of one batch of B, also
+    # where large degrees make the float terms and sums inexact
+    monkeypatch.setattr(bootstrap, "MC_CHUNK", 7)
+    rng = np.random.default_rng(31)
+    for j in range(40):
+        forest, z = random_tiny_forest(rng, max_recruits=3)
+        if j % 2:
+            forest = dataclasses.replace(forest, degree=rng.integers(1, 10**6, size=forest.n))
+        for method, pool, seed_mode in (
+            ("neighbourhood", "recruiters_only", "with_replacement"),
+            ("neighbourhood", "all_participants", "with_replacement"),
+            ("tree", "recruiters_only", "with_replacement"),
+            ("tree", "recruiters_only", "without_replacement"),
+        ):
+            for estimator in ("sample_mean", "vh"):
+                mc_rng, ref = generator(32, j), generator(32, j)
+                mm = rv.mc_bootstrap_moments(forest, z, method, estimator, 30, mc_rng, pool, seed_mode)
+                cfg = rv.BootstrapConfig(method, 30, pool, seed_mode, estimator)
+                assert (mm.mean, mm.variance) == _one_batch_moments(forest, z, cfg, ref)
+                assert mc_rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("method", ["neighbourhood", "tree"])
+def test_monte_carlo_holds_no_count_matrix_of_all_replicates(method):
+    # 13 entries at B = 100000: the float64 count matrix of all replicates
+    # alone is 10.4 MB, and its draws and gathers came on top of it
+    forest = rv.RecruitmentForest(
+        node_id=[f"n{i}" for i in range(13)],
+        node_index=np.full(13, -1),
+        parent=[-1, -1, 0, 0, 1, 2, 2, 3, 4, 4, 5, 7, 7],
+        degree=np.arange(1, 14),
+    )
+    z = np.arange(13) % 2
+    rv.mc_bootstrap_moments(forest, z, method, "vh", 2, generator(1))  # warm the forest's caches
+    tracemalloc.start()
+    try:
+        rv.mc_bootstrap_moments(forest, z, method, "vh", 100_000, generator(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 100_000 * 8
 
 
 def test_balanced_closed_forms_equal_enumeration():
