@@ -20,9 +20,10 @@ per distinct k among its recruiters, over all of them and all replicates
 at once (``RecruitmentForest.recruiter_groups``), and a recruiter with one
 recruit copies its count without a draw -- the same random object as the
 recursive description, grouped by node and wave. The single-sample
-resamplers are the kernels at batch size 1. ``mc_bootstrap_moments``
-makes the kernels' draws for its single stream ``MC_CHUNK`` replicates at
-a time (``_mc_sums``), so that a large B holds no float64 count matrix.
+resamplers are the kernels at batch size 1. A kernel draws at most
+``MC_CHUNK`` at a time: a bounded draw or a multinomial over a run
+continues the stream where the last run stopped, so any batch (the B of
+``mc_bootstrap_moments`` included) has the draws of one call.
 
 Multiplicities are accumulated rather than materializing duplicate
 records. A bootstrap distribution draws its replicates in blocks of
@@ -31,15 +32,12 @@ the derived substream (root, k). The last block is drawn in full and
 truncated, so replicate b never depends on B, and the blocks can run in
 any order or split across workers without changing the result.
 
-Count matrices are float64, the dtype of the products that consume them.
-Their integer counts are exact below 2**53: a neighbourhood count is at
-most n_r, and a tree count at most s times the product of the recruit
-counts on the path from the entry's seed. The tree kernel keeps its
-counts in float64 and casts to int64 only the trial counts that
-``multinomial`` needs; the neighbourhood kernel's counts are cast once
-per batch. ``bootstrap_distributions`` makes one C-ordered float64 copy
-of each block for all of its products: the buffer that numpy would make
-for each product of int64 counts, so the replicates keep their bits.
+Counts are held in the smallest unsigned type that holds any count: a
+neighbourhood count is at most n_r, and a tree count at most s times
+k_max to the power of the deepest wave. Each consumer casts them to
+float64, exact below 2**53: ``bootstrap_distributions`` one C-ordered
+copy per block, the buffer numpy would make for each product of int64
+counts, so the replicates keep their bits.
 
 A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
@@ -78,7 +76,7 @@ POOLS = ("recruiters_only", "all_participants")
 SEED_MODES = ("with_replacement", "without_replacement")
 ESTIMATORS = ("sample_mean", "vh", "ipw")
 BLOCK = 100  # replicates per keyed substream in bootstrap_distributions
-MC_CHUNK = 1 << 13  # replicates per draw in mc_bootstrap_moments
+MC_CHUNK = 1 << 13  # replicates (neighbourhood) or trials (tree) per kernel draw; replicates per cast in the MC sums
 
 
 def _check_option(what: str, value, allowed: tuple[str, ...]) -> None:
@@ -130,26 +128,33 @@ def _nb_pool(forest: RecruitmentForest, pool: str) -> tuple[np.ndarray, int]:
     return np.arange(forest.n, dtype=np.int64), n_r
 
 
+def _nb_draw(rng: RngStream, p: int, n_r: int, size: int) -> np.ndarray:
+    """Counts over p slots of n_r uniform draws for each of ``size`` replicates, ``MC_CHUNK`` replicates at a time."""
+    counts = np.empty((size, p), dtype=np.min_scalar_type(n_r))
+    for lo in range(0, size, MC_CHUNK):
+        draws = rng.integers(0, p, size=(min(MC_CHUNK, size - lo), n_r))
+        draws += np.arange(draws.shape[0], dtype=np.int64)[:, None] * p
+        counts[lo : lo + MC_CHUNK] = np.bincount(draws.ravel(), minlength=draws.shape[0] * p).reshape(-1, p)
+    return counts
+
+
 def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw counts over the pool for ``size`` replicates, shape (size, p).
 
     Replicates whose drawn individuals have no recruits at all (possible
-    only with the all_participants pool) are redrawn, i.e. the bootstrap
-    law is conditioned on producing at least one observation.
+    only with the all_participants pool) are redrawn after the whole
+    batch, i.e. the bootstrap law is conditioned on producing at least
+    one observation.
     """
     pool_entries, n_r = _nb_pool(forest, pool)
     p = int(pool_entries.size)
-    kids = forest.out_degree()[pool_entries]
-    draws = rng.integers(0, p, size=(size, n_r))
-    draws += np.arange(size, dtype=np.int64)[:, None] * p
-    counts = np.bincount(draws.ravel(), minlength=size * p).reshape(size, p)
+    counts = _nb_draw(rng, p, n_r, size)
     if pool == "all_participants":
-        empty = counts @ kids == 0
+        recruiting = forest.out_degree()[pool_entries] > 0
+        empty = ~counts[:, recruiting].any(axis=1)
         while empty.any():
-            redraw = rng.integers(0, p, size=(int(empty.sum()), n_r))
-            redraw += np.arange(redraw.shape[0], dtype=np.int64)[:, None] * p
-            counts[empty] = np.bincount(redraw.ravel(), minlength=redraw.shape[0] * p).reshape(-1, p)
-            empty = counts @ kids == 0
+            counts[empty] = _nb_draw(rng, p, n_r, int(empty.sum()))
+            empty = ~counts[:, recruiting].any(axis=1)
     return counts, pool_entries
 
 
@@ -182,29 +187,36 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
     """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n).
 
     The counts are held entry-major, so every gather and scatter is a
-    contiguous row, and returned as the transposed view. They are float64
-    integers (see the module docstring); only the trial counts passed to
-    ``multinomial`` are cast to int64.
+    contiguous row, and returned as the transposed view. Each group's
+    (m, size) multinomial trials are drawn in C order, at most
+    ``MC_CHUNK`` at a time: a run of recruiter rows, or a run of one
+    row's columns when ``size`` exceeds ``MC_CHUNK``.
     """
     seeds = forest.seed_entries()
     s = int(seeds.size)
-    counts = np.zeros((forest.n, size), dtype=np.float64)
+    # a count is at most s times the recruit counts on the path from its seed, each at most k_max
+    most = s * int(forest.out_degree().max(initial=1)) ** int(forest.wave.max(initial=0))
+    counts = np.zeros((forest.n, size), dtype=np.min_scalar_type(min(most, 2**63)))
     if seed_mode == "with_replacement" and s > 1:
-        counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
+        for lo in range(0, size, MC_CHUNK):
+            counts[seeds, lo : lo + MC_CHUNK] = rng.multinomial(s, np.full(s, 1.0 / s), size=min(MC_CHUNK, size - lo)).T
     else:
         # a lone seed drawn with replacement is drawn once: a one-category
         # multinomial uses no randomness, like the k == 1 copy below
         counts[seeds] = 1
+    rows = max(1, MC_CHUNK // size)
     for recruiters, recruits in forest.recruiter_groups():
         k = recruits.shape[1]
         if k == 1:
             counts[recruits[:, 0]] = counts[recruiters]
-        else:
-            # (m, size, k): row (j, b) splits recruiter j's k * count draws over its k recruits
-            trials = counts[recruiters].astype(np.int64)
-            trials *= k
-            draws = rng.multinomial(trials, np.full(k, 1.0 / k))
-            counts[recruits] = draws.transpose(0, 2, 1)
+            continue
+        for i in range(0, recruiters.size, rows):
+            for lo in range(0, size, MC_CHUNK):
+                # (rows, columns, k): trial (j, b) splits recruiter j's k * count draws over its k recruits
+                trials = counts[recruiters[i : i + rows], lo : lo + MC_CHUNK].astype(np.int64)
+                trials *= k
+                draws = rng.multinomial(trials, np.full(k, 1.0 / k))
+                counts[recruits[i : i + rows], lo : lo + MC_CHUNK] = draws.transpose(0, 2, 1)
     return counts.T
 
 
@@ -222,9 +234,9 @@ def tree_resample(
 
 
 def _counts(forest: RecruitmentForest, cfg: BootstrapConfig, rng: RngStream, size: int) -> np.ndarray:
-    """The configured method's float64 count matrix for ``size`` replicates, shape (size, p)."""
+    """The configured method's unsigned count matrix for ``size`` replicates, shape (size, p)."""
     if cfg.method == "neighbourhood":
-        return _nb_counts(forest, cfg.selection_pool, rng, size)[0].astype(np.float64)
+        return _nb_counts(forest, cfg.selection_pool, rng, size)[0]
     return _tree_counts(forest, cfg.tree_seed_mode, rng, size)
 
 
@@ -276,8 +288,8 @@ def bootstrap_distributions(
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
     for k in range(-(-B // BLOCK)):
-        # one C-ordered copy serves every product: the buffer numpy would make for each one
-        counts = np.ascontiguousarray(_counts(forest, cfg, generator(root, k), BLOCK))
+        # one C-ordered float64 copy serves every product: the buffer numpy would make for each one
+        counts = np.ascontiguousarray(_counts(forest, cfg, generator(root, k), BLOCK), dtype=np.float64)
         lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
         # evaluate the full block, so that no replicate depends on B
         den_sums = counts @ den
@@ -352,50 +364,6 @@ class MonteCarloMoments:
     n_replicates: int
 
 
-def _mc_sums(forest: RecruitmentForest, cfg: BootstrapConfig, rng: RngStream, terms: np.ndarray) -> np.ndarray:
-    """``terms @ _counts(forest, cfg, rng, B).T``, shape (len(terms), B), ``MC_CHUNK`` replicates at a time.
-
-    A bounded draw or a multinomial over a run of replicates continues the
-    stream where the last run stopped, so these are the kernels' draws and
-    bits: the neighbourhood kernel runs on successive runs (all_participants
-    in one batch, as it redraws after the whole batch), and the tree counts
-    are drawn one recruiter and one run at a time, the kernel's (m, size)
-    trials in C order, into the smallest unsigned type that holds any count.
-    Each run is cast to float64 for the kernel's product.
-    """
-    B = cfg.n_replicates
-    sums = np.empty((len(terms), B))
-    if cfg.method == "neighbourhood":
-        step = B if cfg.selection_pool == "all_participants" else MC_CHUNK
-        for lo in range(0, B, step):
-            sums[:, lo : lo + step] = terms @ _counts(forest, cfg, rng, min(step, B - lo)).T
-        return sums
-    seeds = forest.seed_entries()
-    s = int(seeds.size)
-    drawn = cfg.tree_seed_mode == "with_replacement" and s > 1
-    # a count is at most s times the recruit counts on the path from its seed
-    most = np.ones(forest.n)
-    most[seeds] = s
-    for recruiters, recruits in forest.recruiter_groups():
-        most[recruits] = most[recruiters, None] * recruits.shape[1]
-    counts = np.empty((forest.n, B), dtype=np.min_scalar_type(int(min(most.max(), 2.0**63))))
-    for lo in range(0, B, MC_CHUNK):
-        size = min(MC_CHUNK, B - lo)
-        counts[seeds, lo : lo + size] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T if drawn else 1
-    for recruiters, recruits in forest.recruiter_groups():
-        k = recruits.shape[1]
-        if k == 1:
-            counts[recruits[:, 0]] = counts[recruiters]
-            continue
-        for recruiter, kids in zip(recruiters.tolist(), recruits):
-            for lo in range(0, B, MC_CHUNK):
-                trials = counts[recruiter, lo : lo + MC_CHUNK].astype(np.int64) * k
-                counts[kids, lo : lo + MC_CHUNK] = rng.multinomial(trials, np.full(k, 1.0 / k)).T
-    for lo in range(0, B, MC_CHUNK):
-        sums[:, lo : lo + MC_CHUNK] = terms @ counts[:, lo : lo + MC_CHUNK].astype(np.float64)
-    return sums
-
-
 def mc_bootstrap_moments(
     forest: RecruitmentForest,
     z,
@@ -417,8 +385,14 @@ def mc_bootstrap_moments(
     """
     cfg = BootstrapConfig(method, B, pool, seed_mode, estimator)
     nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
+    terms = np.stack([den, nums["z"]])
+    counts = _counts(forest, cfg, rng, B)
+    sums = np.empty((2, B))
+    for lo in range(0, B, MC_CHUNK):
+        # a run's float64 copy at a time, so no float64 count matrix of all B is held
+        sums[:, lo : lo + MC_CHUNK] = terms @ counts[lo : lo + MC_CHUNK].T.astype(np.float64)
     # the moments are taken in place in the (2, B) sums
-    den_sums, est = _mc_sums(forest, cfg, rng, np.stack([den, nums["z"]]))
+    den_sums, est = sums
     est /= den_sums
     mean = float(est.mean())
     est -= mean  # centred

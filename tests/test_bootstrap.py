@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -340,7 +341,7 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
         counts = _tree_counts(forest, mode, generator(70, i), B)
         for z in (attrs.column("rare_tenth")[forest.node_index], np.ones(forest.n, dtype=np.int64)):
             mean, var = _tree_linear_moments(forest, z, mode)
-            S = (counts @ z).astype(np.float64)
+            S = (counts.astype(np.int64) @ z).astype(np.float64)
             centered = S - S.mean()
             mc_var = float(centered @ centered) / (B - 1)
             se_mean = (mc_var / B) ** 0.5
@@ -350,7 +351,7 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
 
 
 def _int64_tree_counts(forest, seed_mode, rng, size):
-    """The tree kernel with int64 counts: the same draws, as a reference for the float64 kernel."""
+    """The tree kernel in int64 with one multinomial per group, a reference for its unsigned counts drawn in runs."""
     seeds = forest.seed_entries()
     s = int(seeds.size)
     counts = np.zeros((forest.n, size), dtype=np.int64)
@@ -368,7 +369,7 @@ def _int64_tree_counts(forest, seed_mode, rng, size):
     return counts.T
 
 
-def test_float64_counts_give_the_int64_products_bits():
+def test_unsigned_counts_give_the_int64_products_bits(monkeypatch):
     # a desk-size forest whose degree lcm is above 2**53, so its float terms
     # and their sums are inexact: casting a block's counts once must leave
     # every replicate as the int64 count matrix times the terms gave it
@@ -386,7 +387,8 @@ def test_float64_counts_give_the_int64_products_bits():
                 counts = _int64_tree_counts(forest, cfg.tree_seed_mode, generator(5, k), BLOCK)
             else:
                 counts = _nb_counts(forest, cfg.selection_pool, generator(5, k), BLOCK)[0]
-            assert counts.dtype == np.int64
+                assert counts.dtype.kind == "u"
+                counts = counts.astype(np.int64)
             lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
             den_sums = counts @ den
             for name, num in nums.items():
@@ -407,27 +409,40 @@ def test_float64_counts_give_the_int64_products_bits():
     for i, mode in enumerate(("with_replacement", "without_replacement")):
         rng, ref = generator(6, i), generator(6, i)
         counts = _tree_counts(forest, mode, rng, 300)
-        assert counts.dtype == np.float64 and (counts == np.floor(counts)).all()
+        assert counts.dtype.kind == "u"
         assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, 300))
         assert rng.bit_generator.state == ref.bit_generator.state
         ws = rv.tree_resample(forest, cols["rare_tenth"], generator(7, i), mode)
         assert ws.multiplicity.dtype == np.int64
+    # runs of 7 trials on tiny forests: a group's draws split into runs of
+    # recruiter rows (sizes 1 to 3) or of one row's columns (sizes 8 and 30)
+    monkeypatch.setattr(bootstrap, "MC_CHUNK", 7)
+    rng = np.random.default_rng(41)
+    for j in range(40):
+        forest = random_tiny_forest(rng, max_recruiters=12, max_recruits=3)[0]
+        for size in (1, 2, 3, 7, 8, 30):
+            for i, mode in enumerate(("with_replacement", "without_replacement")):
+                run, ref = generator(42, j, i), generator(42, j, i)
+                counts = _tree_counts(forest, mode, run, size)
+                assert counts.dtype.kind == "u"
+                assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, size))
+                assert run.bit_generator.state == ref.bit_generator.state
 
 
 def _one_batch_moments(forest, z, cfg, rng):
     """Monte Carlo (mean, variance) from one ``_counts`` batch of all B replicates and one product."""
     nums, den = _replicate_terms(forest, cfg, None, {"z": z})
-    den_sums, est = np.stack([den, nums["z"]]) @ _counts(forest, cfg, rng, cfg.n_replicates).T
+    den_sums, est = np.stack([den, nums["z"]]) @ _counts(forest, cfg, rng, cfg.n_replicates).T.astype(np.float64)
     est /= den_sums
     centered = est - float(est.mean())
     return float(est.mean()), float((centered @ centered) / (cfg.n_replicates - 1))
 
 
 def test_monte_carlo_runs_make_the_one_batch_draws_and_bits(monkeypatch):
-    # B = 30 in runs of 7 replicates: the draws, the generator's state after
-    # them and every bit of the moments are those of one batch of B, also
-    # where large degrees make the float terms and sums inexact
-    monkeypatch.setattr(bootstrap, "MC_CHUNK", 7)
+    # B = 2, 7 and 30 in runs of 7 draws: the draws, the generator's state
+    # after them and every bit of the moments are those of one batch of B
+    # (runs longer than B * n: one grouped call per group), also where
+    # large degrees make the float terms and sums inexact
     rng = np.random.default_rng(31)
     for j in range(40):
         forest, z = random_tiny_forest(rng, max_recruits=3)
@@ -439,10 +454,12 @@ def test_monte_carlo_runs_make_the_one_batch_draws_and_bits(monkeypatch):
             ("tree", "recruiters_only", "with_replacement"),
             ("tree", "recruiters_only", "without_replacement"),
         ):
-            for estimator in ("sample_mean", "vh"):
+            for estimator, B in itertools.product(("sample_mean", "vh"), (2, 7, 30)):
                 mc_rng, ref = generator(32, j), generator(32, j)
-                mm = rv.mc_bootstrap_moments(forest, z, method, estimator, 30, mc_rng, pool, seed_mode)
-                cfg = rv.BootstrapConfig(method, 30, pool, seed_mode, estimator)
+                monkeypatch.setattr(bootstrap, "MC_CHUNK", 7)
+                mm = rv.mc_bootstrap_moments(forest, z, method, estimator, B, mc_rng, pool, seed_mode)
+                monkeypatch.setattr(bootstrap, "MC_CHUNK", B * forest.n + 1)
+                cfg = rv.BootstrapConfig(method, B, pool, seed_mode, estimator)
                 assert (mm.mean, mm.variance) == _one_batch_moments(forest, z, cfg, ref)
                 assert mc_rng.bit_generator.state == ref.bit_generator.state
 
