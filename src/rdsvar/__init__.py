@@ -2,6 +2,13 @@
 prevalence estimators, and bootstrap uncertainty quantification."""
 
 __version__ = "0.1.0"
+DRAWS = 1  # revision of the random draws: bumped by every change of a number at a fixed seed
+
+
+def _tool_block() -> dict:
+    """The ``tool`` block of every JSON artifact: name, version and draws revision."""
+    return {"name": "rdsvar", "version": __version__, "draws": DRAWS}
+
 
 from .errors import BudgetError, DataError, RdsVarError, UsageError
 from .graph import (

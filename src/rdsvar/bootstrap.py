@@ -15,15 +15,18 @@ Each method has one draw kernel, ``_nb_counts`` and ``_tree_counts``, that
 returns a count matrix for a batch of replicates. For the tree method the
 counts propagate one BFS wave at a time: m occurrences of a recruiter with
 k recruits spawn m*k independent uniform child draws, i.e. the child
-counts are multinomial(m*k, uniform). Each wave makes one multinomial call
-per distinct k among its recruiters, over all of them and all replicates
-at once (``RecruitmentForest.recruiter_groups``), and a recruiter with one
+counts are multinomial(m*k, uniform). Each wave makes one draw call per
+distinct k among its recruiters, over all of them and all replicates at
+once (``RecruitmentForest.recruiter_groups``), and a recruiter with one
 recruit copies its count without a draw -- the same random object as the
-recursive description, grouped by node and wave. The single-sample
-resamplers are the kernels at batch size 1. A kernel draws at most
-``MC_CHUNK`` at a time: a bounded draw or a multinomial over a run
-continues the stream where the last run stopped, so any batch (the B of
-``mc_bootstrap_moments`` included) has the draws of one call.
+recursive description, grouped by node and wave. A two-way split (k = 2,
+or two seeds drawn with replacement) draws its first share as the ones
+among fair random bits (``_half_binomial``); three or more ways call
+``multinomial``. The single-sample resamplers are the kernels at batch
+size 1. A kernel draws at most ``MC_CHUNK`` at a time: a bounded draw, a
+word of fair bits or a multinomial over a run continues the stream where
+the last run stopped, so any batch (the B of ``mc_bootstrap_moments``
+included) has the draws of one call.
 
 Multiplicities are accumulated rather than materializing duplicate
 records. A bootstrap distribution draws its replicates in blocks of
@@ -183,14 +186,40 @@ def neighbourhood_resample(
     return WeightedSample(z[picked], forest.degree[picked], mult[picked])
 
 
+def _half_binomial(rng: RngStream, n: np.ndarray) -> np.ndarray:
+    """binomial(n, 1/2) for each trial of the C-ordered int64 array ``n``: the ones among n fair bits.
+
+    Trial i reads w_i = max(1, ceil(n_i / 64)) words of one full-range
+    uint64 ``integers`` call (one raw word each), in trial order, and counts
+    the ones in its whole words and in the top n_i - 64 (w_i - 1) bits of
+    its last word. A trial with n = 0 still reads one word. Runs of trials
+    therefore read the words of one call.
+    """
+    if n.max(initial=0) <= 64:  # one word per trial
+        words = rng.integers(0, 2**64, size=n.shape, dtype=np.uint64)
+        words >>= (64 - n).astype(np.uint64)
+        return np.bitwise_count(words)
+    flat = n.ravel()
+    width = np.maximum(1, -(-flat // 64))
+    last = np.cumsum(width) - 1
+    shift = np.zeros(int(last[-1]) + 1, dtype=np.uint64)
+    shift[last] = 64 * width - flat
+    words = rng.integers(0, 2**64, size=shift.size, dtype=np.uint64)
+    words >>= shift
+    return np.add.reduceat(np.bitwise_count(words), last - (width - 1), dtype=np.int64).reshape(n.shape)
+
+
 def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size: int) -> np.ndarray:
     """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n).
 
     The counts are held entry-major, so every gather and scatter is a
     contiguous row, and returned as the transposed view. Each group's
-    (m, size) multinomial trials are drawn in C order, at most
-    ``MC_CHUNK`` at a time: a run of recruiter rows, or a run of one
-    row's columns when ``size`` exceeds ``MC_CHUNK``.
+    (m, size) trials are drawn in C order, at most ``MC_CHUNK`` at a time:
+    a run of recruiter rows, or a run of one row's columns when ``size``
+    exceeds ``MC_CHUNK``. A two-way split (k = 2 recruits, or two seeds
+    drawn with replacement) is multinomial(n, (1/2, 1/2)): the first
+    recruit gets X ~ binomial(n, 1/2) from ``_half_binomial`` and the
+    second n - X. Three or more ways call ``multinomial``.
     """
     seeds = forest.seed_entries()
     s = int(seeds.size)
@@ -199,7 +228,12 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
     counts = np.zeros((forest.n, size), dtype=np.min_scalar_type(min(most, 2**63)))
     if seed_mode == "with_replacement" and s > 1:
         for lo in range(0, size, MC_CHUNK):
-            counts[seeds, lo : lo + MC_CHUNK] = rng.multinomial(s, np.full(s, 1.0 / s), size=min(MC_CHUNK, size - lo)).T
+            run = min(MC_CHUNK, size - lo)
+            if s == 2:
+                first = _half_binomial(rng, np.full(run, 2))
+                counts[seeds, lo : lo + run] = first, 2 - first
+            else:
+                counts[seeds, lo : lo + run] = rng.multinomial(s, np.full(s, 1.0 / s), size=run).T
     else:
         # a lone seed drawn with replacement is drawn once: a one-category
         # multinomial uses no randomness, like the k == 1 copy below
@@ -211,12 +245,19 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
             counts[recruits[:, 0]] = counts[recruiters]
             continue
         for i in range(0, recruiters.size, rows):
+            kids = recruits[i : i + rows]
             for lo in range(0, size, MC_CHUNK):
-                # (rows, columns, k): trial (j, b) splits recruiter j's k * count draws over its k recruits
+                # trial (j, b) splits recruiter j's k * count draws over its k recruits
                 trials = counts[recruiters[i : i + rows], lo : lo + MC_CHUNK].astype(np.int64)
                 trials *= k
-                draws = rng.multinomial(trials, np.full(k, 1.0 / k))
-                counts[recruits[i : i + rows], lo : lo + MC_CHUNK] = draws.transpose(0, 2, 1)
+                if k == 2:
+                    first = _half_binomial(rng, trials)
+                    counts[kids[:, 0], lo : lo + MC_CHUNK] = first
+                    trials -= first
+                    counts[kids[:, 1], lo : lo + MC_CHUNK] = trials
+                else:
+                    draws = rng.multinomial(trials, np.full(k, 1.0 / k))  # (rows, columns, k)
+                    counts[kids, lo : lo + MC_CHUNK] = draws.transpose(0, 2, 1)
     return counts.T
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _tool_block
 from .bootstrap import (
     ESTIMATORS,
     METHODS,
@@ -51,10 +51,6 @@ from .rng import generator
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _tool_block() -> dict:
-    return {"name": "rdsvar", "version": __version__}
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -34,7 +34,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import _tool_block
 from .bootstrap import (
     METHODS,
     BootstrapConfig,
@@ -126,7 +126,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "tool": {"name": "rdsvar", "version": __version__},
+            "tool": _tool_block(),
             "config": dict(self.config_echo),  # a copy: callers add keys to it
             "truths": self.truths,
             "diagnostics": self.diagnostics,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
-from rdsvar.bootstrap import BLOCK, _counts, _nb_counts, _replicate_terms, _tree_counts
+from rdsvar.bootstrap import BLOCK, _counts, _half_binomial, _nb_counts, _replicate_terms, _tree_counts
 from rdsvar import bootstrap, exact
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
@@ -350,12 +350,32 @@ def test_tree_counts_match_exact_linear_moments_at_realistic_size(mode):
             assert abs(mc_var - float(var)) < 4 * se_var
 
 
+def _fair_bit_splits(rng, trials):
+    """(first, second) shares of each trial, in C order: the ones among its n fair bits, and n minus them.
+
+    Trial n reads max(1, ceil(n / 64)) full-range uint64 words and counts
+    the ones of its whole words and of the top r = n - 64 (words - 1) bits
+    of its last one, one Python int at a time.
+    """
+    flat = trials.ravel().tolist()
+    width = [max(1, -(-n // 64)) for n in flat]
+    words = iter(rng.integers(0, 2**64, size=sum(width), dtype=np.uint64).tolist())
+    first = []
+    for n, w in zip(flat, width):
+        ones = sum(bin(next(words)).count("1") for _ in range(w - 1))
+        first.append(ones + bin(next(words) >> (64 - (n - 64 * (w - 1)))).count("1"))
+    first = np.array(first, dtype=np.int64).reshape(trials.shape)
+    return first, trials - first
+
+
 def _int64_tree_counts(forest, seed_mode, rng, size):
-    """The tree kernel in int64 with one multinomial per group, a reference for its unsigned counts drawn in runs."""
+    """The tree kernel in int64 with one draw call per group, a reference for its unsigned counts drawn in runs."""
     seeds = forest.seed_entries()
     s = int(seeds.size)
     counts = np.zeros((forest.n, size), dtype=np.int64)
-    if seed_mode == "with_replacement" and s > 1:
+    if seed_mode == "with_replacement" and s == 2:
+        counts[seeds] = _fair_bit_splits(rng, np.full(size, 2))
+    elif seed_mode == "with_replacement" and s > 2:
         counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
     else:
         counts[seeds] = 1
@@ -363,10 +383,112 @@ def _int64_tree_counts(forest, seed_mode, rng, size):
         k = recruits.shape[1]
         if k == 1:
             counts[recruits[:, 0]] = counts[recruiters]
+        elif k == 2:
+            counts[recruits[:, 0]], counts[recruits[:, 1]] = _fair_bit_splits(rng, counts[recruiters] * 2)
         else:
             draws = rng.multinomial(counts[recruiters] * k, np.full(k, 1.0 / k))
             counts[recruits] = draws.transpose(0, 2, 1)
     return counts.T
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 128, 129, 200])
+def test_half_binomial_law(n):
+    # binomial(n, 1/2): mean n/2, and E (X - n/2)**2 = n/4 with variance
+    # mu4 - (n/4)**2, mu4 = (n/4) (1 + 3 (n - 2) / 4)
+    N = 20_000
+    x = _half_binomial(generator(90, n), np.full(N, n, dtype=np.int64)).astype(np.float64)
+    assert x.min() >= 0 and x.max() <= n
+    second = (x - n / 2) ** 2
+    mu4 = n / 4 * (1 + 3 * (n - 2) / 4)
+    assert abs(x.mean() - n / 2) <= 4 * math.sqrt(n / 4 / N)
+    assert abs(second.mean() - n / 4) <= 4 * math.sqrt(max(mu4 - (n / 4) ** 2, 0.0) / N)
+
+
+def test_half_binomial_reads_its_words_in_trial_order():
+    # trial n reads max(1, ceil(n / 64)) full-range words, one call for all
+    # trials, whichever path counts them; shapes keep their C order
+    rng = np.random.default_rng(91)
+    for j in range(30):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 9)))
+        top = (64, 65, 300)[j % 3]
+        n = rng.integers(0, top + 1, size=shape)
+        run, ref, words = generator(92, j), generator(92, j), generator(92, j)
+        x = _half_binomial(run, n)
+        assert x.shape == shape
+        assert np.array_equal(x, _fair_bit_splits(ref, n)[0])
+        words.integers(0, 2**64, size=int(np.maximum(1, -(-n // 64)).sum()), dtype=np.uint64)
+        assert run.bit_generator.state == ref.bit_generator.state == words.bit_generator.state
+
+
+def test_half_binomial_paths_agree():
+    # one trial above 64 sends the whole call down the multi-word path; the
+    # trials before it read the same words and count the same ones
+    n = np.random.default_rng(93).integers(0, 65, size=500)
+    short = _half_binomial(generator(94), n)
+    long = _half_binomial(generator(94), np.append(n, 129))
+    assert long.dtype == np.int64 and np.array_equal(long[:-1], short)
+
+
+class _Calls:
+    """A generator that records the draw methods the kernel calls, with their last argument's length."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, set()
+
+    def integers(self, *args, **kwargs):
+        self.calls.add(("integers", kwargs.get("dtype")))
+        return self.rng.integers(*args, **kwargs)
+
+    def multinomial(self, n, pvals, size=None):
+        self.calls.add(("multinomial", len(pvals)))
+        return self.rng.multinomial(n, pvals, size=size)
+
+
+def test_only_two_way_tree_splits_draw_fair_bits():
+    # two seeds drawn with replacement and k = 2 recruits read uint64 words;
+    # three or more seeds or recruits still call multinomial
+    words, mn = ("integers", np.uint64), "multinomial"
+    for s, recruited_by, mode, want in (
+        (2, [0, 0, 1], "with_replacement", {words}),
+        (3, [0, 0, 1], "with_replacement", {words, (mn, 3)}),
+        (4, [0, 0, 1], "with_replacement", {words, (mn, 4)}),
+        (4, [0, 0, 1], "without_replacement", {words}),
+        (1, [0, 0, 0, 1, 1], "with_replacement", {words, (mn, 3)}),
+    ):
+        parent = [-1] * s + recruited_by
+        n = len(parent)
+        forest = rv.RecruitmentForest(node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), parent=parent, degree=np.ones(n, dtype=np.int64))
+        rng = _Calls(generator(95, s))
+        counts = _tree_counts(forest, mode, rng, 40)
+        assert rng.calls == want
+        assert np.array_equal(counts, _int64_tree_counts(forest, mode, generator(95, s), 40))
+
+
+def _deep_forest(depth, k, tail=0):
+    """One seed, a chain of ``depth`` recruiters with k recruits each (the first carries on), then ``tail`` single links."""
+    parent, u = [-1], 0
+    for _ in range(depth):
+        parent += [u] * k
+        u = len(parent) - k
+    for _ in range(tail):
+        parent.append(u)
+        u = len(parent) - 1
+    n = len(parent)
+    return rv.RecruitmentForest(node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), parent=parent, degree=np.ones(n, dtype=np.int64))
+
+
+def test_tree_count_type_holds_deep_chains():
+    # the type holds s * k_max ** depth, saturated at 2**63 (uint64), and the
+    # counts are the int64 reference's
+    for depth, tail, dtype in ((5, 0, np.uint8), (10, 0, np.uint16), (20, 0, np.uint32), (21, 0, np.uint64),
+                               (45, 0, np.uint64), (2, 40, np.uint64)):
+        forest = _deep_forest(depth, 3, tail)
+        for i, mode in enumerate(("with_replacement", "without_replacement")):
+            rng, ref = generator(98, depth, i), generator(98, depth, i)
+            counts = _tree_counts(forest, mode, rng, 300)
+            assert counts.dtype == dtype
+            assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, 300))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_unsigned_counts_give_the_int64_products_bits(monkeypatch):
