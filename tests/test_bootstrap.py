@@ -429,8 +429,16 @@ def test_half_binomial_paths_agree():
     assert long.dtype == np.int64 and np.array_equal(long[:-1], short)
 
 
+def _forest(parent):
+    """A forest of the given links, with unit degrees."""
+    n = len(parent)
+    return rv.RecruitmentForest(
+        node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), parent=parent, degree=np.ones(n, dtype=np.int64)
+    )
+
+
 class _Calls:
-    """A generator that records the draw methods the kernel calls, with their last argument's length."""
+    """A generator that records each draw call: integers with its dtype, multinomial with its number of cells."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, set()
@@ -455,26 +463,23 @@ def test_only_two_way_tree_splits_draw_fair_bits():
         (4, [0, 0, 1], "without_replacement", {words}),
         (1, [0, 0, 0, 1, 1], "with_replacement", {words, (mn, 3)}),
     ):
-        parent = [-1] * s + recruited_by
-        n = len(parent)
-        forest = rv.RecruitmentForest(node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), parent=parent, degree=np.ones(n, dtype=np.int64))
+        forest = _forest([-1] * s + recruited_by)
         rng = _Calls(generator(95, s))
         counts = _tree_counts(forest, mode, rng, 40)
         assert rng.calls == want
         assert np.array_equal(counts, _int64_tree_counts(forest, mode, generator(95, s), 40))
 
 
-def _deep_forest(depth, k, tail=0):
-    """One seed, a chain of ``depth`` recruiters with k recruits each (the first carries on), then ``tail`` single links."""
+def _deep_forest(depth, tail=0):
+    """One seed, a chain of ``depth`` recruiters with 3 recruits each (the first carries on), then ``tail`` single links."""
     parent, u = [-1], 0
     for _ in range(depth):
-        parent += [u] * k
-        u = len(parent) - k
+        parent += [u] * 3
+        u = len(parent) - 3
     for _ in range(tail):
         parent.append(u)
         u = len(parent) - 1
-    n = len(parent)
-    return rv.RecruitmentForest(node_id=[f"n{i}" for i in range(n)], node_index=np.full(n, -1), parent=parent, degree=np.ones(n, dtype=np.int64))
+    return _forest(parent)
 
 
 def test_tree_count_type_holds_deep_chains():
@@ -482,7 +487,7 @@ def test_tree_count_type_holds_deep_chains():
     # counts are the int64 reference's
     for depth, tail, dtype in ((5, 0, np.uint8), (10, 0, np.uint16), (20, 0, np.uint32), (21, 0, np.uint64),
                                (45, 0, np.uint64), (2, 40, np.uint64)):
-        forest = _deep_forest(depth, 3, tail)
+        forest = _deep_forest(depth, tail)
         for i, mode in enumerate(("with_replacement", "without_replacement")):
             rng, ref = generator(98, depth, i), generator(98, depth, i)
             counts = _tree_counts(forest, mode, rng, 300)
