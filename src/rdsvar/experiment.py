@@ -3,31 +3,33 @@
 ``run_full`` is the one runner. Each replication simulates one RDS sample,
 computes the inverse-degree weighted point estimate per attribute, and
 runs every configured bootstrap method once; a single resample per
-replicate serves all attributes. A replication's results are one row of
-floats (``_row_shapes``), and the completed rows one (R, width) array.
-The width reference is the estimator's sampling distribution over fresh
-forests, each reduced to exact estimates by ``_width_estimates``.
-Replication i draws from substream (master, 0, i) and width-reference
-forest j from (master, 1, j). Both kinds of work unit are numbered in one
-sequence, the R replications and then the width forests, and every
-working process takes the next unclaimed index from one shared counter
-until none is left: this process, and at ``workers`` > 1 the children it
-forks once per run. Results are keyed by index, errors are raised in the
-order a serial run meets them, and the reduction uses exactly rounded
-sums, so reports and errors are identical for any worker count.
-Each call builds one frozen run object (graph, attributes, config and
-width keys) and passes it to every work unit; forked children inherit
-it. The module keeps no state between calls, so calls may run at once
-in several threads, and nothing of a run outlives its call.
+replicate serves all attributes. The width reference is the estimator's
+sampling distribution over fresh forests, each reduced to exact estimates
+by ``_width_estimates``. Replication i draws from substream (master, 0, i)
+and width-reference forest j from (master, 1, j). Each call maps one
+float64 buffer before any fork, an (R, width) array of replication rows
+(``_row_shapes``) and a (W, attributes) array of width estimates, and
+every work unit writes its result in place there. Both kinds of unit are
+numbered in one sequence, the R replications and then the width forests,
+and every working process takes the next unclaimed index from one shared
+counter until none is left: this process, and at ``workers`` > 1 the
+children it forks once per run, which send nothing but an error. Errors
+are raised in the order a serial run meets them, and the reduction uses
+exactly rounded sums, so reports and errors are identical for any worker
+count. Each call builds one frozen run object (graph, attributes, config
+and width keys) and passes it to every work unit; forked children
+inherit it. The module keeps no state between calls, so calls may run at
+once in several threads, and nothing of a run outlives its call.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import math
+import mmap
 import multiprocessing
-import multiprocessing.connection
 import os
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
@@ -79,6 +81,8 @@ class ExperimentConfig:
             raise DataError("need at least 2 replications")
         if self.n_bootstrap < 2:
             raise DataError("need at least 2 bootstrap replicates")
+        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
+            raise DataError(f"master seed must be a non-negative integer, got {self.master_seed!r}")
         if not self.attributes:
             raise DataError("need at least one attribute")
         if not self.methods or any(m not in METHODS for m in self.methods):
@@ -187,16 +191,15 @@ def _row_fields(cfg: ExperimentConfig, rows: np.ndarray) -> list[np.ndarray]:
     return [part.reshape(rows.shape[:-1] + shape) for part, shape in zip(parts, shapes)]
 
 
-def _replication(run: _Run, index: int) -> np.ndarray | None:
-    """One replication's row on substream (master, 0, index); None when its sample starves."""
+def _replication(run: _Run, index: int, row: np.ndarray) -> bool:
+    """Fill ``row`` with replication ``index``'s results on substream (master, 0, index); False when its sample starves."""
     cfg = run.cfg
     rep_root = substream(cfg.master_seed, _REPLICATION_DOMAIN, index)
     try:
         forest = simulate_rds(run.graph, cfg.design, generator(rep_root, 0))
     except BudgetError:
-        return None
+        return False
     z_cols = {a: run.attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
-    row = np.empty(_row_width(cfg))
     points, boot_var, cis, counts = _row_fields(cfg, row)
     for m, method in enumerate(cfg.methods):
         bc = BootstrapConfig(method, cfg.n_bootstrap, estimator=_ESTIMATOR)
@@ -207,7 +210,7 @@ def _replication(run: _Run, index: int) -> np.ndarray | None:
             for j, lv in enumerate(cfg.ci_levels):
                 cis[k, m, j] = percentile_ci(dists[a], lv)
     counts[:] = forest.n_reseeds, forest.n_truncated
-    return row
+    return True
 
 
 def _width_forest(run: _Run, index: int) -> tuple[float, ...]:
@@ -241,90 +244,80 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _work(run: _Run, state, lock) -> list[tuple[int, bool, object]]:
-    """Run work units by claimed index until none is left; [(index, ok, result or exception)].
+def _work(run: _Run, state, lock, rows: np.ndarray, widths: np.ndarray) -> tuple[int, Exception] | None:
+    """Run work units by claimed index until none is left; the (index, exception) of a unit that raised, or None.
 
     ``state`` is [next index, starved replications, stopped], read and
-    written under ``lock``. Indices below R are replications, the next W
-    width-reference forests. No width forest is claimed once more than
-    R - 2 replications have starved, since the run then fails, and a unit
-    that raises stops every further claim.
+    written under ``lock``. Index i < R is replication i, written to
+    ``rows[i]``, or NaN there when its sample starves; index R + j is
+    width-reference forest j, written to ``widths[j]``. No width forest is
+    claimed once more than R - 2 replications have starved, since the run
+    then fails, and a unit that raises stops every further claim.
     """
-    R = run.cfg.n_replications
-    n_units = R + run.cfg.n_width_reference
-    done = []
+    R = len(rows)
     while True:
         with lock:
             i = state[0]
-            if state[2] or i >= n_units or (i >= R and state[1] > R - 2):
-                return done
+            if state[2] or i >= R + len(widths) or (i >= R and state[1] > R - 2):
+                return None
             state[0] = i + 1
         try:
-            value = _replication(run, i) if i < R else _width_forest(run, i - R)
+            if i >= R:
+                widths[i - R] = _width_forest(run, i - R)
+            elif not _replication(run, i, rows[i]):
+                rows[i] = np.nan
+                with lock:
+                    state[1] += 1
         except Exception as exc:
             with lock:
                 state[2] = 1
-            done.append((i, False, exc))
-            return done
-        if value is None:
-            with lock:
-                state[1] += 1
-        done.append((i, True, value))
+            return i, exc
 
 
-def _child(run: _Run, state, lock, conn) -> None:
-    conn.send(_work(run, state, lock))
+def _child(run: _Run, state, lock, rows, widths, conn) -> None:
+    conn.send(_work(run, state, lock, rows, widths))
 
 
-def _run_units(run: _Run, workers: int) -> list:
-    """Every claimed unit's (index, ok, result or exception), in no particular order.
+def _run_units(run: _Run, workers: int, rows: np.ndarray, widths: np.ndarray) -> list:
+    """Run every unit into ``rows`` and ``widths``; each working process's ``_work`` result, in no particular order.
 
     min(workers, usable CPUs) processes run ``_work``: this one and the
     children it forks. The start method is fork on purpose: the children
-    inherit the run object (graph, attributes, width keys) and the shared
-    counter without pickling any of them, and this process starts no
-    thread before it forks. Where fork does not exist (Windows) the units
-    run in this process alone, with the same results. A child sends its
-    results once, when it runs out of work; one that exits without
-    sending them ends the run with a ``BudgetError``, and no child
-    outlives the call.
+    inherit the run object (graph, attributes, width keys), the shared
+    counter and the shared buffer behind ``rows`` and ``widths`` without
+    pickling any of them, and this process starts no thread before it
+    forks. Where fork does not exist (Windows) the units run in this
+    process alone, with the same results. A child writes its results into
+    the buffer and sends one message, its error or None, when it runs out
+    of work; one that exits without sending it ends the run with a
+    ``BudgetError``, and no child outlives the call.
     """
     n_children = min(workers, _usable_cpus()) - 1
     if n_children < 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return _work(run, [0, 0, 0], nullcontext())
+        return [_work(run, [0, 0, 0], nullcontext(), rows, widths)]
     ctx = multiprocessing.get_context("fork")
     shared = ctx.Array("q", 3)
     state, lock = shared.get_obj(), shared.get_lock()
-    children, readers = [], {}
+    children, readers = [], []
     try:
         for _ in range(n_children):
             reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(run, state, lock, writer))
+            readers.append(reader)
+            child = ctx.Process(target=_child, args=(run, state, lock, rows, widths, writer))
             child.start()
             writer.close()  # so that a child that dies leaves its reader at EOF
             children.append(child)
-            readers[reader] = child
-        done = _work(run, state, lock)
-        with lock:
-            missing = state[0] - len(done)  # claimed by the children: every claim is final now
-        while missing:
-            for reader in multiprocessing.connection.wait(list(readers)):
-                child = readers.pop(reader)
-                try:
-                    theirs = reader.recv()
-                except EOFError:
-                    child.join()
-                    raise BudgetError(
-                        f"a worker process exited with code {child.exitcode} before sending its results"
-                    ) from None
-                finally:
-                    reader.close()
-                done += theirs
-                missing -= len(theirs)
-        return done
+        results = [_work(run, state, lock, rows, widths)]
+        for child, reader in zip(children, readers):
+            try:
+                results.append(reader.recv())
+            except EOFError:
+                child.join()
+                raise BudgetError(f"a worker process exited with code {child.exitcode} before sending its results") from None
+        return results
     finally:
         # SIGKILL, not SIGTERM: a child that inherited a SIGTERM handler must
-        # not keep this call waiting; one that sent its results has no more to do
+        # not keep this call waiting; one that sent its message has no more to do
         for child in children:
             child.kill()
         for child in children:
@@ -389,16 +382,22 @@ def run_full(
     a design the graph cannot serve are ``DataError``s before any draw.
     """
     run = _make_run(g, attrs, cfg)
-    R = cfg.n_replications
-    by_index = {i: (ok, value) for i, ok, value in _run_units(run, workers)}
-    failed = sorted(i for i, (ok, _) in by_index.items() if not ok)
-    if failed and failed[0] < R:
-        raise by_index[failed[0]][1]
-    completed = np.array([row for row in (by_index[i][1] for i in range(R)) if row is not None])
-    n_excluded = R - len(completed)
-    if len(completed) < 2:
+    R, W, width = cfg.n_replications, cfg.n_width_reference, _row_width(cfg)
+    try:  # anonymous, so shared with the forked children
+        buffer = mmap.mmap(-1, 8 * (R * width + W * len(cfg.attributes)))
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map the run's {R} rows of {width} and {W} width-reference floats") from exc
+    floats = np.frombuffer(buffer, dtype=np.float64)
+    rows, widths = floats[: R * width].reshape(R, width), floats[R * width :].reshape(W, -1)
+    errors = sorted((e for e in _run_units(run, workers, rows, widths) if e is not None), key=lambda e: e[0])
+    if errors and errors[0][0] < R:
+        raise errors[0][1]
+    completed = ~np.isnan(rows[:, -1])  # a row's last field, its truncation count, is NaN only when it starved
+    n_excluded = R - int(completed.sum())
+    if R - n_excluded < 2:
         raise DataError(f"fewer than 2 completed replications ({n_excluded} starved)")
-    if failed:
-        raise by_index[failed[0]][1]
-    width_ref = np.array([by_index[R + j][1] for j in range(cfg.n_width_reference)])
-    return _reduce(run, completed, n_excluded, width_ref)
+    if errors:
+        raise errors[0][1]
+    return _reduce(run, rows[completed] if n_excluded else rows, n_excluded, widths)

@@ -154,9 +154,10 @@ class RecruitmentForest:
     def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, child_entries) with children listed in entry order."""
         if self._children is None:  # the first walk of the links checks them
-            if self.n and int(self.parent.max()) >= self.n:
-                i = int(np.argmax(self.parent >= self.n))
-                raise DataError(f"entry {i} has recruiter index {int(self.parent[i])}, past the last entry")
+            if self.n and not -1 <= int(self.parent.min()) <= int(self.parent.max()) < self.n:
+                i = int(np.argmax((self.parent < -1) | (self.parent >= self.n)))
+                where = "past the last entry" if self.parent[i] >= 0 else "below the -1 that marks a seed"
+                raise DataError(f"entry {i} has recruiter index {int(self.parent[i])}, {where}")
             nonseed = np.flatnonzero(self.parent >= 0)
             self._children = _csr(self.n, self.parent[nonseed], nonseed)
         return self._children

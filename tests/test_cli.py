@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -575,6 +577,32 @@ def test_memory_error_is_a_budget_error(monkeypatch, tmp_path, capsys, argv, exc
     assert err["error"]["message"] == (f"out of memory: {exc}" if str(exc) else "out of memory")
     assert captured.out == ""
     validate_schema(err, "error.schema.json")
+
+
+def test_a_run_buffer_that_cannot_be_mapped_is_a_budget_error(study_files, tmp_path, monkeypatch, capsys):
+    # the mapping fails as the kernel refuses one too large, so the test allocates nothing
+    tmp, edges, attr_path, *_ = study_files
+    lengths = []
+
+    def refuse(fileno, length, *args, **kwargs):
+        lengths.append(length)
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    code = run_cli(
+        "experiment", "--edges", edges, "--attrs", attr_path, "--columns", "mix_half,clustered",
+        "--seeds", "3", "--coupons", "3", "--pmf", "1/3,1/6,1/6,1/3", "--n", "30",
+        "--R", "2", "--B", "2", "--width-ref", "100", "--seed", "5", "--out", tmp_path,
+    )
+    assert code == 3
+    assert lengths == [8 * (2 * 24 + 100 * 2)]  # R rows of 2 (1 + 2 (1 + 2 x 2)) + 2 floats, W x 2 widths
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "BudgetError" and err["error"]["exit_code"] == 3
+    assert err["error"]["message"].startswith("out of memory: cannot map the run's 2 rows of 24")
+    assert captured.out == ""
+    validate_schema(err, "error.schema.json")
+    assert not (tmp_path / "experiment_report.csv").exists()
 
 
 def _capped_argv(study_files, tmp_path, case):

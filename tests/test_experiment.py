@@ -7,6 +7,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,8 +16,8 @@ import pytest
 import rdsvar as rv
 from rdsvar import experiment
 from rdsvar.errors import BudgetError, DataError
-from rdsvar.experiment import _make_run, _quantile_width, _width_forest
-from rdsvar.rng import generator
+from rdsvar.experiment import _make_run, _quantile_width, _row_width, _width_forest
+from rdsvar.rng import generator, substream
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +194,8 @@ def test_expected_width_op(small_world):
 
 
 def test_children_are_bounded_by_usable_cpus(small_world, monkeypatch):
-    # no process is started: the fake children run nothing, so this process
-    # claims every unit itself
+    # no process is started: a fake child runs its target in this process,
+    # where it claims every unit and sends its message
     g, attrs = small_world
     started = []
 
@@ -202,10 +203,11 @@ def test_children_are_bounded_by_usable_cpus(small_world, monkeypatch):
         exitcode = None
 
         def __init__(self, target, args):
-            pass
+            self.target, self.args = target, args
 
         def start(self):
             started.append(self)
+            self.target(*self.args)
 
         def kill(self):
             pass
@@ -371,6 +373,80 @@ def test_a_table_of_another_size_is_a_data_error_before_any_draw(small_world, mo
             rv.run_full(cfg, g, rv.AttributeTable(attrs.column_names, values))
 
 
+def test_starved_replications_are_left_out_of_the_report(small_world, monkeypatch):
+    # replications 1 and 4 starve (their forests are refused by substream);
+    # the report reduces the other four rows, the same at any worker count
+    g, attrs = small_world
+    cfg = rv.ExperimentConfig(
+        design=design_for(g), attributes=("always", "coin"), n_replications=6, n_bootstrap=12,
+        master_seed=11, n_width_reference=100,
+    )
+    starved = {1, 4}
+    refused = [generator(substream(cfg.master_seed, 0, i), 0).bit_generator.state for i in starved]
+    simulate_rds = experiment.simulate_rds
+
+    def starves(graph, design, rng):
+        if rng.bit_generator.state in refused:
+            raise BudgetError("sample starved")
+        return simulate_rds(graph, design, rng)
+
+    monkeypatch.setattr(experiment, "simulate_rds", starves)
+    serial = rv.run_full(cfg, g, attrs, workers=1)
+    parallel = rv.run_full(cfg, g, attrs, workers=2)
+    assert serial.to_csv_text() == parallel.to_csv_text()
+    assert serial.to_json_dict() == parallel.to_json_dict()
+    assert serial.diagnostics["completed_replications"] == 6 - len(starved)
+    assert serial.diagnostics["excluded_starved"] == len(starved)
+    run = _make_run(g, attrs, cfg)
+    kept = []
+    for i in range(cfg.n_replications):
+        row = np.empty(_row_width(cfg))
+        assert experiment._replication(run, i, row) == (i not in starved)
+        if i not in starved:
+            kept.append(row)
+    widths = np.array([_width_forest(run, j) for j in range(cfg.n_width_reference)])
+    expected = experiment._reduce(run, np.array(kept), len(starved), widths)
+    assert serial.to_json_dict() == expected.to_json_dict()
+    assert serial.to_csv_text() == expected.to_csv_text()
+
+
+def test_run_full_holds_less_than_a_row_per_replication():
+    # the rows sit in the run's one mapped buffer; whatever else run_full
+    # allocates grows by less than a row's floats per replication (holding
+    # each row as its own array, as a result tuple, a list and a dict did,
+    # grew by about three rows)
+    g, attrs = rv.make_study_population(200, 5)
+    design = rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 20)
+
+    def config(R):
+        return rv.ExperimentConfig(
+            design=design, attributes=tuple(attrs.column_names), n_replications=R, n_bootstrap=2,
+            master_seed=7, n_width_reference=100,
+        )
+
+    def peak(R):
+        tracemalloc.start()
+        try:
+            rv.run_full(config(R), g, attrs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    row_bytes = 8 * _row_width(config(2))
+    assert row_bytes == 8 * 57  # 5 columns, 2 methods, 2 levels
+    # a first run at the larger R fills the interpreter's free lists, and no
+    # collection empties them between the two measured runs
+    rv.run_full(config(400), g, attrs)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        growth = (peak(400) - peak(100)) / 300
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert growth < row_bytes, growth
+
+
 def test_single_resample_serves_all_attributes(small_world):
     # adding more attributes must not change an attribute's results
     g, attrs = small_world
@@ -421,6 +497,9 @@ def test_config_validation(small_world):
             design=design_for(g), attributes=("x",), n_replications=5, n_bootstrap=5,
             master_seed=1, n_width_reference=99,
         )
+    for seed in (-1, 1.5, "1", None):
+        with pytest.raises(DataError, match="master seed must be a non-negative integer"):
+            rv.ExperimentConfig(design=design_for(g), attributes=("x",), n_replications=5, n_bootstrap=5, master_seed=seed)
 
 
 @pytest.mark.parametrize(

@@ -352,18 +352,27 @@ def test_forest_constructor_checks_the_given_columns(two_recruiter_forest):
 
 def test_recruiter_index_past_the_last_entry_is_a_data_error():
     # no wave= or seed_index= is given, so only the first walk of the links sees it
-    def forest():
+    # nor a recruiter index below -1, which the links would take for a second seed
+    def past():
         return rv.RecruitmentForest(node_id=["S", "A"], node_index=[-1, -1], parent=[-1, 5], degree=[1, 2])
 
-    for use in (
-        lambda f: f.out_degree(),
-        lambda f: f.wave,
-        lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("tree", 10), [0, 1]),
-        lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("neighbourhood", 10), [0, 1]),
-        lambda f: rv.enumerate_tree(f, [0, 1]),
+    def below():
+        return rv.RecruitmentForest(node_id=["S", "A", "B"], node_index=[-1, -1, -1], parent=[-1, -7, 0], degree=[1, 2, 1])
+
+    for forest, message in (
+        (past, "entry 1 has recruiter index 5, past the last entry"),
+        (below, "entry 1 has recruiter index -7, below the -1 that marks a seed"),
     ):
-        with pytest.raises(DataError, match="entry 1 has recruiter index 5, past the last entry"):
-            use(forest())
+        z = [0] * forest().n
+        for use in (
+            lambda f: f.out_degree(),
+            lambda f: f.wave,
+            lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("tree", 10), z),
+            lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("neighbourhood", 10), z),
+            lambda f: rv.enumerate_tree(f, z),
+        ):
+            with pytest.raises(DataError, match=message):
+                use(forest())
 
 
 def test_forest_csv_roundtrip(tmp_path):
