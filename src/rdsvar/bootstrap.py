@@ -23,10 +23,19 @@ recursive description, grouped by node and wave. A two-way split (k = 2,
 or two seeds drawn with replacement) draws its first share as the ones
 among fair random bits (``_half_binomial``); three or more ways call
 ``multinomial``. The single-sample resamplers are the kernels at batch
-size 1. A kernel draws at most ``MC_CHUNK`` at a time: a bounded draw, a
-word of fair bits or a multinomial over a run continues the stream where
-the last run stopped, so any batch (the B of ``mc_bootstrap_moments``
-included) has the draws of one call.
+size 1.
+
+Every caller asks a kernel for at most ``MC_CHUNK`` replicates: a block
+of ``BLOCK``, a run of ``mc_bootstrap_moments`` or one resample. The
+tree kernel draws each group in runs of recruiter rows of at most
+``MC_CHUNK`` trials; a bounded draw, a word of fair bits or a
+multinomial over a run continues the stream where the last run stopped,
+so the runs have the draws of one call. ``mc_bootstrap_moments`` draws
+its B replicates as consecutive kernel calls on its one stream. For the
+neighbourhood method with the recruiters_only pool these are the draws
+of one call of all B; the tree method and the all_participants pool,
+which redraws a call's empty replicates after that call, draw the same
+law in another order when B exceeds ``MC_CHUNK``.
 
 Multiplicities are accumulated rather than materializing duplicate
 records. A bootstrap distribution draws its replicates in blocks of
@@ -40,7 +49,8 @@ neighbourhood count is at most n_r, and a tree count at most s times
 k_max to the power of the deepest wave. Each consumer casts them to
 float64, exact below 2**53: ``bootstrap_distributions`` one C-ordered
 copy per block, the buffer numpy would make for each product of int64
-counts, so the replicates keep their bits.
+counts, so the replicates keep their bits; ``mc_bootstrap_moments`` one
+copy per run, in the memory order the kernel returned, as numpy would.
 
 A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
@@ -79,7 +89,7 @@ POOLS = ("recruiters_only", "all_participants")
 SEED_MODES = ("with_replacement", "without_replacement")
 ESTIMATORS = ("sample_mean", "vh", "ipw")
 BLOCK = 100  # replicates per keyed substream in bootstrap_distributions
-MC_CHUNK = 1 << 13  # replicates (neighbourhood) or trials (tree) per kernel draw; replicates per cast in the MC sums
+MC_CHUNK = 1 << 13  # replicates per kernel call, and trials per draw call in the tree kernel's row runs
 
 
 def _check_option(what: str, value, allowed: tuple[str, ...]) -> None:
@@ -132,13 +142,10 @@ def _nb_pool(forest: RecruitmentForest, pool: str) -> tuple[np.ndarray, int]:
 
 
 def _nb_draw(rng: RngStream, p: int, n_r: int, size: int) -> np.ndarray:
-    """Counts over p slots of n_r uniform draws for each of ``size`` replicates, ``MC_CHUNK`` replicates at a time."""
-    counts = np.empty((size, p), dtype=np.min_scalar_type(n_r))
-    for lo in range(0, size, MC_CHUNK):
-        draws = rng.integers(0, p, size=(min(MC_CHUNK, size - lo), n_r))
-        draws += np.arange(draws.shape[0], dtype=np.int64)[:, None] * p
-        counts[lo : lo + MC_CHUNK] = np.bincount(draws.ravel(), minlength=draws.shape[0] * p).reshape(-1, p)
-    return counts
+    """Counts over p slots of n_r uniform draws for each of ``size`` replicates."""
+    draws = rng.integers(0, p, size=(size, n_r))
+    draws += np.arange(size, dtype=np.int64)[:, None] * p
+    return np.bincount(draws.ravel(), minlength=size * p).reshape(size, p).astype(np.min_scalar_type(n_r))
 
 
 def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,27 +220,24 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
     """Occurrence counts per entry for ``size`` tree-bootstrap replicates, shape (size, n).
 
     The counts are held entry-major, so every gather and scatter is a
-    contiguous row, and returned as the transposed view. Each group's
-    (m, size) trials are drawn in C order, at most ``MC_CHUNK`` at a time:
-    a run of recruiter rows, or a run of one row's columns when ``size``
-    exceeds ``MC_CHUNK``. A two-way split (k = 2 recruits, or two seeds
-    drawn with replacement) is multinomial(n, (1/2, 1/2)): the first
-    recruit gets X ~ binomial(n, 1/2) from ``_half_binomial`` and the
-    second n - X. Three or more ways call ``multinomial``.
+    contiguous row, and returned as the transposed view. Callers ask for
+    at most ``MC_CHUNK`` replicates, so the seeds take one draw call; each
+    group's (m, size) trials are drawn in C order in runs of
+    ``MC_CHUNK // size`` recruiter rows. A two-way split (k = 2 recruits,
+    or two seeds drawn with replacement) is multinomial(n, (1/2, 1/2)):
+    the first recruit gets X ~ binomial(n, 1/2) from ``_half_binomial``
+    and the second n - X. Three or more ways call ``multinomial``.
     """
     seeds = forest.seed_entries()
     s = int(seeds.size)
     # a count is at most s times the recruit counts on the path from its seed, each at most k_max
     most = s * int(forest.out_degree().max(initial=1)) ** int(forest.wave.max(initial=0))
     counts = np.zeros((forest.n, size), dtype=np.min_scalar_type(min(most, 2**63)))
-    if seed_mode == "with_replacement" and s > 1:
-        for lo in range(0, size, MC_CHUNK):
-            run = min(MC_CHUNK, size - lo)
-            if s == 2:
-                first = _half_binomial(rng, np.full(run, 2))
-                counts[seeds, lo : lo + run] = first, 2 - first
-            else:
-                counts[seeds, lo : lo + run] = rng.multinomial(s, np.full(s, 1.0 / s), size=run).T
+    if seed_mode == "with_replacement" and s == 2:
+        first = _half_binomial(rng, np.full(size, 2))
+        counts[seeds] = first, 2 - first
+    elif seed_mode == "with_replacement" and s > 2:
+        counts[seeds] = rng.multinomial(s, np.full(s, 1.0 / s), size=size).T
     else:
         # a lone seed drawn with replacement is drawn once: a one-category
         # multinomial uses no randomness, like the k == 1 copy below
@@ -246,18 +250,17 @@ def _tree_counts(forest: RecruitmentForest, seed_mode: str, rng: RngStream, size
             continue
         for i in range(0, recruiters.size, rows):
             kids = recruits[i : i + rows]
-            for lo in range(0, size, MC_CHUNK):
-                # trial (j, b) splits recruiter j's k * count draws over its k recruits
-                trials = counts[recruiters[i : i + rows], lo : lo + MC_CHUNK].astype(np.int64)
-                trials *= k
-                if k == 2:
-                    first = _half_binomial(rng, trials)
-                    counts[kids[:, 0], lo : lo + MC_CHUNK] = first
-                    trials -= first
-                    counts[kids[:, 1], lo : lo + MC_CHUNK] = trials
-                else:
-                    draws = rng.multinomial(trials, np.full(k, 1.0 / k))  # (rows, columns, k)
-                    counts[kids, lo : lo + MC_CHUNK] = draws.transpose(0, 2, 1)
+            # trial (j, b) splits recruiter j's k * count draws over its k recruits
+            trials = counts[recruiters[i : i + rows]].astype(np.int64)
+            trials *= k
+            if k == 2:
+                first = _half_binomial(rng, trials)
+                counts[kids[:, 0]] = first
+                trials -= first
+                counts[kids[:, 1]] = trials
+            else:
+                draws = rng.multinomial(trials, np.full(k, 1.0 / k))  # (rows, size, k)
+                counts[kids] = draws.transpose(0, 2, 1)
     return counts.T
 
 
@@ -418,23 +421,24 @@ def mc_bootstrap_moments(
 ) -> MonteCarloMoments:
     """Vectorized Monte Carlo moments of a bootstrap estimator.
 
-    Draws all B replicates from the single supplied stream (batched, so
-    large B stays cheap) and evaluates the same estimator formulas through
-    matrix products. Intended for cross-checking against exhaustive
-    enumeration and as the fallback its budget error advises. The options
-    are checked as ``BootstrapConfig`` checks them, B >= 2 included.
+    Draws the B replicates from the single supplied stream as consecutive
+    kernel calls of at most ``MC_CHUNK`` replicates each, and evaluates
+    the same estimator formulas through matrix products. Each run is
+    reduced at once to one float64 estimate per replicate, so the memory
+    grows with B by those B floats alone. Intended for cross-checking
+    against exhaustive enumeration and as the fallback its budget error
+    advises. The options are checked as ``BootstrapConfig`` checks them,
+    B >= 2 included.
     """
     cfg = BootstrapConfig(method, B, pool, seed_mode, estimator)
     nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
     terms = np.stack([den, nums["z"]])
-    counts = _counts(forest, cfg, rng, B)
-    sums = np.empty((2, B))
+    est = np.empty(B)
     for lo in range(0, B, MC_CHUNK):
-        # a run's float64 copy at a time, so no float64 count matrix of all B is held
-        sums[:, lo : lo + MC_CHUNK] = terms @ counts[lo : lo + MC_CHUNK].T.astype(np.float64)
-    # the moments are taken in place in the (2, B) sums
-    den_sums, est = sums
-    est /= den_sums
+        # a run's float64 copy is made after its draws and freed before the next run's
+        den_sums, num_sums = terms @ _counts(forest, cfg, rng, min(MC_CHUNK, B - lo)).T.astype(np.float64)
+        np.divide(num_sums, den_sums, out=est[lo : lo + MC_CHUNK])
+    # the moments are taken in place in the estimates
     mean = float(est.mean())
     est -= mean  # centred
     variance = float((est @ est) / (B - 1))

@@ -346,14 +346,14 @@ def _reduce(run: _Run, completed: np.ndarray, n_excluded: int, width_ref: np.nda
             mean_var = math.fsum(boot_var[:, k, m].tolist()) / R
             rel_bias = (mean_var - mse) / mse if mse > 0.0 else None
             for j, lv in enumerate(cfg.ci_levels):
-                bounds = cis[:, k, m, j].tolist()
+                lo, hi = cis[:, k, m, j].T
                 rows.append(
                     ReportRow(
                         attribute=a,
                         method=method,
                         level=lv,
-                        coverage=sum(1 for lo, hi in bounds if lo <= mu <= hi) / R,
-                        mean_width=math.fsum(hi - lo for lo, hi in bounds) / R,
+                        coverage=int(np.count_nonzero((lo <= mu) & (mu <= hi))) / R,
+                        mean_width=math.fsum(hi - lo) / R,
                         expected_width=_quantile_width(width_ref[:, k], lv),
                         mean_boot_var=mean_var,
                         mse=mse,

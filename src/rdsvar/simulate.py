@@ -57,6 +57,12 @@ WITHOUT_REPLACEMENT = "without_replacement"
 REGIMES = (WITHOUT_REPLACEMENT, "with_replacement_walk")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a cached array is handed to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RdsDesign:
     """Recruitment design: seeds, coupons, recruit-count pmf, target size."""
@@ -122,7 +128,9 @@ class RecruitmentForest:
         self.parent = np.asarray(parent, dtype=np.int64)
         self.degree = _as_positive_ints(degree, "degree")
         self.n_reseeds, self.n_truncated = n_reseeds, n_truncated
-        self._children = self._bfs = self._groups = None  # cached walks of the links
+        # cached walks of the links, and read-only arrays derived from them
+        self._children = self._bfs = self._groups = None
+        self._seeds = self._out_degree = self._recruiters = None
         given = [None if c is None else np.asarray(c, dtype=np.int64) for c in (seed_index, wave)]
         n = len(node_id)
         if any(a.shape != (n,) for a in (self.node_index, self.parent, self.degree, *given) if a is not None):
@@ -149,7 +157,9 @@ class RecruitmentForest:
         return len(self.node_id)
 
     def seed_entries(self) -> np.ndarray:
-        return np.flatnonzero(self.parent < 0)
+        if self._seeds is None:
+            self._seeds = _read_only(np.flatnonzero(self.parent < 0))
+        return self._seeds
 
     def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, child_entries) with children listed in entry order."""
@@ -163,8 +173,9 @@ class RecruitmentForest:
         return self._children
 
     def out_degree(self) -> np.ndarray:
-        indptr, _ = self.children_csr()
-        return np.diff(indptr)
+        if self._out_degree is None:
+            self._out_degree = _read_only(np.diff(self.children_csr()[0]))
+        return self._out_degree
 
     def _breadth_first(self) -> tuple[np.ndarray, ...]:
         """(entries in breadth-first order, the depth of each; per entry, its wave and seed index)."""
@@ -180,9 +191,7 @@ class RecruitmentForest:
             order = np.concatenate(waves)
             if order.size != self.n:
                 raise DataError("forest has entries unreachable from any seed")
-            self._bfs = (order, wave[order], wave, root)
-            for a in self._bfs:
-                a.flags.writeable = False
+            self._bfs = tuple(_read_only(a) for a in (order, wave[order], wave, root))
         return self._bfs
 
     @property
@@ -228,8 +237,10 @@ class RecruitmentForest:
         The links are walked from the seeds first (once, cached), so a forest
         with entries that hang from no seed is a ``DataError`` here too.
         """
-        self._breadth_first()
-        return np.flatnonzero(self.out_degree() >= 1)
+        if self._recruiters is None:
+            self._breadth_first()
+            self._recruiters = _read_only(np.flatnonzero(self.out_degree() >= 1))
+        return self._recruiters
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecruitmentForest):

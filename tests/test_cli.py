@@ -341,16 +341,16 @@ def test_experiment_starved_stderr_is_one_error_json(tmp_path):
 # sha256 of forest.csv and simulate_summary.json, taken while the forest
 # stored its wave and seed_index columns: the columns derived from the
 # links must write the same bytes, max_wave included (the summary's since
-# its tool block gained "draws": 1). Both configs have reseeds and a
+# its tool block gained "draws", now 2). Both configs have reseeds and a
 # truncated recruit count.
 SIMULATE_SHA256 = {
     "without_replacement": (
         "fe8246f52865aa8e4f7d3892cc2794fbda861a08f9fa7bedc214828b0be47429",
-        "82ff28dbdb225dc58c69ec5e22a5dff46b13dfc0d21dd0373df077042cda4606",
+        "f69ab8f2b069e6971b551f540993531ad9c45d1299827ac1ec6d63709cb4d7b3",
     ),
     "with_replacement_walk": (
         "74f6313e77d6b4e261e5cc9da8acd782ca6b9738c93e353ae0503014c7687ce2",
-        "1a200bba86a9590978885d379b489f413002577b26062353cc4caf9d8cbf69cc",
+        "d2eba9742bdea2b61e72117152c860b24a15de606d2728bd65cf63d7a0929661",
     ),
 }
 
