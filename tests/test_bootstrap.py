@@ -541,8 +541,9 @@ def test_unsigned_counts_give_the_int64_products_bits(monkeypatch):
         assert rng.bit_generator.state == ref.bit_generator.state
         ws = rv.tree_resample(forest, cols["rare_tenth"], generator(7, i), mode)
         assert ws.multiplicity.dtype == np.int64
-    # runs of 7 trials on tiny forests: a group's draws split into runs of
-    # recruiter rows (sizes 1 to 3) or of one row's columns (sizes 8 and 30)
+    # runs of at most 7 trials on tiny forests: a group's draws split into
+    # runs of recruiter rows (sizes 1 to 3) or of one whole row (size 7, and
+    # sizes 8 and 30, larger than any caller asks for)
     monkeypatch.setattr(bootstrap, "MC_CHUNK", 7)
     rng = np.random.default_rng(41)
     for j in range(40):

@@ -267,9 +267,14 @@ def test_replaced_forest_drops_the_cached_links():
         return rv.RecruitmentForest(node_id=["S", "A", "B"], node_index=[-1] * 3, parent=parent, degree=[1] * 3)
 
     star = forest([-1, 0, 0])
-    star.children_csr(), star.recruiter_groups(), star.seed_entries()
+    star.children_csr(), star.recruiter_groups()
     assert star.wave.tolist() == [0, 1, 1]
     assert star.out_degree().tolist() == [2, 0, 0] and star.recruiter_entries().tolist() == [0]
+    # the arrays made once per forest are handed to every caller, so they are read-only
+    for entries in (star.seed_entries, star.out_degree, star.recruiter_entries):
+        assert entries() is entries()
+        with pytest.raises(ValueError):
+            entries()[0] = 1
     chain, fresh = dataclasses.replace(star, parent=[-1, 0, 1]), forest([-1, 0, 1])
     assert chain == fresh
     assert chain.wave.tolist() == [0, 1, 2] and chain.seed_index.tolist() == [0, 0, 0]
@@ -350,13 +355,6 @@ def test_forest_constructor_checks_the_given_columns(two_recruiter_forest):
         two_recruiter_forest.wave = np.zeros(4, dtype=np.int64)
     with pytest.raises(ValueError):
         two_recruiter_forest.seed_index[0] = 1
-    # so are the arrays made once per forest and handed to every caller
-    for entries in (
-        two_recruiter_forest.seed_entries, two_recruiter_forest.out_degree, two_recruiter_forest.recruiter_entries
-    ):
-        assert entries() is entries()
-        with pytest.raises(ValueError):
-            entries()[0] = 1
 
 
 def test_recruiter_index_past_the_last_entry_is_a_data_error():
