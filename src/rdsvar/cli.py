@@ -37,7 +37,7 @@ from .bootstrap import (
 from .errors import BudgetError, DataError, RdsVarError, UsageError
 from .estimators import PopulationTotals
 from .exact import check_moment_identity, enumerate_neighbourhood, enumerate_tree
-from .experiment import ExperimentConfig, _row_width, run_full
+from .experiment import ExperimentConfig, _row_dtype, run_full
 from .graph import (
     largest_connected_component,
     load_attributes,
@@ -415,7 +415,7 @@ def cmd_experiment(cfg: dict) -> list[str]:
         raise UsageError("--workers must be at least 1")
     ec = ExperimentConfig(design, columns, cfg["R"], cfg["B"], cfg["seed"], **options)
     design.validate_for(g)
-    _check_estimates("--R", ec.n_replications, "replication", _row_width(ec))
+    _check_estimates("--R", ec.n_replications, "replication", _row_dtype(ec).itemsize // 8)
     _check_estimates("--B", ec.n_bootstrap, "bootstrap", len(ec.attributes))
     _check_estimates("--width-ref", ec.n_width_reference, "width-reference", len(ec.attributes))
     _check_tape(design)

@@ -7,8 +7,8 @@ replicate serves all attributes. The width reference is the estimator's
 sampling distribution over fresh forests, each reduced to exact estimates
 by ``_width_estimates``. Replication i draws from substream (master, 0, i)
 and width-reference forest j from (master, 1, j). Each call maps one
-float64 buffer before any fork, an (R, width) array of replication rows
-(``_row_shapes``) and a (W, attributes) array of width estimates, and
+buffer before any fork, R replication rows of the named fields of
+``_row_dtype`` and a (W, attributes) float64 array of width estimates, and
 every work unit writes its result in place there. Both kinds of unit are
 numbered in one sequence, the R replications and then the width forests,
 and every working process takes the next unclaimed index from one shared
@@ -173,25 +173,22 @@ def _make_run(graph: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConf
     return _Run(graph, attrs, cfg, ((blocks[:, None] + 2 * rank) + z, a, b))
 
 
-def _row_shapes(cfg: ExperimentConfig) -> tuple[tuple[int, ...], ...]:
-    """A replication's row: point estimates, bootstrap variances, interval bounds (lo, hi), reseeds and truncations."""
+def _row_dtype(cfg: ExperimentConfig) -> np.dtype:
+    """A replication's row: point estimates, bootstrap variances, interval bounds (lo, hi), reseeds and truncations.
+
+    Its itemsize is 8 (A (1 + M (1 + 2 L)) + 2) bytes for A attributes, M methods and L levels.
+    """
     A, M, L = len(cfg.attributes), len(cfg.methods), len(cfg.ci_levels)
-    return (A,), (A, M), (A, M, L, 2), (2,)
+    return np.dtype([
+        ("points", np.float64, (A,)),
+        ("boot_var", np.float64, (A, M)),
+        ("cis", np.float64, (A, M, L, 2)),
+        ("reseeds", np.float64),
+        ("truncated", np.float64),
+    ])
 
 
-def _row_width(cfg: ExperimentConfig) -> int:
-    """Floats in a replication's row: A (1 + M (1 + 2 L)) + 2 for A attributes, M methods and L levels."""
-    return sum(math.prod(shape) for shape in _row_shapes(cfg))
-
-
-def _row_fields(cfg: ExperimentConfig, rows: np.ndarray) -> list[np.ndarray]:
-    """Views of the fields of ``rows``, whose last axis is a replication's row, shaped as ``_row_shapes``."""
-    shapes = _row_shapes(cfg)
-    parts = np.split(rows, np.cumsum([math.prod(shape) for shape in shapes])[:-1], axis=-1)
-    return [part.reshape(rows.shape[:-1] + shape) for part, shape in zip(parts, shapes)]
-
-
-def _replication(run: _Run, index: int, row: np.ndarray) -> bool:
+def _replication(run: _Run, index: int, row: np.void) -> bool:
     """Fill ``row`` with replication ``index``'s results on substream (master, 0, index); False when its sample starves."""
     cfg = run.cfg
     rep_root = substream(cfg.master_seed, _REPLICATION_DOMAIN, index)
@@ -200,16 +197,15 @@ def _replication(run: _Run, index: int, row: np.ndarray) -> bool:
     except BudgetError:
         return False
     z_cols = {a: run.attrs.column(a)[forest.node_index].astype(np.float64) for a in cfg.attributes}
-    points, boot_var, cis, counts = _row_fields(cfg, row)
     for m, method in enumerate(cfg.methods):
         bc = BootstrapConfig(method, cfg.n_bootstrap, estimator=_ESTIMATOR)
         dists = bootstrap_distributions(forest, bc, z_cols, root=substream(rep_root, _METHOD_KEY[method]))
         for k, a in enumerate(cfg.attributes):
-            points[k] = dists[a].estimator_on_original  # the point estimate, the same for every method
-            boot_var[k, m] = bootstrap_variance(dists[a])
+            row["points"][k] = dists[a].estimator_on_original  # the point estimate, the same for every method
+            row["boot_var"][k, m] = bootstrap_variance(dists[a])
             for j, lv in enumerate(cfg.ci_levels):
-                cis[k, m, j] = percentile_ci(dists[a], lv)
-    counts[:] = forest.n_reseeds, forest.n_truncated
+                row["cis"][k, m, j] = percentile_ci(dists[a], lv)
+    row["reseeds"], row["truncated"] = forest.n_reseeds, forest.n_truncated
     return True
 
 
@@ -336,7 +332,7 @@ def _reduce(run: _Run, completed: np.ndarray, n_excluded: int, width_ref: np.nda
     """One report row per attribute x method x level; ``completed`` holds rows in index order, ``width_ref`` columns."""
     cfg = run.cfg
     R = len(completed)
-    points, boot_var, cis, counts = _row_fields(cfg, completed)
+    points, boot_var, cis = completed["points"], completed["boot_var"], completed["cis"]
     truths = {a: true_proportion(run.graph, run.attrs, a) for a in cfg.attributes}
     rows = []
     for k, a in enumerate(cfg.attributes):
@@ -363,8 +359,8 @@ def _reduce(run: _Run, completed: np.ndarray, n_excluded: int, width_ref: np.nda
     diagnostics = {
         "completed_replications": R,
         "excluded_starved": n_excluded,
-        "total_reseeds": int(counts[:, 0].sum()),
-        "total_truncated_recruits": int(counts[:, 1].sum()),
+        "total_reseeds": int(completed["reseeds"].sum()),
+        "total_truncated_recruits": int(completed["truncated"].sum()),
     }
     return ExperimentReport(rows, truths, diagnostics, asdict(cfg))
 
@@ -382,19 +378,19 @@ def run_full(
     a design the graph cannot serve are ``DataError``s before any draw.
     """
     run = _make_run(g, attrs, cfg)
-    R, W, width = cfg.n_replications, cfg.n_width_reference, _row_width(cfg)
+    R, W, row = cfg.n_replications, cfg.n_width_reference, _row_dtype(cfg)
     try:  # anonymous, so shared with the forked children
-        buffer = mmap.mmap(-1, 8 * (R * width + W * len(cfg.attributes)))
+        buffer = mmap.mmap(-1, R * row.itemsize + 8 * W * len(cfg.attributes))
     except OSError as exc:
         if exc.errno != errno.ENOMEM:
             raise
-        raise MemoryError(f"cannot map the run's {R} rows of {width} and {W} width-reference floats") from exc
-    floats = np.frombuffer(buffer, dtype=np.float64)
-    rows, widths = floats[: R * width].reshape(R, width), floats[R * width :].reshape(W, -1)
+        raise MemoryError(f"cannot map the run's {R} rows of {row.itemsize // 8} and {W} width-reference floats") from exc
+    rows = np.frombuffer(buffer, dtype=row, count=R)
+    widths = np.frombuffer(buffer, dtype=np.float64, offset=R * row.itemsize).reshape(W, -1)
     errors = sorted((e for e in _run_units(run, workers, rows, widths) if e is not None), key=lambda e: e[0])
     if errors and errors[0][0] < R:
         raise errors[0][1]
-    completed = ~np.isnan(rows[:, -1])  # a row's last field, its truncation count, is NaN only when it starved
+    completed = ~np.isnan(rows["truncated"])  # NaN only in a starved row
     n_excluded = R - int(completed.sum())
     if R - n_excluded < 2:
         raise DataError(f"fewer than 2 completed replications ({n_excluded} starved)")

@@ -512,6 +512,7 @@ def read_forest_csv(path) -> RecruitmentForest:
         ids: list[str] = []
         recruiter_raw: list[str] = []
         degrees: list[int] = []
+        lines: list[int] = []  # each entry's line in the file
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -526,6 +527,7 @@ def read_forest_csv(path) -> RecruitmentForest:
             ids.append(row[col["id"]].strip())
             recruiter_raw.append(row[col["recruiter"]].strip())
             degrees.append(deg)
+            lines.append(lineno)
 
     n = len(ids)
     last_entry_of: dict[str, int] = {}
@@ -533,9 +535,7 @@ def read_forest_csv(path) -> RecruitmentForest:
     for i, rid in enumerate(recruiter_raw):
         if rid:
             if rid not in last_entry_of:
-                raise DataError(
-                    f"{path}: row {i + 2}: recruiter {rid!r} does not appear earlier in the file"
-                )
+                raise DataError(f"{path}:{lines[i]}: recruiter {rid!r} does not appear earlier in the file")
             parent[i] = last_entry_of[rid]
         last_entry_of[ids[i]] = i
     if "" not in recruiter_raw:

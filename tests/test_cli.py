@@ -430,6 +430,21 @@ def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys):
         validate_schema(err, "error.schema.json")
 
 
+def test_unknown_recruiter_names_its_line_in_the_file(tmp_path, capsys):
+    # two blank lines before the bad entry: the error names line 5, not the third entry
+    (tmp_path / "z.csv").write_text("id,flag\nA,0\nB,1\n")
+    forest_csv = tmp_path / "forest.csv"
+    forest_csv.write_text("id,recruiter,degree\nA,,2\n\n\nB,Q,3\n")
+    assert run_cli(
+        "bootstrap", "--forest", forest_csv, "--attrs", tmp_path / "z.csv", "--attribute", "flag",
+        "--method", "tree", "--B", "10", "--out", tmp_path,
+    ) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DataError"
+    assert err["error"]["message"] == f"{forest_csv}:5: recruiter 'Q' does not appear earlier in the file"
+    validate_schema(err, "error.schema.json")
+
+
 def test_forest_row_missing_degree_is_data_error(tmp_path, capsys):
     attrs_csv = tmp_path / "z.csv"
     attrs_csv.write_text("id,flag\nA,0\nB,1\n")
@@ -629,8 +644,8 @@ def _capped_argv(study_files, tmp_path, case):
         return [*argv, "--B", "50", "--width-ref", "200"], "MAX_ESTIMATE_FLOATS", 2 * 200, "--width-ref 200", "floats"
     # R rows of the layout's width reach the cap; B * columns = 40 and W * columns = 200 stay under it
     ec = rv.ExperimentConfig(rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 40), ("mix_half", "rare_tenth"), R, 20, 1)
-    return [*argv, "--B", "20", "--width-ref", "100"], "MAX_ESTIMATE_FLOATS", R * rv.experiment._row_width(ec), \
-        f"--R {R}", "floats"
+    need = R * (rv.experiment._row_dtype(ec).itemsize // 8)
+    return [*argv, "--B", "20", "--width-ref", "100"], "MAX_ESTIMATE_FLOATS", need, f"--R {R}", "floats"
 
 
 @pytest.mark.parametrize("case", ["simulate", "bootstrap", "experiment", "experiment-width-ref", "experiment-R"])

@@ -16,7 +16,7 @@ import pytest
 import rdsvar as rv
 from rdsvar import experiment
 from rdsvar.errors import BudgetError, DataError
-from rdsvar.experiment import _make_run, _quantile_width, _row_width, _width_forest
+from rdsvar.experiment import _make_run, _quantile_width, _row_dtype, _width_forest
 from rdsvar.rng import generator, substream
 
 
@@ -398,14 +398,16 @@ def test_starved_replications_are_left_out_of_the_report(small_world, monkeypatc
     assert serial.diagnostics["completed_replications"] == 6 - len(starved)
     assert serial.diagnostics["excluded_starved"] == len(starved)
     run = _make_run(g, attrs, cfg)
-    kept = []
+    rows = np.full(cfg.n_replications, np.nan, dtype=_row_dtype(cfg))
     for i in range(cfg.n_replications):
-        row = np.empty(_row_width(cfg))
-        assert experiment._replication(run, i, row) == (i not in starved)
-        if i not in starved:
-            kept.append(row)
+        assert experiment._replication(run, i, rows[i]) == (i not in starved)
+    # a completed replication writes every declared field and a starved one
+    # none, so the truncation count alone marks a starved row
+    for name in rows.dtype.names:
+        nan = np.isnan(rows[name]).reshape(len(rows), -1)
+        assert nan.all(1).tolist() == nan.any(1).tolist() == [i in starved for i in range(len(rows))], name
     widths = np.array([_width_forest(run, j) for j in range(cfg.n_width_reference)])
-    expected = experiment._reduce(run, np.array(kept), len(starved), widths)
+    expected = experiment._reduce(run, rows[~np.isnan(rows["truncated"])], len(starved), widths)
     assert serial.to_json_dict() == expected.to_json_dict()
     assert serial.to_csv_text() == expected.to_csv_text()
 
@@ -418,10 +420,10 @@ def test_run_full_holds_less_than_a_row_per_replication():
     g, attrs = rv.make_study_population(200, 5)
     design = rv.RdsDesign(3, 3, (1 / 3, 1 / 6, 1 / 6, 1 / 3), 20)
 
-    def config(R):
+    def config(R, attributes=tuple(attrs.column_names), **options):
         return rv.ExperimentConfig(
-            design=design, attributes=tuple(attrs.column_names), n_replications=R, n_bootstrap=2,
-            master_seed=7, n_width_reference=100,
+            design=design, attributes=attributes, n_replications=R, n_bootstrap=2,
+            master_seed=7, n_width_reference=100, **options,
         )
 
     def peak(R):
@@ -432,7 +434,13 @@ def test_run_full_holds_less_than_a_row_per_replication():
         finally:
             tracemalloc.stop()
 
-    row_bytes = 8 * _row_width(config(2))
+    # a row holds A (1 + M (1 + 2 L)) + 2 floats, the width the --R cap counts
+    shapes = [(1, ("tree",), (0.9,)), (2, ("neighbourhood", "tree"), (0.5, 0.8, 0.95)), (5, ("neighbourhood",), (0.8,))]
+    for A, methods, levels in shapes:
+        floats = A * (1 + len(methods) * (1 + 2 * len(levels))) + 2
+        layout = _row_dtype(config(2, tuple(attrs.column_names[:A]), methods=methods, ci_levels=levels))
+        assert layout.itemsize == 8 * floats, (A, methods, levels)
+    row_bytes = _row_dtype(config(2)).itemsize
     assert row_bytes == 8 * 57  # 5 columns, 2 methods, 2 levels
     # a first run at the larger R fills the interpreter's free lists, and no
     # collection empties them between the two measured runs
