@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -141,8 +142,8 @@ class ExactDistribution:
                 {
                     "estimate": float(v),
                     "probability": float(p),
-                    "estimate_exact": str(v),
-                    "probability_exact": str(p),
+                    "estimate_exact": _exact_str(v),
+                    "probability_exact": _exact_str(p),
                 }
                 for v, p in self.outcomes
             ],
@@ -150,8 +151,14 @@ class ExactDistribution:
         }
 
 
+def _exact_str(q: Fraction) -> str:
+    """``str(q)`` with all its digits, where ``str`` of an int stops at Python's digit cap (4300 by default)."""
+    num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
 def _moments_json(mean: Fraction, variance: Fraction) -> dict:
-    return {"mean": float(mean), "variance": float(variance), "mean_exact": str(mean), "variance_exact": str(variance)}
+    return {"mean": float(mean), "variance": float(variance), "mean_exact": _exact_str(mean), "variance_exact": _exact_str(variance)}
 
 
 def _exact_terms(forest: RecruitmentForest, z, estimator: str, totals: PopulationTotals | None):
@@ -397,15 +404,15 @@ def check_moment_identity(forest: RecruitmentForest, z, laws: dict[str, ExactDis
     return {
         "balanced": {"s": s, "c": c, "h": h, "n": forest.n, "n_r": int(forest.recruiter_entries().size)},
         "non_seed_mean": float(non_seed_mean),
-        "non_seed_mean_exact": str(non_seed_mean),
+        "non_seed_mean_exact": _exact_str(non_seed_mean),
         "neighbourhood_enumerated": _moments_json(nb.mean, nb.variance),
         "neighbourhood_closed_form": _moments_json(nb_mean, nb_var),
         "tree_enumerated": _moments_json(tree.mean, tree.variance),
         "tree_closed_form": _moments_json(tree_mean, tree_var),
         "exact_diff": {
-            "neighbourhood_mean_enumerated_minus_closed_form": str(nb.mean - nb_mean),
-            "neighbourhood_variance_enumerated_minus_closed_form": str(nb.variance - nb_var),
-            "neighbourhood_mean_enumerated_minus_non_seed_mean": str(nb.mean - non_seed_mean),
-            "variance_tree_minus_neighbourhood_closed_form": str(tree_var - nb_var),
+            "neighbourhood_mean_enumerated_minus_closed_form": _exact_str(nb.mean - nb_mean),
+            "neighbourhood_variance_enumerated_minus_closed_form": _exact_str(nb.variance - nb_var),
+            "neighbourhood_mean_enumerated_minus_non_seed_mean": _exact_str(nb.mean - non_seed_mean),
+            "variance_tree_minus_neighbourhood_closed_form": _exact_str(tree_var - nb_var),
         },
     }

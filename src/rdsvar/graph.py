@@ -109,38 +109,27 @@ class AttributeTable:
 
 @contextmanager
 def _open_text(path):
-    """Read a UTF-8 input file at once and yield an iterator over its lines.
+    """Open a UTF-8 input file and yield it, to be read line by line.
 
-    The lines are those that reading the file line by line gives: each
-    ends at a ``\\n``, a ``\\r\\n`` or a lone ``\\r``. Bytes it cannot
-    decode end the lines where line-by-line reading would meet them; they
-    and rows the csv module rejects are DataErrors.
+    No copy of the lines is kept: each is decoded as the caller reads it.
+    A line ends at a ``\\n``, a ``\\r\\n`` or a lone ``\\r``. Bytes that do
+    not decode and rows the csv module rejects are DataErrors, and an
+    undecodable byte is named by its offset in the file.
     """
-    lines: list[str] = []
-    undecodable = None
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines.extend(fh)  # keeps the lines decoded before a failing chunk
-    except UnicodeDecodeError as e:
-        undecodable = e
-    if undecodable is not None:
-        # line reading gives the byte's position within the chunk it decoded;
-        # one decode of the whole file meets the same byte at its file offset
-        with open(path, "rb") as fh:
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as e:
-                undecodable = e
-
-    def tail():
-        if undecodable is not None:
-            raise undecodable
-        yield from ()
-
-    try:
-        yield chain(lines, tail())
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"{path}: {e}") from None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            # line reading gives the byte's position within the chunk it
+            # decoded; one decode of the whole file meets it at its file offset
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    e = whole
+            raise DataError(f"{path}: {e}") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: {e}") from None
 
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +168,8 @@ def load_edge_list(path) -> PopulationGraph:
     the returned graph). Self-loop rows are rejected.
     """
     ends: list[str] = []  # both ids of every edge row, in file order
-    with _open_text(path) as lines:
-        for lineno, raw in enumerate(lines, start=1):
+    with _open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if len(parts) != 2 or "," in raw or parts[0][0] == "#" or parts[0] == parts[1]:
                 # a blank, comment or comma-separated line, or a faulty one
@@ -257,16 +246,19 @@ def largest_connected_component(g: PopulationGraph) -> PopulationGraph:
     return _induced_subgraph(g, keep)
 
 
-def _raise_first_bad_row(path, columns: list[str], records: list[list[str]]):
-    """Raise the error of the first faulty attribute row, in file order."""
-    for lineno, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns) + 1:
-            raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(row)}")
-        for name, cell in zip(columns, row[1:]):
-            if cell.strip() not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: column {name!r} has non-binary value {cell.strip()!r}")
+def _raise_first_bad_row(path, columns: list[str]):
+    """Read the attribute file again and raise its first faulty row's error, naming the line the row starts on."""
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if row and len(row) != len(columns) + 1:
+                raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(row)}")
+            for name, cell in zip(columns, row[1:]):
+                if cell.strip() not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno}: column {name!r} has non-binary value {cell.strip()!r}")
 
 
 def _attribute_rows(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -276,8 +268,8 @@ def _attribute_rows(path) -> tuple[list[str], list[str], np.ndarray]:
     distinct, non-empty column names; every other cell must be 0 or 1,
     padding aside. Empty rows are skipped.
     """
-    with _open_text(path) as lines:
-        reader = csv.reader(lines)
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -304,10 +296,10 @@ def _attribute_rows(path) -> tuple[list[str], list[str], np.ndarray]:
         ids = cells[::width]
         del cells[::width]
         # the distinct cell strings are few: check each once, and only on a
-        # fault walk the rows in order for the message
+        # fault read the file again for the message
         stripped = {c: c.strip() for c in set(cells)}
         if not {width}.issuperset(map(len, rows)) or not {"0", "1"}.issuperset(stripped.values()):
-            _raise_first_bad_row(path, columns, records)
+            _raise_first_bad_row(path, columns)
         if failure is not None:
             raise failure
     value = {c: int(s) for c, s in stripped.items()}

@@ -491,13 +491,15 @@ def write_forest_csv(forest: RecruitmentForest, path) -> None:
 
 
 def read_forest_csv(path) -> RecruitmentForest:
-    """Read a recruitment forest from CSV.
+    """Read a recruitment forest from CSV, in one pass over the file.
 
     Accepts the full five-column format written by :func:`write_forest_csv`
     as well as the minimal external format (id, recruiter, degree). The
     seed_index and wave columns are ignored: the forest derives them from
     the recruiter links. Recruiter references resolve to the latest earlier
     row with that id, so files must list recruiters before their recruits.
+    The first faulty row in file order is the error, named by the file
+    line the row starts on.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
@@ -510,10 +512,12 @@ def read_forest_csv(path) -> RecruitmentForest:
             raise DataError(f"{path}: forest CSV needs columns {sorted(required)}, got {header}")
         col = {name: header.index(name) for name in header}
         ids: list[str] = []
-        recruiter_raw: list[str] = []
+        parent: list[int] = []
         degrees: list[int] = []
-        lines: list[int] = []  # each entry's line in the file
-        for lineno, row in enumerate(reader, start=2):
+        last_entry_of: dict[str, int] = {}
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):
@@ -524,25 +528,19 @@ def read_forest_csv(path) -> RecruitmentForest:
                 raise DataError(f"{path}:{lineno}: degree must be an integer") from None
             if not 1 <= deg < 2**63:
                 raise DataError(f"{path}:{lineno}: degree must be an integer in [1, 2**63 - 1]")
-            ids.append(row[col["id"]].strip())
-            recruiter_raw.append(row[col["recruiter"]].strip())
+            rid = row[col["recruiter"]].strip()
+            if rid and rid not in last_entry_of:
+                raise DataError(f"{path}:{lineno}: recruiter {rid!r} does not appear earlier in the file")
+            parent.append(last_entry_of[rid] if rid else -1)
+            nid = row[col["id"]].strip()
+            last_entry_of[nid] = len(ids)
+            ids.append(nid)
             degrees.append(deg)
-            lines.append(lineno)
-
-    n = len(ids)
-    last_entry_of: dict[str, int] = {}
-    parent = [-1] * n
-    for i, rid in enumerate(recruiter_raw):
-        if rid:
-            if rid not in last_entry_of:
-                raise DataError(f"{path}:{lines[i]}: recruiter {rid!r} does not appear earlier in the file")
-            parent[i] = last_entry_of[rid]
-        last_entry_of[ids[i]] = i
-    if "" not in recruiter_raw:
+    if -1 not in parent:
         raise DataError(f"{path}: forest has no seeds (no row with empty recruiter)")
     return RecruitmentForest(
         node_id=ids,
-        node_index=np.full(n, -1, dtype=np.int64),
+        node_index=np.full(len(ids), -1, dtype=np.int64),
         parent=parent,
         degree=np.asarray(degrees, dtype=np.int64),
     )

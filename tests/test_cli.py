@@ -9,8 +9,11 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,7 +21,7 @@ import rdsvar as rv
 from rdsvar.cli import build_parser, main
 from rdsvar.experiment import run_full
 from rdsvar.rng import generator
-from conftest import seeds_with_one_recruit
+from conftest import balanced_forest, seeds_with_one_recruit
 
 try:
     import jsonschema
@@ -506,6 +509,24 @@ def test_oracle_matches_enumeration(tmp_path):
     assert payload["distribution"]["mean_exact"] == "7/24"
     probs = [o["probability_exact"] for o in payload["distribution"]["outcomes"]]
     assert probs == ["1/4", "1/2", "1/4"]
+
+
+def test_oracle_writes_exact_strings_past_the_int_string_cap(tmp_path):
+    # the vh variance has 6146 digits, past the 4300 that str() of an int gives
+    forest = balanced_forest(2, 3, 2, degrees=np.random.default_rng(1).integers(1, 9, size=26))
+    z = np.random.default_rng(2).integers(0, 2, size=26)
+    forest_csv, attrs_csv = tmp_path / "forest.csv", tmp_path / "z.csv"
+    rv.write_forest_csv(forest, forest_csv)
+    attrs_csv.write_text("id,flag\n" + "".join(f"{i},{v}\n" for i, v in zip(forest.node_id, z.tolist())))
+    code = run_cli(
+        "oracle", "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", "flag",
+        "--method", "neighbourhood", "--estimator", "vh", "--out", tmp_path,
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "oracle.json").read_text())
+    validate_schema(payload, "oracle_report.schema.json")
+    variance = Fraction(*(int(Decimal(part)) for part in payload["distribution"]["variance_exact"].split("/")))
+    assert variance == rv.enumerate_neighbourhood(forest, z, estimator="vh").variance
 
 
 def test_oracle_identity_flag(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -353,6 +354,25 @@ def test_outcomes_in_exact_order_beyond_float_precision():
     d = rv.ExactDistribution.from_law({(big + 1, big + 2): 1, (big, big + 1): 3}, 4)
     assert d.outcomes == [(Fraction(big, big + 1), Fraction(3, 4)), (Fraction(big + 1, big + 2), Fraction(1, 4))]
     d.validate()
+
+
+def _fraction(text: str) -> Fraction:
+    """A Fraction string back to its value, past the digit cap of ``int(str)``."""
+    return Fraction(*(int(Decimal(part)) for part in text.split("/")))
+
+
+def test_exact_strings_keep_every_digit_past_the_int_string_cap():
+    # the vh variance of this forest has 6146 digits; str() of a Fraction
+    # stops at Python's default cap of 4300 digits per int
+    forest = balanced_forest(2, 3, 2, degrees=np.random.default_rng(1).integers(1, 9, size=26))
+    law = rv.enumerate_neighbourhood(forest, np.random.default_rng(2).integers(0, 2, size=26), estimator="vh")
+    report = law.to_json_dict()
+    assert len(report["variance_exact"]) > 4300
+    assert _fraction(report["variance_exact"]) == law.variance and _fraction(report["mean_exact"]) == law.mean
+    outcomes = [(_fraction(o["estimate_exact"]), _fraction(o["probability_exact"])) for o in report["outcomes"]]
+    assert outcomes == law.outcomes
+    for q in (Fraction(0), Fraction(-3), Fraction(7, 24), Fraction(-(10**40), 7)):
+        assert exact._exact_str(q) == str(q)
 
 
 def test_validate_rejects_inconsistent_laws(single_seed_forest):

@@ -401,7 +401,9 @@ def _reference_read_attribute_rows(path):
         if not columns:
             raise DataError(f"{path}: no attribute columns")
         rows: dict[str, tuple[int, ...]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1  # a row is named by the file line it starts on
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(columns) + 1:
@@ -510,6 +512,14 @@ def test_attribute_loaders_match_the_reference_loaders(tmp_path_factory, data):
     assert _outcome(read_attribute_rows, path) == _outcome(_reference_read_attribute_rows, path)
     g = _graph_of(["a b", "b c"], path.with_name("edges.txt"))
     assert _same(_outcome(_bulk_attributes, path, g), _outcome(_reference_load_attributes, path, g))
+
+
+def test_attribute_errors_name_the_line_a_row_starts_on(tmp_path):
+    # a quoted id holding a newline: the bad value sits on line 5, the third row
+    path = tmp_path / "attrs.csv"
+    path.write_bytes(b'id,x\n"A\nA",1\nB,1\nC,2\n')
+    assert _outcome(read_attribute_rows, path) == f"DataError: {path}:5: column 'x' has non-binary value '2'"
+    assert _outcome(read_attribute_rows, path) == _outcome(_reference_read_attribute_rows, path)
 
 
 def _graph_of(lines, path):

@@ -409,6 +409,26 @@ def test_forest_csv_unknown_recruiter(tmp_path):
         rv.read_forest_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a quoted id holding a newline moves every later row down a line
+        (b'id,recruiter,degree\n"A\nA",,2\nB,"A\nA",3\nC,Z,1\n', ":6: recruiter 'Z' does not appear earlier in the file"),
+        (b'id,recruiter,degree\n"A\nA",,2\nB,"A\nA",x\n', ":4: degree must be an integer"),
+        (b'id,recruiter,degree\n"A\nA",,2\nB,A\n', ":4: expected 3 fields, got 2"),
+        # the first faulty row in file order: line 3's recruiter, not line 5's degree
+        (b"id,recruiter,degree\nS,,2\nA,Z,1\nB,S,1\nC,S,x\n", ":3: recruiter 'Z' does not appear earlier in the file"),
+    ],
+    ids=["recruiter", "degree", "fields", "file-order"],
+)
+def test_forest_csv_errors_name_the_line_a_row_starts_on_in_file_order(tmp_path, text, error):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(DataError) as e:
+        rv.read_forest_csv(path)
+    assert str(e.value) == f"{path}{error}"
+
+
 # ------------------------------------------------- the law of the FIFO loop
 
 
