@@ -11,8 +11,9 @@ Two methods:
   bootstrap sample is the multiset of all drawn occurrences, seeds
   included.
 
-Each method has one draw kernel, ``_nb_counts`` and ``_tree_counts``, that
-returns a count matrix for a batch of replicates. For the tree method the
+Each method has one draw kernel for a batch of replicates: ``_nb_draws``
+returns the drawn pool slots, which ``_nb_counts`` counts, and
+``_tree_counts`` returns a count matrix. For the tree method the
 counts propagate one BFS wave at a time: m occurrences of a recruiter with
 k recruits spawn m*k independent uniform child draws, i.e. the child
 counts are multinomial(m*k, uniform). Each wave makes one draw call per
@@ -46,11 +47,16 @@ any order or split across workers without changing the result.
 
 Counts are held in the smallest unsigned type that holds any count: a
 neighbourhood count is at most n_r, and a tree count at most s times
-k_max to the power of the deepest wave. Each consumer casts them to
-float64, exact below 2**53: ``bootstrap_distributions`` one C-ordered
-copy per block, the buffer numpy would make for each product of int64
-counts, so the replicates keep their bits; ``mc_bootstrap_moments`` one
-copy per run, in the memory order the kernel returned, as numpy would.
+k_max to the power of the deepest wave. A consumer casts them to float64,
+exact below 2**53: ``bootstrap_distributions`` one C-ordered copy per
+block, the buffer numpy would make for each product of int64 counts, so
+the replicates keep their bits; ``mc_bootstrap_moments`` one copy per
+tree run, in the memory order the kernel returned, as numpy would. A
+neighbourhood run of ``mc_bootstrap_moments`` makes no counts when the
+pooled terms are integers whose sums over n_r draws stay below 2**53: it
+sums the terms at the drawn slots, and such a sum is exact in any order,
+so it has the count product's bits. Otherwise it casts the counts as a
+tree run does.
 
 A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
@@ -141,15 +147,8 @@ def _nb_pool(forest: RecruitmentForest, pool: str) -> tuple[np.ndarray, int]:
     return np.arange(forest.n, dtype=np.int64), n_r
 
 
-def _nb_draw(rng: RngStream, p: int, n_r: int, size: int) -> np.ndarray:
-    """Counts over p slots of n_r uniform draws for each of ``size`` replicates."""
-    draws = rng.integers(0, p, size=(size, n_r))
-    draws += np.arange(size, dtype=np.int64)[:, None] * p
-    return np.bincount(draws.ravel(), minlength=size * p).reshape(size, p).astype(np.min_scalar_type(n_r))
-
-
-def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw counts over the pool for ``size`` replicates, shape (size, p).
+def _nb_draws(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pool slots of the n_r uniform draws of ``size`` replicates, shape (size, n_r), and the pool entries.
 
     Replicates whose drawn individuals have no recruits at all (possible
     only with the all_participants pool) are redrawn after the whole
@@ -158,14 +157,23 @@ def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) 
     """
     pool_entries, n_r = _nb_pool(forest, pool)
     p = int(pool_entries.size)
-    counts = _nb_draw(rng, p, n_r, size)
+    draws = rng.integers(0, p, size=(size, n_r))
     if pool == "all_participants":
         recruiting = forest.out_degree()[pool_entries] > 0
-        empty = ~counts[:, recruiting].any(axis=1)
+        empty = ~recruiting[draws].any(axis=1)
         while empty.any():
-            counts[empty] = _nb_draw(rng, p, n_r, int(empty.sum()))
-            empty = ~counts[:, recruiting].any(axis=1)
-    return counts, pool_entries
+            draws[empty] = rng.integers(0, p, size=(int(empty.sum()), n_r))
+            empty = ~recruiting[draws].any(axis=1)
+    return draws, pool_entries
+
+
+def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw counts over the pool for ``size`` replicates, shape (size, p), and the pool entries."""
+    draws, pool_entries = _nb_draws(forest, pool, rng, size)
+    p = int(pool_entries.size)
+    draws += np.arange(size, dtype=np.int64)[:, None] * p
+    counts = np.bincount(draws.ravel(), minlength=size * p).reshape(size, p)
+    return counts.astype(np.min_scalar_type(draws.shape[1])), pool_entries
 
 
 def _recruit_slots(forest: RecruitmentForest, pool_entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,11 +441,21 @@ def mc_bootstrap_moments(
     cfg = BootstrapConfig(method, B, pool, seed_mode, estimator)
     nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
     terms = np.stack([den, nums["z"]])
+    n_r = _nb_pool(forest, pool)[1] if cfg.method == "neighbourhood" else 0
+    # with integer terms, every sum of n_r of them is exact below 2**53 in any
+    # order, so summing the drawn members' terms gives the count product's bits
+    gather = n_r > 0 and bool((terms == np.floor(terms)).all()) and n_r * float(np.abs(terms).max()) <= 2**53
+    ones = np.ones(n_r)
     est = np.empty(B)
     for lo in range(0, B, MC_CHUNK):
-        # a run's float64 copy is made after its draws and freed before the next run's
-        den_sums, num_sums = terms @ _counts(forest, cfg, rng, min(MC_CHUNK, B - lo)).T.astype(np.float64)
-        np.divide(num_sums, den_sums, out=est[lo : lo + MC_CHUNK])
+        size = min(MC_CHUNK, B - lo)
+        if gather:
+            draws = _nb_draws(forest, pool, rng, size)[0]
+            den_sums, num_sums = (np.take(t, draws) @ ones for t in terms)
+        else:
+            # a run's float64 copy is made after its draws and freed before the next run's
+            den_sums, num_sums = terms @ _counts(forest, cfg, rng, size).T.astype(np.float64)
+        np.divide(num_sums, den_sums, out=est[lo : lo + size])
     # the moments are taken in place in the estimates
     mean = float(est.mean())
     est -= mean  # centred

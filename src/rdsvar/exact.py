@@ -20,15 +20,16 @@ law is a convolution of smaller laws (keys add, weights multiply):
   drawn with replacement) or the convolution of the s seed laws
   (without).
 
-One integer routine turns a law into an ``ExactDistribution``: keys are
-reduced and merged, put in exact order (by float value, each adjacent
-pair checked by integer cross-multiplication), and the mean and variance
-come from the integer sums of w*v and w*v**2, v = num * (D // den) over
-the lcm D of the denominators, one ``Fraction`` each; ``validate``
-recomputes them the same way. The estimate and probability ``Fraction``
-are built once per distinct outcome. The budget counts the (key, key)
-products of all convolutions and is checked before each one; past it the
-error advises falling back to ``mc_bootstrap_moments``.
+One integer routine turns a law into an ``ExactDistribution``, which holds
+integers: keys are reduced and merged, put in exact order (by float
+value, each adjacent pair checked by integer cross-multiplication, and
+sorted by it where the floats tie), and the mean and variance come from
+the integer sums of w*v and w*v**2, v = num * (D // den) over the lcm D
+of the denominators, one ``Fraction`` each; ``validate`` recomputes them
+the same way. The estimate and probability ``Fraction`` of an outcome
+are built on read. The budget counts the (key, key) products of all
+convolutions and is checked before each one; past it the error advises
+falling back to ``mc_bootstrap_moments``.
 
 Two closed forms stay exact at O(n) Fraction cost: the mean and variance
 of the tree bootstrap's linear statistic counts @ z on any forest (with
@@ -45,6 +46,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -94,9 +96,17 @@ def _moments(outcomes, total: int, scale: int = 1) -> tuple[Fraction, Fraction]:
 
 @dataclass
 class ExactDistribution:
-    """All outcome values of an estimator with exact probabilities."""
+    """All outcome values of an estimator with exact probabilities, held as integers.
 
-    outcomes: list[tuple[Fraction, Fraction]]  # (estimate, probability), sorted by estimate
+    Outcome (num, den, w) of ``triples`` is the estimate num / (den * scale)
+    with probability w / total; its (num, den) is reduced and the triples
+    are in increasing order of estimate. ``outcomes`` and ``to_json_dict``
+    make the ``Fraction`` values when they are read.
+    """
+
+    triples: list[tuple[int, int, int]]
+    total: int
+    scale: int
     mean: Fraction
     variance: Fraction
 
@@ -112,20 +122,23 @@ class ExactDistribution:
         # every adjacent pair is in order by integer cross-multiplication
         ranked = sorted(merged, key=lambda key: key[0] / key[1])
         if any(a * d >= c * b for (a, b), (c, d) in zip(ranked, ranked[1:])):
-            ranked.sort(key=lambda key: Fraction(*key))
-        mean, var = _moments(((num, den, w) for (num, den), w in merged.items()), total, scale)
-        outcomes = [(Fraction(num, den * scale), Fraction(merged[num, den], total)) for num, den in ranked]
-        return cls(outcomes, mean, var)
+            ranked.sort(key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+        triples = [(num, den, merged[num, den]) for num, den in ranked]
+        return cls(triples, total, scale, *_moments(triples, total, scale))
+
+    @property
+    def outcomes(self) -> list[tuple[Fraction, Fraction]]:
+        """(estimate, probability) of each outcome, in increasing order of estimate."""
+        return [(Fraction(num, den * self.scale), Fraction(w, self.total)) for num, den, w in self.triples]
 
     def validate(self) -> None:
-        total = math.lcm(*(p.denominator for _, p in self.outcomes))
-        weights = [p.numerator * (total // p.denominator) for _, p in self.outcomes]
-        if sum(weights) != total:
-            raise DataError(f"outcome probabilities sum to {Fraction(sum(weights), total)}, not 1")
+        """Raise ``DataError`` unless the weights are a law and the moments are those of the triples."""
+        weights = [w for _, _, w in self.triples]
+        if sum(weights) != self.total:
+            raise DataError(f"outcome probabilities sum to {Fraction(sum(weights), self.total)}, not 1")
         if any(w < 0 for w in weights):
             raise DataError("negative outcome probability")
-        values = ((v.numerator, v.denominator, w) for (v, _), w in zip(self.outcomes, weights))
-        if _moments(values, total) != (self.mean, self.variance):
+        if _moments(self.triples, self.total, self.scale) != (self.mean, self.variance):
             raise DataError("stored moments disagree with recomputed moments")
 
     @property

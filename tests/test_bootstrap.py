@@ -602,6 +602,31 @@ def test_monte_carlo_runs_make_the_one_batch_draws_and_bits(monkeypatch):
                 assert mc_rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_neighbourhood_monte_carlo_sums_its_draws_to_the_count_products_bits(monkeypatch):
+    # integer terms on criterion 1's tiny forests: the Monte Carlo runs sum
+    # the pooled terms at the drawn slots and make no counts, and the
+    # moments keep every bit, and the generator its state, of the count
+    # matrix of each run times the terms, over B > MC_CHUNK
+    rng = np.random.default_rng(29)
+    B = 2 * bootstrap.MC_CHUNK + 100
+
+    def no_counts(*args):
+        raise AssertionError("integer terms need no count matrix")
+
+    for j in range(12):
+        forest, z = random_tiny_forest(rng)
+        if forest.out_degree().max(initial=0) == 0:
+            continue
+        for pool, estimator in itertools.product(("recruiters_only", "all_participants"), ("sample_mean", "vh")):
+            mc_rng, ref = generator(30, j), generator(30, j)
+            with monkeypatch.context() as patched:
+                patched.setattr(bootstrap, "_nb_counts", no_counts)
+                mm = rv.mc_bootstrap_moments(forest, z, "neighbourhood", estimator, B, mc_rng, pool)
+            cfg = rv.BootstrapConfig("neighbourhood", B, pool, estimator=estimator)
+            assert (mm.mean, mm.variance) == _run_moments(forest, z, cfg, ref, bootstrap.MC_CHUNK)
+            assert mc_rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("method", ["neighbourhood", "tree"])
 def test_monte_carlo_holds_no_count_matrix_of_all_replicates(method):
     # 13 entries at B = 100000: the float64 count matrix of all replicates

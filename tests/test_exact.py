@@ -356,6 +356,20 @@ def test_outcomes_in_exact_order_beyond_float_precision():
     d.validate()
 
 
+def test_laws_are_held_as_integers(monkeypatch):
+    # keys 2/4 and 1/2 merge; the law keeps reduced integer triples in
+    # increasing order, builds only its two moment Fractions, and makes the
+    # outcome Fractions when they are read
+    made = []
+    monkeypatch.setattr(exact, "Fraction", lambda *args: made.append(args) or Fraction(*args))
+    d = rv.ExactDistribution.from_law({(3, 3): 4, (2, 4): 1, (0, 3): 1, (1, 2): 2}, 8, scale=5)
+    assert len(made) == 2
+    assert (d.triples, d.total, d.scale) == ([(0, 1, 1), (1, 2, 3), (1, 1, 4)], 8, 5)
+    assert (d.mean, d.variance) == (Fraction(11, 80), Fraction(31, 6400))
+    assert d.outcomes == [(Fraction(0), Fraction(1, 8)), (Fraction(1, 10), Fraction(3, 8)), (Fraction(1, 5), Fraction(1, 2))]
+    d.validate()
+
+
 def _fraction(text: str) -> Fraction:
     """A Fraction string back to its value, past the digit cap of ``int(str)``."""
     return Fraction(*(int(Decimal(part)) for part in text.split("/")))
@@ -379,8 +393,8 @@ def test_validate_rejects_inconsistent_laws(single_seed_forest):
     d = rv.enumerate_tree(single_seed_forest, [0, 1, 0])
     d.validate()
     bad = [
-        (replace(d, outcomes=[(v, p / 2) for v, p in d.outcomes]), "sum to 1/2"),
-        (replace(d, outcomes=[(Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2))]), "negative"),
+        (replace(d, total=2 * d.total), "sum to 1/2"),
+        (replace(d, triples=[(0, 1, -1), (1, 1, 2)], total=1), "negative"),
         (replace(d, mean=d.mean + Fraction(1, 10**30)), "disagree"),
         (replace(d, variance=d.variance + Fraction(1, 10**30)), "disagree"),
     ]
