@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -347,7 +348,7 @@ def bootstrap_distributions(
         den_sums = counts @ den
         for name, num in nums.items():
             est[name][lo:hi] = ((counts @ num) / den_sums)[: hi - lo]
-    points = _estimate(forest.degree, np.ones(forest.n, dtype=np.int64), cols.values(), cfg.estimator, totals)
+    points = _estimate(forest.degree, 1, cols.values(), cfg.estimator, totals)
     return {name: BootstrapDistribution(est[name], point) for name, point in zip(cols, points)}
 
 
@@ -362,22 +363,21 @@ def bootstrap_distribution(
     return bootstrap_distributions(forest, cfg, {"z": z}, totals, root)["z"]
 
 
-def nearest_rank_bounds(values: np.ndarray, level: float) -> tuple[float, float]:
-    """Nearest-rank (alpha/2, 1 - alpha/2) quantiles of ``values``, alpha = 1 - level.
+def _nearest_ranks(n: int, level: float) -> tuple[int, int]:
+    """Nearest ranks ceil(q * n), clamped to [1, n], of the (alpha/2, 1 - alpha/2) quantiles, alpha = 1 - level.
 
-    rank = ceil(q * n) clamped to [1, n]; the ceiling is guarded against
-    float noise in q * n (e.g. 0.9 * 100 slightly above 90) so ranks match
-    the exact-rational definition.
+    The level is its shortest decimal p / d (0.95 as 95/100), so q = (d -+ p) / 2d is exact.
     """
-    n = values.shape[0]
+    p, d = Fraction(repr(float(level))).as_integer_ratio()
+    lo, hi = (min(max(-(-(d + s * p) * n // (2 * d)), 1), n) for s in (-1, 1))
+    return lo, hi
+
+
+def nearest_rank_bounds(values: np.ndarray, level: float) -> tuple[float, float]:
+    """Nearest-rank (alpha/2, 1 - alpha/2) quantiles of ``values``, alpha = 1 - level (see ``_nearest_ranks``)."""
     ordered = np.sort(values)
-    alpha = 1.0 - level
-
-    def rank(q: float) -> int:
-        r = math.ceil(q * n - 1e-9)
-        return min(max(r, 1), n)
-
-    return float(ordered[rank(alpha / 2.0) - 1]), float(ordered[rank(1.0 - alpha / 2.0) - 1])
+    lo, hi = _nearest_ranks(values.shape[0], level)
+    return float(ordered[lo - 1]), float(ordered[hi - 1])
 
 
 def _check_level(level: float) -> None:

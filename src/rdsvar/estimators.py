@@ -8,10 +8,9 @@ multiplicity-m observation into m unit copies changes nothing, rescaling
 all degrees by a constant leaves the degree-weighted estimate bit-identical,
 and equal-degree samples collapse exactly to the plain sample mean. The
 bootstrap evaluates its replicates from the same integer terms
-(``_degree_terms``), cast to float64. An estimate is a grouping of the
-observations by degree (``_per_degree_sums``) and one exact reduction of
-the per-degree sums (``_ratio``); the experiment's width reference
-groups its forests itself and shares the reduction.
+(``_degree_terms``), cast to float64. Every sample estimate, the
+experiment's width reference included, is one exact int64 sum over the
+cells of ``_cell_layout`` and one exact reduction (``_cell_estimates``).
 """
 
 from __future__ import annotations
@@ -148,19 +147,6 @@ def _degree_terms(
     raise DataError(f"unknown estimator: {estimator!r}")
 
 
-def _per_degree_sums(inverse: np.ndarray, n_degrees: int, multiplicity: np.ndarray, columns) -> list[list[int]]:
-    """Per-degree integer sums of the observations' multiplicities.
-
-    Row 0 sums every observation's multiplicity per degree, row c + 1 those
-    with z = 1 in column c; observation i has degree ``inverse[i]``.
-    """
-    weights = [multiplicity] + [multiplicity * (np.asarray(z) == 1.0) for z in columns]
-    sums = np.zeros((len(weights), n_degrees), dtype=np.int64)
-    for row, w in zip(sums, weights):
-        np.add.at(row, inverse, w)
-    return sums.tolist()
-
-
 def _ratio(den_sums: list[int], num_sums: list[list[int]], a: list[int], b: list[int]) -> list[float]:
     """The correctly rounded estimate of each column from its per-degree integer sums.
 
@@ -176,20 +162,42 @@ def _ratio(den_sums: list[int], num_sums: list[list[int]], a: list[int], b: list
     return [sum(map(mul, col, a)) / den for col in num_sums]
 
 
-def _estimate(
-    degree: np.ndarray, multiplicity: np.ndarray, columns, estimator: str, totals: PopulationTotals | None = None
-) -> list[float]:
-    """Correctly rounded estimates of several z columns over one set of observations.
+def _cell_layout(
+    degree: np.ndarray, columns, estimator: str, totals: PopulationTotals | None = None
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """(keys, a, b): the cell keys of several z columns over some observations, and ``_degree_terms``' a, b.
 
-    Observation i has degree[i], multiplicity[i] and attribute column[i]
-    in every column. The observations are grouped by degree once for all
-    columns, and each estimate is the exact ratio over the per-degree sums.
+    Observation i's key in column c is 2 * (c * len(a) + k) + z, with k the
+    rank of its degree among the distinct degrees and z its value in c.
     """
+    inverse, a, b = _degree_terms(degree, estimator, totals)
+    z = np.array([np.asarray(col) == 1.0 for col in columns], dtype=np.int64).reshape(-1, inverse.size)
+    return 2 * (len(a) * np.arange(len(z))[:, None] + inverse) + z, a, b
+
+
+def _cell_estimates(keys: np.ndarray, multiplicity, a: list[int], b: list[int]) -> list[float]:
+    """Correctly rounded estimates of every column from a ``_cell_layout``, or from columns of its keys.
+
+    ``multiplicity`` is one integer for every key, or one per key in C
+    order. The denominator sums both cells of each degree in column 0.
+    """
+    if not len(keys):
+        return []
+    sums = np.zeros(len(keys) * len(a) * 2, dtype=np.int64)
+    np.add.at(sums, keys.ravel(), multiplicity)
+    cells = sums.reshape(len(keys), len(a), 2)
+    return _ratio(cells[0].sum(1).tolist(), cells[:, :, 1].tolist(), a, b)
+
+
+def _estimate(
+    degree: np.ndarray, multiplicity, columns, estimator: str, totals: PopulationTotals | None = None
+) -> list[float]:
+    """Correctly rounded estimates of several z columns over observations of degree[i], multiplicity[i] (or one for all)."""
     if degree.size == 0:
         raise DataError("empty sample")
-    inverse, a, b = _degree_terms(degree, estimator, totals)
-    den_sums, *num_sums = _per_degree_sums(inverse, len(a), multiplicity, columns)
-    return _ratio(den_sums, num_sums, a, b)
+    keys, a, b = _cell_layout(degree, columns, estimator, totals)
+    # flat: add.at's fast path needs that, and numpy 2.4 misreads a 1-D operand broadcast to 2-D keys
+    return _cell_estimates(keys, np.broadcast_to(multiplicity, keys.shape).ravel(), a, b)
 
 
 def sample_mean(ws: WeightedSample) -> float:

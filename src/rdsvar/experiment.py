@@ -17,7 +17,7 @@ children it forks once per run, which send nothing but an error. Errors
 are raised in the order a serial run meets them, and the reduction uses
 exactly rounded sums, so reports and errors are identical for any worker
 count. Each call builds one frozen run object (graph, attributes, config
-and width keys) and passes it to every work unit; forked children
+and width cells) and passes it to every work unit; forked children
 inherit it. The module keeps no state between calls, so calls may run at
 once in several threads, and nothing of a run outlives its call.
 """
@@ -46,7 +46,7 @@ from .bootstrap import (
     percentile_ci,
 )
 from .errors import BudgetError, DataError
-from .estimators import _degree_terms, _ratio
+from .estimators import _cell_estimates, _cell_layout
 from .graph import AttributeTable, PopulationGraph
 from .rng import generator, substream
 from .simulate import RdsDesign, simulate_rds
@@ -150,16 +150,14 @@ def true_proportion(g: PopulationGraph, attrs: AttributeTable, column: str) -> f
 class _Run:
     """One ``run_full`` call's inputs, made once per call and passed to every work unit.
 
-    ``width_keys`` is what the width reference groups each forest by:
-    node v's key in attribute j's block is 2 * (rank of v's degree among
-    the graph's distinct degrees) + z_j(v), and a, b are the estimator's
-    terms of those degrees.
+    ``width_cells`` is the ``_cell_layout`` of the graph's nodes under the
+    attributes: the width reference takes each forest's keys from it.
     """
 
     graph: PopulationGraph
     attrs: AttributeTable
     cfg: ExperimentConfig
-    width_keys: tuple[np.ndarray, list[int], list[int]]
+    width_cells: tuple[np.ndarray, list[int], list[int]]
 
 
 def _make_run(graph: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConfig) -> _Run:
@@ -167,10 +165,8 @@ def _make_run(graph: PopulationGraph, attrs: AttributeTable, cfg: ExperimentConf
     z = np.stack([attrs.column(name) for name in cfg.attributes])
     if z.shape[1] != graph.n_nodes:
         raise DataError("attribute table does not match graph")
-    cfg.design.validate_for(graph)  # before the degree terms, which need every degree >= 1
-    rank, a, b = _degree_terms(graph.degree, _ESTIMATOR)
-    blocks = 2 * len(a) * np.arange(len(cfg.attributes))
-    return _Run(graph, attrs, cfg, ((blocks[:, None] + 2 * rank) + z, a, b))
+    cfg.design.validate_for(graph)  # before the cell layout, whose degree terms need every degree >= 1
+    return _Run(graph, attrs, cfg, _cell_layout(graph.degree, z, _ESTIMATOR))
 
 
 def _row_dtype(cfg: ExperimentConfig) -> np.dtype:
@@ -218,20 +214,11 @@ def _width_forest(run: _Run, index: int) -> tuple[float, ...]:
 def _width_estimates(run: _Run, node_index: np.ndarray) -> tuple[float, ...]:
     """The estimate of every attribute over the nodes at ``node_index``, each drawn once.
 
-    One ``bincount`` of the nodes' keys gives, per attribute and degree,
-    the nodes with z = 0 and with z = 1; the exact ratio then sums the
-    degrees present. The floats are those of ``_estimate`` on the sample,
-    bit for bit.
+    The exact ratio does not depend on the terms' common multiple, so the
+    floats are those of ``_estimate`` on the sample, bit for bit.
     """
-    keys, a, b = run.width_keys
-    n_attrs, n_degrees = keys.shape[0], len(a)
-    counts = np.bincount(np.take(keys, node_index, axis=1).ravel(), minlength=n_attrs * n_degrees * 2)
-    counts = counts.reshape(n_attrs, n_degrees, 2)
-    den = counts[0].sum(1)
-    present = np.flatnonzero(den)
-    at = present.tolist()
-    num = counts[:, present, 1].tolist()
-    return tuple(_ratio(den[present].tolist(), num, [a[k] for k in at], [b[k] for k in at]))
+    keys, a, b = run.width_cells
+    return tuple(_cell_estimates(np.take(keys, node_index, axis=1), 1, a, b))
 
 
 def _usable_cpus() -> int:
@@ -279,7 +266,7 @@ def _run_units(run: _Run, workers: int, rows: np.ndarray, widths: np.ndarray) ->
 
     min(workers, usable CPUs) processes run ``_work``: this one and the
     children it forks. The start method is fork on purpose: the children
-    inherit the run object (graph, attributes, width keys), the shared
+    inherit the run object (graph, attributes, width cells), the shared
     counter and the shared buffer behind ``rows`` and ``widths`` without
     pickling any of them, and this process starts no thread before it
     forks. Where fork does not exist (Windows) the units run in this

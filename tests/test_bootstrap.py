@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ class TestPercentileCI:
     def test_nearest_rank_80(self):
         d = dist_of(np.arange(1, 101))
         assert rv.percentile_ci(d, 0.80) == (10.0, 90.0)
+
+    def test_nearest_ranks_are_exact_at_large_n(self):
+        # sizes where float64 q * n lands more than 1e-9 above the exact integer rank
+        assert bootstrap._nearest_ranks(47_185_960, 0.95)[0] == 47_185_960 // 40
+        assert bootstrap._nearest_ranks(23_301_700, 0.68)[1] == 19_573_428
+        for level in ("0.5", "0.68", "0.8", "0.9", "0.95", "0.99", "0.123"):
+            q = (1 - Fraction(level)) / 2
+            for n in (1, 2, 39, 40, 100, 1000, 12_345):
+                want = tuple(min(max(math.ceil(x * n), 1), n) for x in (q, 1 - q))
+                assert bootstrap._nearest_ranks(n, float(level)) == want
 
     def test_constant_degenerate(self):
         d = dist_of([2.5, 2.5, 2.5])
@@ -203,6 +214,11 @@ class TestBootstrapDistribution:
         both = rv.bootstrap_distributions(two_recruiter_forest, cfg, {"a": za, "b": zb}, root=2)
         single_a = rv.bootstrap_distribution(two_recruiter_forest, cfg, za, root=2)
         assert np.array_equal(both["a"].estimates, single_a.estimates)
+
+    def test_no_columns_give_no_distributions(self, two_recruiter_forest):
+        for method in ("neighbourhood", "tree"):
+            cfg = rv.BootstrapConfig(method, 10, estimator="vh")
+            assert rv.bootstrap_distributions(two_recruiter_forest, cfg, {}, root=0) == {}
 
     def test_point_estimate_matches_estimator(self, two_recruiter_forest):
         z = np.array([1.0, 1.0, 0.0, 1.0])

@@ -214,6 +214,12 @@ def test_columns_share_one_set_of_degree_terms():
             assert _estimate(degree, mult, cols, name, totals) == expected
 
 
+def test_no_columns_give_no_estimates():
+    degree = np.array([1, 2, 2, 5])
+    for estimator in ("sample_mean", "vh", "ipw"):
+        assert _estimate(degree, np.ones(4, dtype=np.int64), [], estimator, rv.PopulationTotals(10, 40)) == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(
