@@ -38,13 +38,7 @@ from .errors import BudgetError, DataError, RdsVarError, UsageError
 from .estimators import PopulationTotals
 from .exact import check_moment_identity, enumerate_neighbourhood, enumerate_tree
 from .experiment import ExperimentConfig, _row_dtype, run_full
-from .graph import (
-    largest_connected_component,
-    load_attributes,
-    load_edge_list,
-    load_summary,
-    read_attribute_rows,
-)
+from .graph import largest_connected_component, load_attributes, load_attributes_for, load_edge_list, load_summary
 from .simulate import REGIMES, RdsDesign, _tape_size, read_forest_csv, simulate_rds, write_forest_csv
 from .rng import generator
 
@@ -191,7 +185,7 @@ def _merge_config(parser: _Parser, args: argparse.Namespace) -> dict:
     path = merged.pop("config", None)
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
                 file_cfg = json.load(fh)
         except FileNotFoundError:
             raise DataError(f"config file not found: {path}")
@@ -291,16 +285,8 @@ def _forest_z(cfg: dict):
     """(forest, z, column) for commands operating on a forest file."""
     _require(cfg, "forest", "attrs", "attribute")
     forest = read_forest_csv(cfg["forest"])
-    columns, rows = read_attribute_rows(cfg["attrs"])
-    column = cfg["attribute"]
-    if column not in columns:
-        raise DataError(f"attribute column {column!r} not in {cfg['attrs']} (has {columns})")
-    j = columns.index(column)
-    missing = [nid for nid in forest.node_id if nid not in rows]
-    if missing:
-        raise DataError(f"forest ids missing from attribute file: {sorted(set(missing))[:20]}")
-    z = np.array([rows[nid][j] for nid in forest.node_id], dtype=np.float64)
-    return forest, z, column
+    z = load_attributes_for(cfg["attrs"], forest.node_id).column(cfg["attribute"]).astype(np.float64)
+    return forest, z, cfg["attribute"]
 
 
 def _ipw_totals(cfg: dict) -> PopulationTotals | None:
@@ -330,8 +316,8 @@ def cmd_ingest(cfg: dict) -> list[str]:
 
 def cmd_simulate(cfg: dict) -> list[str]:
     _require(cfg, "edges")
-    g = _load_graph(cfg)
     design = _design_from(cfg)
+    g = _load_graph(cfg)
     design.validate_for(g)
     _check_tape(design)
     seed = cfg.get("seed") or 0
@@ -400,11 +386,9 @@ def cmd_experiment(cfg: dict) -> list[str]:
     _require(cfg, "edges", "attrs")
     if cfg.get("seed") is None:
         raise UsageError("--seed is required for experiment (reproducibility)")
-    g = _load_graph(cfg)
-    attrs = load_attributes(cfg["attrs"], g)
     design = _design_from(cfg)
     _require(cfg, "R", "B")
-    columns = _parse_columns(cfg["columns"]) if cfg.get("columns") else tuple(attrs.column_names)
+    columns = _parse_columns(cfg["columns"]) if cfg.get("columns") else None
     options = _given(cfg, n_width_reference="width_ref")
     if cfg.get("methods"):
         options["methods"] = _parse_columns(cfg["methods"])
@@ -413,7 +397,9 @@ def cmd_experiment(cfg: dict) -> list[str]:
     workers = 1 if cfg.get("workers") is None else cfg["workers"]
     if workers < 1:
         raise UsageError("--workers must be at least 1")
-    ec = ExperimentConfig(design, columns, cfg["R"], cfg["B"], cfg["seed"], **options)
+    g = _load_graph(cfg)
+    attrs = load_attributes(cfg["attrs"], g)
+    ec = ExperimentConfig(design, columns or tuple(attrs.column_names), cfg["R"], cfg["B"], cfg["seed"], **options)
     design.validate_for(g)
     _check_estimates("--R", ec.n_replications, "replication", _row_dtype(ec).itemsize // 8)
     _check_estimates("--B", ec.n_bootstrap, "bootstrap", len(ec.attributes))

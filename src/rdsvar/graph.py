@@ -27,7 +27,7 @@ __all__ = [
     "load_edge_list",
     "largest_connected_component",
     "load_attributes",
-    "read_attribute_rows",
+    "load_attributes_for",
     "generate_configuration_graph",
     "component_sizes",
     "load_summary",
@@ -103,7 +103,7 @@ class AttributeTable:
         try:
             j = self.column_names.index(name)
         except ValueError:
-            raise DataError(f"unknown attribute column: {name!r}") from None
+            raise DataError(f"unknown attribute column: {name!r} (has {self.column_names})") from None
         return self.values[:, j]
 
 
@@ -112,16 +112,18 @@ def _open_text(path):
     """Open a UTF-8 input file and yield it, to be read line by line.
 
     No copy of the lines is kept: each is decoded as the caller reads it.
-    A line ends at a ``\\n``, a ``\\r\\n`` or a lone ``\\r``. Bytes that do
-    not decode and rows the csv module rejects are DataErrors, and an
-    undecodable byte is named by its offset in the file.
+    A leading byte-order mark is dropped. A line ends at a ``\\n``, a
+    ``\\r\\n`` or a lone ``\\r``. Bytes that do not decode and rows the csv
+    module rejects are DataErrors, and an undecodable byte is named by its
+    offset in the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as e:
             # line reading gives the byte's position within the chunk it
-            # decoded; one decode of the whole file meets it at its file offset
+            # decoded; one decode of the whole file, its byte-order mark kept,
+            # meets it at its file offset
             with open(path, "rb") as raw:
                 try:
                     raw.read().decode("utf-8")
@@ -307,34 +309,31 @@ def _attribute_rows(path) -> tuple[list[str], list[str], np.ndarray]:
     return columns, [i.strip() for i in ids], values.reshape(len(rows), len(columns))
 
 
-def read_attribute_rows(path) -> tuple[list[str], dict[str, tuple[int, ...]]]:
-    """Parse a binary attribute CSV into (column names, id -> values).
+def load_attributes_for(path, ids) -> AttributeTable:
+    """Load a binary attribute CSV aligned to ``ids``, one table row per id.
 
-    The file must have a header whose first column is "id"; remaining
-    cells must be 0 or 1. A repeated id takes its last row.
+    Ids may repeat, as a forest's entries do when a node is recruited more
+    than once. A repeated id in the file takes its last row, and rows for
+    ids not asked for are ignored; every id must have a row. Missing ids
+    are named once each, the first 20 in id order.
     """
-    columns, ids, values = _attribute_rows(path)
-    return columns, dict(zip(ids, map(tuple, values.tolist())))
+    columns, row_ids, values = _attribute_rows(path)
+    last = dict(zip(row_ids, range(len(row_ids))))
+    row = np.array([last.get(i, -1) for i in ids], dtype=np.int64)
+    if (row < 0).any():
+        missing = sorted({i for i in ids if i not in last})
+        suffix = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
+        raise DataError(f"{path}: nodes missing from attribute file: {missing[:20]}{suffix}")
+    return AttributeTable(columns, values[row])
 
 
 def load_attributes(path, g: PopulationGraph) -> AttributeTable:
-    """Load a binary attribute CSV aligned to the graph's nodes.
+    """Load a binary attribute CSV aligned to the graph's nodes: :func:`load_attributes_for` of ``g.node_ids``.
 
-    Rows for ids outside the graph are ignored (a graph restricted to its
-    largest component typically covers fewer nodes than the attribute
-    file); every graph node must be covered. A repeated id takes its last
-    row.
+    A graph restricted to its largest component typically covers fewer
+    nodes than the attribute file.
     """
-    columns, ids, values = _attribute_rows(path)
-    last = dict(zip(ids, range(len(ids))))
-    row = np.array([last.get(nid, -1) for nid in g.node_ids], dtype=np.int64)
-    unseen = np.flatnonzero(row < 0)
-    if unseen.size:
-        missing = [g.node_ids[i] for i in unseen[:20]]
-        more = unseen.size - len(missing)
-        suffix = f" (+{more} more)" if more > 0 else ""
-        raise DataError(f"{path}: nodes missing from attribute file: {missing}{suffix}")
-    return AttributeTable(columns, values[row])
+    return load_attributes_for(path, g.node_ids)
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,21 @@ SCHEMA_DIR = Path(rv.__file__).parent / "schemas"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """Run ``python -m rdsvar.cli`` in a child process that imports this checkout's ``src/``.
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a child process that imports this checkout's ``src/``.
 
     pytest's ``pythonpath`` setting reaches only the test process, so the
     child gets it in ``PYTHONPATH``, ahead of any inherited entries.
     """
     path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "rdsvar.cli", *map(str, argv)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *map(str, argv)], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m rdsvar.cli *argv`` as :func:`run_python` does."""
+    return run_python("-m", "rdsvar.cli", *argv)
 
 
 def validate_schema(payload: dict, schema_name: str):
@@ -75,6 +79,17 @@ def study_files(tmp_path_factory):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def test_make_population_script_writes_the_study_population(tmp_path):
+    proc = run_python(SRC_DIR.parent / "scripts" / "make_population.py", tmp_path, "150", "3")
+    assert proc.returncode == 0, proc.stderr
+    g, attrs = rv.make_study_population(150, seed=3)
+    loaded = rv.load_edge_list(tmp_path / "edges.txt")
+    assert loaded == g
+    table = rv.load_attributes(tmp_path / "attributes.csv", loaded)
+    assert table.column_names == attrs.column_names
+    assert np.array_equal(table.values, attrs.values)
 
 
 def test_usage_error_missing_edges(capsys):
@@ -407,6 +422,14 @@ def test_config_file_merge_and_override(study_files, tmp_path):
     assert rv.read_forest_csv(out2 / "forest.csv").n == 12
 
 
+def test_config_file_may_start_with_a_byte_order_mark(study_files, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_bytes("\ufeff".encode() + json.dumps({"edges": str(study_files[1]), "seeds": 2}).encode())
+    argv = ["--coupons", "1", "--pmf", "0,1", "--n", "12", "--out", tmp_path]
+    assert run_cli("simulate", "--config", conf, *argv) == 0
+    assert rv.read_forest_csv(tmp_path / "forest.csv").n == 12
+
+
 def test_config_file_unknown_key_rejected(study_files, tmp_path, capsys):
     tmp, edges, attr_path, *_ = study_files
     conf = tmp_path / "conf.json"
@@ -431,6 +454,82 @@ def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys):
         assert err["error"]["type"] == "UsageError"
         assert next(iter(bad)) in err["error"]["message"]
         validate_schema(err, "error.schema.json")
+
+
+_DESIGN = ["--seeds", "1", "--coupons", "1", "--pmf", "0,1", "--n", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, argv, flag",
+    [
+        ("simulate", [], "--seeds"),
+        ("simulate", _DESIGN[:6], "--n"),
+        ("experiment", ["--seed", "1"], "--seeds"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--B", "5"], "--R"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--levels", "high"], "levels"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--workers", "0"], "--workers"),
+    ],
+)
+def test_usage_is_checked_before_any_input_file_is_read(tmp_path, capsys, command, argv, flag):
+    missing = tmp_path / "missing.txt"
+    extra = ["--attrs", missing] if command == "experiment" else []
+    assert run_cli(command, "--edges", missing, *extra, *argv, "--out", tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "UsageError" and flag in err["error"]["message"]
+    validate_schema(err, "error.schema.json")
+
+
+def _forest_run(command, forest_csv, attrs_csv, attribute, out) -> list:
+    """The argv of a bootstrap or oracle run of the neighbourhood method at the default estimator."""
+    tail = ["--B", "50", "--seed", "3"] if command == "bootstrap" else []
+    return [
+        command, "--forest", forest_csv, "--attrs", attrs_csv, "--attribute", attribute,
+        "--method", "neighbourhood", *tail, "--out", out,
+    ]
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "oracle"])
+def test_forest_commands_align_repeated_ids_to_the_last_attribute_row(tmp_path, command):
+    # M is recruited again as an entry of its own, and the file's last M row holds its value
+    forest_csv = tmp_path / "walk.csv"
+    forest_csv.write_text("id,recruiter,degree\nM,,2\nN,M,3\nM,N,2\nO,M,1\n")
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text("id,flag\nM,0\nN,0\nO,0\nM,1\n")
+    assert run_cli(*_forest_run(command, forest_csv, attrs_csv, "flag", tmp_path)) == 0
+    forest, z = rv.read_forest_csv(forest_csv), np.array([1.0, 0.0, 1.0, 0.0])
+    if command == "bootstrap":
+        payload = json.loads((tmp_path / "bootstrap.json").read_text())
+        dist = rv.bootstrap_distribution(forest, rv.BootstrapConfig("neighbourhood", 50), z, root=3)
+        assert (payload["point_estimate"], payload["variance"]) == (dist.estimator_on_original, rv.bootstrap_variance(dist))
+    else:
+        payload = json.loads((tmp_path / "oracle.json").read_text())
+        assert payload["distribution"] == rv.enumerate_neighbourhood(forest, z).to_json_dict()
+
+
+_CHAIN = "id,recruiter,degree\nf00,,2\n" + "".join(f"f{i:02d},f00,2\n" for i in range(1, 25)) + "f03,f01,2\n"
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "oracle"])
+@pytest.mark.parametrize(
+    "attrs_text, attribute, message",
+    [
+        # 24 missing ids, f03 among them twice: each named once, the first 20 in id order
+        ("id,flag\nf00,1\n", "flag", f"nodes missing from attribute file: {[f'f{i:02d}' for i in range(1, 21)]} (+4 more)"),
+        ("id,flag,other\n" + "".join(f"f{i:02d},1,0\n" for i in range(25)), "flg", "unknown attribute column: 'flg' (has ['flag', 'other'])"),
+        # missing ids are found before the column is looked up
+        ("id,flag,other\n" + "".join(f"f{i:02d},1,0\n" for i in range(24)), "flg", "nodes missing from attribute file: ['f24']"),
+    ],
+    ids=["missing", "unknown-column", "missing-first"],
+)
+def test_forest_commands_name_missing_ids_and_unknown_columns(tmp_path, command, attrs_text, attribute, message):
+    forest_csv = tmp_path / "chain.csv"
+    forest_csv.write_text(_CHAIN)
+    attrs_csv = tmp_path / "z.csv"
+    attrs_csv.write_text(attrs_text)
+    code, err = _run_captured(_forest_run(command, forest_csv, attrs_csv, attribute, tmp_path))
+    _assert_error_contract(code, err)
+    assert code == 2 and json.loads(err)["error"]["message"].endswith(message)
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_unknown_recruiter_names_its_line_in_the_file(tmp_path, capsys):

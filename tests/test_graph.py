@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
 from rdsvar.errors import DataError
-from rdsvar.graph import _component_labels, _csr, _is_graphical, component_sizes, load_summary, read_attribute_rows
+from rdsvar.graph import _component_labels, _csr, _is_graphical, component_sizes, load_attributes_for, load_summary
 from rdsvar.rng import generator
 from rdsvar.synth import _voter_smooth
 
@@ -344,7 +344,7 @@ def test_csr_matches_lexsort(n, data, src_type, dst_type):
 @contextmanager
 def _reference_open(path):
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"{path}: {e}") from None
@@ -435,6 +435,15 @@ def _reference_load_attributes(path, g):
     return columns, values
 
 
+def _reference_load_attributes_for(path, ids):
+    columns, rows = _reference_read_attribute_rows(path)
+    missing = sorted(set(ids) - rows.keys())
+    if missing:
+        suffix = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
+        raise DataError(f"{path}: nodes missing from attribute file: {missing[:20]}{suffix}")
+    return columns, np.array([rows[i] for i in ids], dtype=np.uint8).reshape(len(ids), len(columns))
+
+
 def _outcome(read, *args):
     try:
         return read(*args)
@@ -450,6 +459,12 @@ def _bulk_edges(path):
 
 def _bulk_attributes(path, g):
     t = rv.load_attributes(path, g)
+    assert t.values.dtype == np.uint8
+    return t.column_names, t.values
+
+
+def _bulk_attributes_for(path, ids):
+    t = load_attributes_for(path, ids)
     assert t.values.dtype == np.uint8
     return t.column_names, t.values
 
@@ -505,11 +520,15 @@ def _attribute_files(draw) -> bytes:
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=_attribute_files())
-def test_attribute_loaders_match_the_reference_loaders(tmp_path_factory, data):
+@given(data=_attribute_files(), ids=st.lists(st.sampled_from(["a", "b", "c", "zz", "q"]), max_size=6))
+def test_attribute_loaders_match_the_reference_loaders(tmp_path_factory, data, ids):
     path = tmp_path_factory.mktemp("attrs") / "attrs.csv"
     path.write_bytes(data)
-    assert _outcome(read_attribute_rows, path) == _outcome(_reference_read_attribute_rows, path)
+    reference = _outcome(_reference_read_attribute_rows, path)
+    every = [] if isinstance(reference, str) else list(reference[1])
+    # drawn ids, which may repeat or be absent, and every id of the file twice
+    for wanted in (ids, every + every[::-1]):
+        assert _same(_outcome(_bulk_attributes_for, path, wanted), _outcome(_reference_load_attributes_for, path, wanted))
     g = _graph_of(["a b", "b c"], path.with_name("edges.txt"))
     assert _same(_outcome(_bulk_attributes, path, g), _outcome(_reference_load_attributes, path, g))
 
@@ -518,8 +537,9 @@ def test_attribute_errors_name_the_line_a_row_starts_on(tmp_path):
     # a quoted id holding a newline: the bad value sits on line 5, the third row
     path = tmp_path / "attrs.csv"
     path.write_bytes(b'id,x\n"A\nA",1\nB,1\nC,2\n')
-    assert _outcome(read_attribute_rows, path) == f"DataError: {path}:5: column 'x' has non-binary value '2'"
-    assert _outcome(read_attribute_rows, path) == _outcome(_reference_read_attribute_rows, path)
+    ids = ["B", "Q", "B"]
+    assert _outcome(load_attributes_for, path, ids) == f"DataError: {path}:5: column 'x' has non-binary value '2'"
+    assert _outcome(load_attributes_for, path, ids) == _outcome(_reference_load_attributes_for, path, ids)
 
 
 def _graph_of(lines, path):
@@ -537,6 +557,36 @@ def test_attribute_loaders_match_on_many_missing_nodes_and_repeated_ids(tmp_path
     full.write_text("id,x\n" + "".join(f"n{i:02d},{i % 2}\nn{i:02d}, {1 - i % 2} \n" for i in range(30)) + "out,1\n")
     assert _same(_bulk_attributes(full, g), _reference_load_attributes(full, g))
     assert rv.load_attributes(full, g).column("x").tolist() == [1 - i % 2 for i in range(30)]
+
+
+def test_alignment_repeats_ids_and_names_each_missing_id_once(tmp_path):
+    path = tmp_path / "attrs.csv"
+    path.write_text("id,x,y\nn03,1,0\nn07,0,1\nn03,0,1\nout,1,1\n")
+    t = load_attributes_for(path, ["n07", "n03", "n07", "n03"])
+    assert t.column_names == ["x", "y"]
+    assert t.values.tolist() == [[0, 1], [0, 1], [0, 1], [0, 1]]  # n03 takes its last row
+    ids = [f"n{i:02d}" for i in range(29, -1, -1)] * 2  # 28 distinct ids missing, each listed twice
+    message = _outcome(load_attributes_for, path, ids)
+    assert message == _outcome(_reference_load_attributes_for, path, ids)
+    named = [f"n{i:02d}" for i in range(30) if i not in (3, 7)][:20]
+    assert message == f"DataError: {path}: nodes missing from attribute file: {named} (+8 more)"
+    assert load_attributes_for(path, []).values.shape == (0, 2)
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    bom = "\ufeff".encode()
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(bom + b"a b\nb c\n")
+    assert rv.load_edge_list(edges).node_ids == ["a", "b", "c"]
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_bytes(bom + b"id,x\na,1\nb,0\nc,1\n")
+    assert load_attributes_for(attrs, ["c", "a"]).column("x").tolist() == [1, 1]
+    # only a leading mark: one inside the file is part of the text, and
+    # an undecodable byte is still named by its offset in the file
+    edges.write_bytes(bom + b"a b\n" + bom + b"c d\n")
+    assert rv.load_edge_list(edges).node_ids == ["a", "b", "d", "\ufeffc"]
+    attrs.write_bytes(bom + b"id,x\na,\xff\n")
+    assert _outcome(load_attributes_for, attrs, ["a"]).endswith("can't decode byte 0xff in position 10: invalid start byte")
 
 
 @pytest.mark.parametrize("late", [b"\xff\n", b"x" * 140_000 + b"\n"], ids=["undecodable", "oversized"])
@@ -580,6 +630,6 @@ def test_attribute_column_names_must_be_distinct_and_named(tmp_path, tiny_edge_f
     path = tmp_path / "attrs.csv"
     path.write_text(header + "\na,1,0,1\n")
     g = rv.load_edge_list(tiny_edge_file)
-    for read in (lambda: rv.load_attributes(path, g), lambda: read_attribute_rows(path)):
+    for read in (lambda: rv.load_attributes(path, g), lambda: load_attributes_for(path, ["a", "q", "a"])):
         with pytest.raises(DataError, match=message):
             read()

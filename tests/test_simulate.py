@@ -402,6 +402,13 @@ def test_forest_csv_minimal_columns(tmp_path):
     assert f.parent.tolist() == [-1, 0, 0, 1]
 
 
+def test_forest_csv_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "external.csv"
+    path.write_bytes("\ufeffid,recruiter,degree\nM,,2\nN,M,3\n".encode())
+    f = rv.read_forest_csv(path)
+    assert f.node_id == ["M", "N"] and f.parent.tolist() == [-1, 0]
+
+
 def test_forest_csv_unknown_recruiter(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,recruiter,degree\nM,,2\nN,Q,3\n")
