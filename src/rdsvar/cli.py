@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ingest, simulate, bootstrap, experiment, oracle. Flags can
-also be supplied through a JSON config file (``--config``); command-line
-flags override config keys, and unknown keys are rejected. All artifacts
+also be supplied through a JSON config file (``--config``): its keys are
+parsed as flags ahead of the command line's, so a flag given on the
+command line wins, and unknown keys are rejected. All artifacts
 are written atomically (temp file + rename) and every JSON output echoes
 the resolved config and the library version.
 
@@ -71,21 +72,21 @@ def _parse_pmf(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(Fraction(tok.strip())) for tok in text.split(","))
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise UsageError(f"cannot parse pmf {text!r}; expected comma-separated numbers like 1/3,1/6,1/6,1/3")
+        raise UsageError(f"cannot parse --pmf {text!r}; expected comma-separated numbers like 1/3,1/6,1/6,1/3")
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok.strip()) for tok in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse levels {text!r}")
+        raise UsageError(f"cannot parse --levels {text!r}")
 
 
-def _parse_columns(text: str) -> tuple[str, ...]:
-    cols = tuple(c.strip() for c in text.split(",") if c.strip())
-    if not cols:
-        raise UsageError("empty column list")
-    return cols
+def _parse_names(flag: str, text: str) -> tuple[str, ...]:
+    names = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not names:
+        raise UsageError(f"{flag} {text!r} names nothing")
+    return names
 
 
 def _seed(text: str) -> int:
@@ -112,27 +113,27 @@ def build_parser() -> _Parser:
         return p
 
     p = add("ingest", "load and summarize a population network")
-    p.add_argument("--edges", help="edge list file")
+    p.add_argument("--edges", required=True, help="edge list file")
     p.add_argument("--attrs", help="attribute CSV to validate against the graph")
     p.add_argument("--lcc", action="store_true", default=None, help="restrict to the largest connected component")
 
     p = add("simulate", "simulate one RDS sample and write the recruitment forest")
-    p.add_argument("--edges")
-    p.add_argument("--seeds", type=int, help="number of seeds")
-    p.add_argument("--coupons", type=int, help="maximum recruits per participant")
-    p.add_argument("--pmf", help="recruit-count probabilities, e.g. 1/3,1/6,1/6,1/3")
-    p.add_argument("--n", type=int, help="target sample size")
+    p.add_argument("--edges", required=True)
+    p.add_argument("--seeds", type=int, required=True, help="number of seeds")
+    p.add_argument("--coupons", type=int, required=True, help="maximum recruits per participant")
+    p.add_argument("--pmf", required=True, help="recruit-count probabilities, e.g. 1/3,1/6,1/6,1/3")
+    p.add_argument("--n", type=int, required=True, help="target sample size")
     p.add_argument("--seed", type=_seed, help="master seed (default 0)")
     p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--no-reseed", action="store_true", default=None, help="fail instead of reseeding dead chains")
     p.add_argument("--lcc", action="store_true", default=None)
 
     p = add("bootstrap", "bootstrap an estimator over a recruitment forest")
-    p.add_argument("--forest", help="forest CSV (id, recruiter, degree at minimum)")
-    p.add_argument("--attrs", help="attribute CSV")
-    p.add_argument("--attribute", help="attribute column to estimate")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--B", type=int, help="bootstrap replicates")
+    p.add_argument("--forest", required=True, help="forest CSV (id, recruiter, degree at minimum)")
+    p.add_argument("--attrs", required=True, help="attribute CSV")
+    p.add_argument("--attribute", required=True, help="attribute column to estimate")
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--B", type=int, required=True, help="bootstrap replicates")
     p.add_argument("--estimator", choices=ESTIMATORS)
     p.add_argument("--level", type=float, help="confidence level (default 0.95)")
     p.add_argument("--pool", choices=POOLS)
@@ -145,19 +146,19 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-estimates", action="store_true", default=None, help="also write all B estimates as CSV")
 
     p = add("experiment", "Monte Carlo coverage / width / variance-bias study")
-    p.add_argument("--edges")
-    p.add_argument("--attrs")
+    p.add_argument("--edges", required=True)
+    p.add_argument("--attrs", required=True)
     p.add_argument("--columns", help="comma-separated attribute columns (default: all)")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--coupons", type=int)
-    p.add_argument("--pmf")
-    p.add_argument("--n", type=int)
-    p.add_argument("--R", type=int, help="number of replications")
-    p.add_argument("--B", type=int, help="bootstrap replicates per replication")
+    p.add_argument("--seeds", type=int, required=True)
+    p.add_argument("--coupons", type=int, required=True)
+    p.add_argument("--pmf", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--R", type=int, required=True, help="number of replications")
+    p.add_argument("--B", type=int, required=True, help="bootstrap replicates per replication")
     p.add_argument("--methods", help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--levels", help="comma-separated confidence levels (default 0.95,0.80)")
     p.add_argument("--width-ref", type=int, help="simulations for expected widths (default 5000)")
-    p.add_argument("--seed", type=_seed, help="master seed (required)")
+    p.add_argument("--seed", type=_seed, required=True, help="master seed")
     p.add_argument(
         "--workers", type=int, help="working processes, the main one among them, at most the usable CPUs (default 1)"
     )
@@ -166,10 +167,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lcc", action="store_true", default=None)
 
     p = add("oracle", "exact bootstrap distribution of a tiny forest by enumeration")
-    p.add_argument("--forest")
-    p.add_argument("--attrs")
-    p.add_argument("--attribute")
-    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--forest", required=True)
+    p.add_argument("--attrs", required=True)
+    p.add_argument("--attribute", required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--estimator", choices=ESTIMATORS)
     p.add_argument("--pool", choices=POOLS)
     p.add_argument("--tree-seed-mode", choices=SEED_MODES)
@@ -179,47 +180,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(parser: _Parser, args: argparse.Namespace) -> dict:
-    """Apply config-file values under CLI flags; reject unknown keys."""
-    merged = vars(args).copy()
-    path = merged.pop("config", None)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-                file_cfg = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"config file not found: {path}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise DataError(f"{path}: invalid JSON config: {e}")
-        if not isinstance(file_cfg, dict):
-            raise DataError(f"{path}: config must be a JSON object")
-        actions = {a.dest: a for a in parser.commands[merged["command"]]._actions}
-        for key, value in file_cfg.items():
-            dest = key.replace("-", "_")
-            if dest in ("config", "command"):
-                raise UsageError(f"config file may not set {key!r}")
-            if dest not in merged:
-                raise UsageError(f"unknown config key {key!r} for command {merged['command']}")
-            if merged[dest] is None:
-                merged[dest] = _config_value(actions[dest], key, value)
-    return merged
+def _config_argv(sub: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The keys of a ``--config`` file as ``--flag=value`` tokens for ``sub``, the command's parser.
 
-
-def _config_value(action: argparse.Action, key: str, value):
-    """Coerce a config-file value as its flag would coerce the same text."""
-    if action.nargs == 0:  # on/off flag
-        if not isinstance(value, bool):
-            raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise UsageError(f"config key {key!r} must be a string or a number, got {value!r}")
+    ``true`` is the bare flag. A switch set to ``false`` becomes the
+    switch's default instead, so the config echo still shows it.
+    """
     try:
-        value = action.type(str(value)) if action.type else str(value)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        raise UsageError(f"config key {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"config key {key!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
-    return value
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+            file_cfg = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"config file not found: {path}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: invalid JSON config: {e}")
+    if not isinstance(file_cfg, dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    actions = {a.dest: a for a in sub._actions}
+    tokens = []
+    for key, value in file_cfg.items():
+        dest = key.replace("-", "_")
+        if dest in ("config", "command", "help"):
+            raise UsageError(f"config file may not set {key!r}")
+        if dest not in actions:
+            raise UsageError(f"unknown config key {key!r} for command {command}")
+        flag = actions[dest].option_strings[0]
+        if value is False and actions[dest].nargs == 0:
+            sub.set_defaults(**{dest: False})
+        elif isinstance(value, bool):
+            tokens.append(flag)  # a flag that takes a value reports it missing
+        elif isinstance(value, (str, int, float)):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise UsageError(f"config key {key!r} must be a string, a number, true or false, got {value!r}")
+    return tokens
 
 
 # Upfront caps on the largest arrays a command allocates (README "CLI"); past
@@ -245,12 +238,6 @@ def _check_tape(design: RdsDesign) -> None:
         )
 
 
-def _require(cfg: dict, *names: str) -> None:
-    for name in names:
-        if cfg.get(name) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required for {cfg['command']}")
-
-
 def _outpath(cfg: dict, filename: str) -> str:
     out = cfg.get("out") or "."
     os.makedirs(out, exist_ok=True)
@@ -274,7 +261,6 @@ def _given(cfg: dict, **keys: str) -> dict:
 
 
 def _design_from(cfg: dict) -> RdsDesign:
-    _require(cfg, "seeds", "coupons", "pmf", "n")
     return RdsDesign(
         cfg["seeds"], cfg["coupons"], _parse_pmf(cfg["pmf"]), cfg["n"],
         reseed_on_death=not cfg.get("no_reseed"), **_given(cfg, regime="regime"),
@@ -283,7 +269,6 @@ def _design_from(cfg: dict) -> RdsDesign:
 
 def _forest_z(cfg: dict):
     """(forest, z, column) for commands operating on a forest file."""
-    _require(cfg, "forest", "attrs", "attribute")
     forest = read_forest_csv(cfg["forest"])
     z = load_attributes_for(cfg["attrs"], forest.node_id).column(cfg["attribute"]).astype(np.float64)
     return forest, z, cfg["attribute"]
@@ -302,7 +287,6 @@ def _ipw_totals(cfg: dict) -> PopulationTotals | None:
 
 
 def cmd_ingest(cfg: dict) -> list[str]:
-    _require(cfg, "edges")
     g = _load_graph(cfg)
     payload = {"tool": _tool_block(), "config": _echo(cfg)}
     payload.update(load_summary(g))
@@ -315,7 +299,6 @@ def cmd_ingest(cfg: dict) -> list[str]:
 
 
 def cmd_simulate(cfg: dict) -> list[str]:
-    _require(cfg, "edges")
     design = _design_from(cfg)
     g = _load_graph(cfg)
     design.validate_for(g)
@@ -340,14 +323,13 @@ def cmd_simulate(cfg: dict) -> list[str]:
 
 
 def cmd_bootstrap(cfg: dict) -> list[str]:
-    _require(cfg, "method", "B")
     _check_estimates("--B", cfg["B"], "bootstrap", 1)
     level = cfg["level"] if cfg.get("level") is not None else 0.95
     _check_level(level)
-    forest, z, column = _forest_z(cfg)
     options = _given(cfg, selection_pool="pool", tree_seed_mode="tree_seed_mode", estimator="estimator")
     bc = BootstrapConfig(cfg["method"], cfg["B"], **options)
     totals = _ipw_totals({**cfg, "estimator": bc.estimator})
+    forest, z, column = _forest_z(cfg)
     dist = bootstrap_distribution(forest, bc, z, totals=totals, root=cfg.get("seed") or 0)
     lo, hi = percentile_ci(dist, level)
     variance = bootstrap_variance(dist)
@@ -383,15 +365,11 @@ def cmd_bootstrap(cfg: dict) -> list[str]:
 
 
 def cmd_experiment(cfg: dict) -> list[str]:
-    _require(cfg, "edges", "attrs")
-    if cfg.get("seed") is None:
-        raise UsageError("--seed is required for experiment (reproducibility)")
     design = _design_from(cfg)
-    _require(cfg, "R", "B")
-    columns = _parse_columns(cfg["columns"]) if cfg.get("columns") else None
+    columns = _parse_names("--columns", cfg["columns"]) if cfg.get("columns") else None
     options = _given(cfg, n_width_reference="width_ref")
     if cfg.get("methods"):
-        options["methods"] = _parse_columns(cfg["methods"])
+        options["methods"] = _parse_names("--methods", cfg["methods"])
     if cfg.get("levels"):
         options["ci_levels"] = _parse_levels(cfg["levels"])
     workers = 1 if cfg.get("workers") is None else cfg["workers"]
@@ -416,10 +394,9 @@ def cmd_experiment(cfg: dict) -> list[str]:
 
 
 def cmd_oracle(cfg: dict) -> list[str]:
-    _require(cfg, "method")
-    forest, z, column = _forest_z(cfg)
     estimator = cfg.get("estimator") or "sample_mean"
     totals = _ipw_totals({**cfg, "estimator": estimator})
+    forest, z, column = _forest_z(cfg)
     pool = cfg.get("pool") or "recruiters_only"
     seed_mode = cfg.get("tree_seed_mode") or "with_replacement"
     if cfg["method"] == "neighbourhood":
@@ -488,12 +465,26 @@ def _attach_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> lis
     return out
 
 
+def _parse(parser: _Parser, argv: list[str]) -> dict:
+    """The resolved flags of ``argv``, a ``--config`` file's keys parsed as flags just after the command."""
+    argv = _attach_dash_values(parser, argv)
+    if argv and argv[0] in parser.commands:
+        sub = parser.commands[argv[0]]
+        find = _Parser(add_help=False)  # the command's flags untyped, so an abbreviation matches as it would there
+        for a in sub._actions:
+            find.add_argument(*a.option_strings, action="store_true" if a.nargs == 0 else "store")
+        given = find.parse_known_args(argv[1:])[0]
+        if given.config and not given.help:
+            argv[1:1] = _config_argv(sub, argv[0], given.config)
+    cfg = vars(parser.parse_args(argv))
+    cfg.pop("config", None)
+    return cfg
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_dash_values(parser, sys.argv[1:] if argv is None else list(argv)))
-        cfg = _merge_config(parser, args)
-        written = run(cfg)
+        written = run(_parse(parser, sys.argv[1:] if argv is None else list(argv)))
     except (RdsVarError, OSError, MemoryError) as e:
         if isinstance(e, MemoryError):
             # a backstop: not every size a user sets is checked before it is allocated

@@ -83,7 +83,7 @@ class RdsDesign:
                 f"recruit_count_pmf must have max_coupons+1={self.max_coupons + 1} entries, got {len(pmf)}"
             )
         for k, p in enumerate(pmf):
-            if p < 0:
+            if not p >= 0:  # NaN too
                 raise DataError(f"recruit_count_pmf entries must be non-negative, got {p!r} for {k} recruits")
         if abs(sum(pmf) - 1.0) > 1e-12:
             raise DataError(f"recruit_count_pmf must sum to 1 (got {sum(pmf)!r})")

@@ -457,6 +457,11 @@ def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys):
 
 
 _DESIGN = ["--seeds", "1", "--coupons", "1", "--pmf", "0,1", "--n", "2"]
+_FOREST = ["--attribute", "x", "--method", "tree"]
+_INPUT_FLAGS = {
+    "ingest": ["--edges"], "simulate": ["--edges"], "bootstrap": ["--forest", "--attrs"],
+    "experiment": ["--edges", "--attrs"], "oracle": ["--forest", "--attrs"],
+}
 
 
 @pytest.mark.parametrize(
@@ -466,17 +471,48 @@ _DESIGN = ["--seeds", "1", "--coupons", "1", "--pmf", "0,1", "--n", "2"]
         ("simulate", _DESIGN[:6], "--n"),
         ("experiment", ["--seed", "1"], "--seeds"),
         ("experiment", [*_DESIGN, "--seed", "1", "--B", "5"], "--R"),
-        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--levels", "high"], "levels"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--levels", "high"], "--levels"),
         ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--workers", "0"], "--workers"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--methods", ","], "--methods"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5", "--columns", ","], "--columns"),
+        ("simulate", [*_DESIGN[:4], "--pmf", "half", *_DESIGN[6:]], "--pmf"),
+        ("ingest", ["--config", {"lcc": "yes"}], "--lcc"),
+        # a config file may not print help, nest another config or switch the command
+        ("ingest", ["--config", {"help": True}], "'help'"),
+        ("simulate", [*_DESIGN, "--config", {"config": "other.json"}], "'config'"),
+        ("bootstrap", [*_FOREST, "--B", "10", "--config", {"command": "oracle"}], "'command'"),
+        # a config key is checked even where a flag on the command line overrides it
+        ("bootstrap", [*_FOREST, "--config", {"B": "ten"}, "--B", "10"], "--B"),
+        ("bootstrap", [*_FOREST, "--B", "10", "--estimator", "ipw"], "--population-size"),
+        ("oracle", [*_FOREST, "--estimator", "ipw"], "--population-size"),
+        ("oracle", ["--attribute", "x"], "--method"),
+        ("oracle", [*_FOREST, "--config", {"pool": "everyone"}], "--pool"),
     ],
 )
 def test_usage_is_checked_before_any_input_file_is_read(tmp_path, capsys, command, argv, flag):
+    # every input file is missing; a dict in argv is written as the --config file
     missing = tmp_path / "missing.txt"
-    extra = ["--attrs", missing] if command == "experiment" else []
-    assert run_cli(command, "--edges", missing, *extra, *argv, "--out", tmp_path) == 1
+    conf = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            conf.write_text(json.dumps(arg))
+    argv = [conf if isinstance(arg, dict) else arg for arg in argv]
+    inputs = [arg for input_flag in _INPUT_FLAGS[command] for arg in (input_flag, missing)]
+    assert run_cli(command, *inputs, *argv, "--out", tmp_path) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "UsageError" and flag in err["error"]["message"]
     validate_schema(err, "error.schema.json")
+
+
+def test_config_false_is_echoed_and_a_flag_turns_the_switch_on(study_files, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"edges": str(study_files[1]), "lcc": False, "no-reseed": False}))
+    argv = ["simulate", "--config", conf, "--seeds", "2", "--coupons", "1", "--pmf", "0,1", "--n", "12"]
+    assert run_cli(*argv, "--out", tmp_path / "off") == 0
+    assert run_cli(*argv, "--lcc", "--out", tmp_path / "on") == 0
+    off, on = (json.loads((tmp_path / d / "simulate_summary.json").read_text())["config"] for d in ("off", "on"))
+    assert (off["lcc"], off["no_reseed"]) == (False, False)
+    assert (on["lcc"], on["no_reseed"]) == (True, False)
 
 
 def _forest_run(command, forest_csv, attrs_csv, attribute, out) -> list:

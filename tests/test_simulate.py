@@ -164,6 +164,8 @@ def test_design_validation():
         rv.RdsDesign(n_seeds=1, max_coupons=1, recruit_count_pmf=(0.5, 0.4), target_n=5)
     with pytest.raises(DataError):
         rv.RdsDesign(n_seeds=1, max_coupons=2, recruit_count_pmf=(0, 1), target_n=5)
+    with pytest.raises(DataError, match="non-negative, got nan"):
+        rv.RdsDesign(n_seeds=2, max_coupons=1, recruit_count_pmf=(float("nan"), 1.0), target_n=20)
 
 
 def test_recruiters_examples(two_recruiter_forest):
