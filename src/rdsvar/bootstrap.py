@@ -55,8 +55,17 @@ tree run, in the memory order the kernel returned, as numpy would. A
 neighbourhood run of ``mc_bootstrap_moments`` makes no counts when the
 pooled terms are integers whose sums over n_r draws stay below 2**53: it
 sums the terms at the drawn slots, and such a sum is exact in any order,
-so it has the count product's bits. Otherwise it casts the counts as a
-tree run does.
+so it has the count product's bits. Where the terms are non-negative and
+n_r (max den * 2**s + max num) < 2**53, with 2**s > n_r max num, it
+gathers den * 2**s + num once and splits each exact sum S into
+floor(S / 2**s) and the rest; otherwise it gathers den and num apart.
+With other terms it casts the counts as a tree run does.
+
+Fair bits are full-range uint64 words. Where the bit generator is a
+PCG64, PCG64DXSM, Philox or SFC64 (or a subclass), they are read as its
+raw words, which are the words and leave the state of the ``integers``
+call; any other bit generator, MT19937 among them, whose raw words are
+32-bit, is asked through ``integers``.
 
 A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
@@ -202,17 +211,31 @@ def neighbourhood_resample(
     return WeightedSample(z[picked], forest.degree[picked], mult[picked])
 
 
+# bit generators whose raw words are the words of a full-range uint64
+# ``integers`` call, and leave the same state, a buffered 32-bit half
+# included; MT19937's raw words are 32-bit
+_RAW_WORDS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
+
+def _fair_words(rng: RngStream, shape) -> np.ndarray:
+    """Full-range uint64 words of ``shape``, read raw where ``_RAW_WORDS`` holds the bit generator's type."""
+    bits = rng.bit_generator
+    if isinstance(bits, _RAW_WORDS):
+        return bits.random_raw(shape)
+    return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+
 def _half_binomial(rng: RngStream, n: np.ndarray) -> np.ndarray:
     """binomial(n, 1/2) for each trial of the C-ordered int64 array ``n``: the ones among n fair bits.
 
     Trial i reads w_i = max(1, ceil(n_i / 64)) words of one full-range
-    uint64 ``integers`` call (one raw word each), in trial order, and counts
-    the ones in its whole words and in the top n_i - 64 (w_i - 1) bits of
-    its last word. A trial with n = 0 still reads one word. Runs of trials
-    therefore read the words of one call.
+    uint64 ``integers`` call (one raw word each, read by ``_fair_words``),
+    in trial order, and counts the ones in its whole words and in the top
+    n_i - 64 (w_i - 1) bits of its last word. A trial with n = 0 still
+    reads one word. Runs of trials therefore read the words of one call.
     """
     if n.max(initial=0) <= 64:  # one word per trial
-        words = rng.integers(0, 2**64, size=n.shape, dtype=np.uint64)
+        words = _fair_words(rng, n.shape)
         words >>= (64 - n).astype(np.uint64)
         return np.bitwise_count(words)
     flat = n.ravel()
@@ -220,7 +243,7 @@ def _half_binomial(rng: RngStream, n: np.ndarray) -> np.ndarray:
     last = np.cumsum(width) - 1
     shift = np.zeros(int(last[-1]) + 1, dtype=np.uint64)
     shift[last] = 64 * width - flat
-    words = rng.integers(0, 2**64, size=shift.size, dtype=np.uint64)
+    words = _fair_words(rng, shift.size)
     words >>= shift
     return np.add.reduceat(np.bitwise_count(words), last - (width - 1), dtype=np.int64).reshape(n.shape)
 
@@ -416,6 +439,21 @@ class MonteCarloMoments:
     n_replicates: int
 
 
+def _pack_radix(terms: np.ndarray, n_r: int) -> int:
+    """The power of two 2**s > n_r * max(num) that packs integer (den, num) terms as den * 2**s + num, or 0.
+
+    It is 0 where a term is negative or a packed sum of n_r terms could
+    reach 2**53. Below that every partial sum is an exact integer, and a
+    sum S splits exactly into floor(S / 2**s) = the den sum and S minus
+    that times 2**s = the num sum.
+    """
+    if terms.min() < 0:
+        return 0
+    top_den, top_num = (int(t.max()) for t in terms)
+    radix = 1 << (n_r * top_num).bit_length()
+    return radix if n_r * (top_den * radix + top_num) < 2**53 else 0
+
+
 def mc_bootstrap_moments(
     forest: RecruitmentForest,
     z,
@@ -445,13 +483,21 @@ def mc_bootstrap_moments(
     # with integer terms, every sum of n_r of them is exact below 2**53 in any
     # order, so summing the drawn members' terms gives the count product's bits
     gather = n_r > 0 and bool((terms == np.floor(terms)).all()) and n_r * float(np.abs(terms).max()) <= 2**53
+    radix = _pack_radix(terms, n_r) if gather else 0
+    if radix:
+        packed = terms[0] * radix + terms[1]  # one gather whose sums split exactly into den and num
     ones = np.ones(n_r)
     est = np.empty(B)
     for lo in range(0, B, MC_CHUNK):
         size = min(MC_CHUNK, B - lo)
         if gather:
             draws = _nb_draws(forest, pool, rng, size)[0]
-            den_sums, num_sums = (np.take(t, draws) @ ones for t in terms)
+            if radix:
+                sums = np.take(packed, draws) @ ones
+                den_sums = np.floor(sums / radix)
+                num_sums = sums - den_sums * radix
+            else:
+                den_sums, num_sums = (np.take(t, draws) @ ones for t in terms)
         else:
             # a run's float64 copy is made after its draws and freed before the next run's
             den_sums, num_sums = terms @ _counts(forest, cfg, rng, size).T.astype(np.float64)

@@ -208,6 +208,9 @@ def _config_argv(sub: argparse.ArgumentParser, command: str, path: str) -> list[
             sub.set_defaults(**{dest: False})
         elif isinstance(value, bool):
             tokens.append(flag)  # a flag that takes a value reports it missing
+        elif isinstance(value, str) and "\0" in value:
+            # a command-line argument cannot hold one; open() would raise a bare ValueError
+            raise UsageError(f"config key {key!r} holds a NUL character")
         elif isinstance(value, (str, int, float)):
             tokens.append(f"{flag}={value}")
         else:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
-from rdsvar.bootstrap import BLOCK, _counts, _half_binomial, _nb_counts, _replicate_terms, _tree_counts
+from rdsvar.bootstrap import BLOCK, POOLS, _counts, _half_binomial, _nb_counts, _replicate_terms, _tree_counts
 from rdsvar import bootstrap, exact
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
-from rdsvar.rng import generator
+from rdsvar.rng import generator, substream
 from conftest import balanced_forest, random_tiny_forest, relabelled
 
 
@@ -453,11 +454,24 @@ def _forest(parent):
     )
 
 
-class _Calls:
-    """A generator that records each draw call: integers with its dtype, multinomial with its number of cells."""
+def _recording(kind):
+    """A subclass of the bit generator type ``kind`` that records each read of its raw words in ``calls``."""
 
-    def __init__(self, rng):
-        self.rng, self.calls = rng, set()
+    class Recording(kind):
+        def random_raw(self, size=None, output=True):
+            self.calls.add("random_raw")
+            return super().random_raw(size, output)
+
+    return Recording
+
+
+class _Calls:
+    """A generator on ``bits`` that records each draw call: integers with its dtype, multinomial with its number
+    of cells, and the raw words of its bit generator."""
+
+    def __init__(self, bits):
+        self.rng, self.bit_generator, self.calls = np.random.Generator(bits), bits, set()
+        bits.calls = self.calls
 
     def integers(self, *args, **kwargs):
         self.calls.add(("integers", kwargs.get("dtype")))
@@ -469,21 +483,51 @@ class _Calls:
 
 
 def test_only_two_way_tree_splits_draw_fair_bits():
-    # two seeds drawn with replacement and k = 2 recruits read uint64 words;
-    # three or more seeds or recruits still call multinomial
-    words, mn = ("integers", np.uint64), "multinomial"
-    for s, recruited_by, mode, want in (
-        (2, [0, 0, 1], "with_replacement", {words}),
-        (3, [0, 0, 1], "with_replacement", {words, (mn, 3)}),
-        (4, [0, 0, 1], "with_replacement", {words, (mn, 4)}),
-        (4, [0, 0, 1], "without_replacement", {words}),
-        (1, [0, 0, 0, 1, 1], "with_replacement", {words, (mn, 3)}),
+    # two seeds drawn with replacement and k = 2 recruits read uint64 words,
+    # as raw words where those are the full-range integers words (PCG64) and
+    # by integers otherwise (MT19937); three or more seeds or recruits still
+    # call multinomial
+    mn = "multinomial"
+    for (kind, words), (s, recruited_by, mode, want) in itertools.product(
+        ((np.random.PCG64, "random_raw"), (np.random.MT19937, ("integers", np.uint64))),
+        (
+            (2, [0, 0, 1], "with_replacement", {"words"}),
+            (3, [0, 0, 1], "with_replacement", {"words", (mn, 3)}),
+            (4, [0, 0, 1], "with_replacement", {"words", (mn, 4)}),
+            (4, [0, 0, 1], "without_replacement", {"words"}),
+            (1, [0, 0, 0, 1, 1], "with_replacement", {"words", (mn, 3)}),
+        ),
     ):
+        want = {words if call == "words" else call for call in want}
         forest = _forest([-1] * s + recruited_by)
-        rng = _Calls(generator(95, s))
+        rng = _Calls(_recording(kind)(substream(95, s)))
         counts = _tree_counts(forest, mode, rng, 40)
         assert rng.calls == want
-        assert np.array_equal(counts, _int64_tree_counts(forest, mode, generator(95, s), 40))
+        ref = np.random.Generator(kind(substream(95, s)))
+        assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, 40))
+
+
+def _state(rng):
+    """The bit generator's state as JSON text (Philox's state holds arrays)."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                                  np.random.MT19937])
+def test_fair_bits_are_the_integers_words_on_every_bit_generator(kind):
+    # raw words are read only where they are the integers call's words and
+    # leave its state, a buffered 32-bit half included; the one-word and the
+    # multi-word path
+    assert isinstance(kind(0), bootstrap._RAW_WORDS) == (kind is not np.random.MT19937)
+    for top in (64, 300):
+        n = np.random.default_rng(96).integers(0, top + 1, size=(3, 50))
+        assert (n.max() > 64) == (top > 64)
+        run, ref = np.random.Generator(kind(97)), np.random.Generator(kind(97))
+        for rng in (run, ref):
+            rng.integers(0, 2**32, dtype=np.uint32)  # buffer a 32-bit half (MT19937's words are 32-bit)
+        assert np.array_equal(_half_binomial(run, n), _fair_bit_splits(ref, n)[0])
+        assert _state(run) == _state(ref)
+        assert ref.bit_generator.state.get("has_uint32", 1) == 1
 
 
 def _deep_forest(depth, tail=0):
@@ -641,6 +685,47 @@ def test_neighbourhood_monte_carlo_sums_its_draws_to_the_count_products_bits(mon
             cfg = rv.BootstrapConfig("neighbourhood", B, pool, estimator=estimator)
             assert (mm.mean, mm.variance) == _run_moments(forest, z, cfg, ref, bootstrap.MC_CHUNK)
             assert mc_rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "degree, takes",
+    [
+        (np.arange(1, 14), 1),  # integer terms whose packed sums stay below 2**53: one packed gather
+        ([1000003, 1000033, 999983] * 4 + [1000003], 2),  # the packed sums would not: one gather each
+        ([1000003, 1000033, 999983, 1000037, 999979] * 2 + [1000039, 999961, 1000081], 0),  # terms past 2**53
+    ],
+)
+def test_neighbourhood_monte_carlo_regimes_keep_the_count_products_bits(monkeypatch, degree, takes):
+    # each run makes ``takes`` gathers of the drawn slots and no counts, or
+    # with terms past 2**53 casts its counts; in every regime the moments
+    # and the generator state are the per-run count product's over B > MC_CHUNK
+    forest = rv.RecruitmentForest(
+        node_id=[f"n{i}" for i in range(13)],
+        node_index=np.full(13, -1),
+        parent=[-1, -1, 0, 0, 1, 2, 2, 3, 4, 4, 5, 7, 7],
+        degree=degree,
+    )
+    z = np.arange(13) % 2
+    B = 2 * bootstrap.MC_CHUNK + 100
+    for pool in POOLS:
+        calls = {"take": 0, "counts": 0}
+
+        def counted(name, call):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+
+            return count
+
+        mc_rng, ref = generator(33, takes), generator(33, takes)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "take", counted("take", np.take))
+            patched.setattr(bootstrap, "_nb_counts", counted("counts", _nb_counts))
+            mm = rv.mc_bootstrap_moments(forest, z, "neighbourhood", "vh", B, mc_rng, pool)
+        assert calls == {"take": 3 * takes, "counts": 0 if takes else 3}
+        cfg = rv.BootstrapConfig("neighbourhood", B, pool, estimator="vh")
+        assert (mm.mean, mm.variance) == _run_moments(forest, z, cfg, ref, bootstrap.MC_CHUNK)
+        assert mc_rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("method", ["neighbourhood", "tree"])

@@ -504,6 +504,28 @@ def test_usage_is_checked_before_any_input_file_is_read(tmp_path, capsys, comman
     validate_schema(err, "error.schema.json")
 
 
+@pytest.mark.parametrize(
+    "command, argv, key",
+    [
+        ("ingest", [], "edges"),
+        ("simulate", _DESIGN, "edges"),
+        ("bootstrap", [*_FOREST, "--B", "10"], "forest"),
+        ("experiment", [*_DESIGN, "--seed", "1", "--R", "2", "--B", "5"], "attrs"),
+        ("oracle", _FOREST, "attrs"),
+    ],
+)
+def test_config_value_with_a_nul_is_a_usage_error(tmp_path, capsys, command, argv, key):
+    # only a config value can hold a NUL; the other input files are missing
+    conf = tmp_path / "config.json"
+    conf.write_text(json.dumps({key: "a\u0000b"}))
+    missing = tmp_path / "missing.txt"
+    inputs = [arg for flag in _INPUT_FLAGS[command] if flag != f"--{key}" for arg in (flag, missing)]
+    assert run_cli(command, "--config", conf, *inputs, *argv, "--out", tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "UsageError" and repr(key) in err["error"]["message"]
+    validate_schema(err, "error.schema.json")
+
+
 def test_config_false_is_echoed_and_a_flag_turns_the_switch_on(study_files, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"edges": str(study_files[1]), "lcc": False, "no-reseed": False}))
