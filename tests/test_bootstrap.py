@@ -488,23 +488,20 @@ def test_only_two_way_tree_splits_draw_fair_bits():
     # by integers otherwise (MT19937); three or more seeds or recruits still
     # call multinomial
     mn = "multinomial"
-    for (kind, words), (s, recruited_by, mode, want) in itertools.product(
-        ((np.random.PCG64, "random_raw"), (np.random.MT19937, ("integers", np.uint64))),
-        (
-            (2, [0, 0, 1], "with_replacement", {"words"}),
-            (3, [0, 0, 1], "with_replacement", {"words", (mn, 3)}),
-            (4, [0, 0, 1], "with_replacement", {"words", (mn, 4)}),
-            (4, [0, 0, 1], "without_replacement", {"words"}),
-            (1, [0, 0, 0, 1, 1], "with_replacement", {"words", (mn, 3)}),
-        ),
-    ):
-        want = {words if call == "words" else call for call in want}
-        forest = _forest([-1] * s + recruited_by)
-        rng = _Calls(_recording(kind)(substream(95, s)))
-        counts = _tree_counts(forest, mode, rng, 40)
-        assert rng.calls == want
-        ref = np.random.Generator(kind(substream(95, s)))
-        assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, 40))
+    for kind, words in ((np.random.PCG64, "random_raw"), (np.random.MT19937, ("integers", np.uint64))):
+        for s, recruited_by, mode, want in (
+            (2, [0, 0, 1], "with_replacement", {words}),
+            (3, [0, 0, 1], "with_replacement", {words, (mn, 3)}),
+            (4, [0, 0, 1], "with_replacement", {words, (mn, 4)}),
+            (4, [0, 0, 1], "without_replacement", {words}),
+            (1, [0, 0, 0, 1, 1], "with_replacement", {words, (mn, 3)}),
+        ):
+            forest = _forest([-1] * s + recruited_by)
+            rng = _Calls(_recording(kind)(substream(95, s)))
+            counts = _tree_counts(forest, mode, rng, 40)
+            assert rng.calls == want
+            ref = np.random.Generator(kind(substream(95, s)))
+            assert np.array_equal(counts, _int64_tree_counts(forest, mode, ref, 40))
 
 
 def _state(rng):
@@ -707,16 +704,17 @@ def test_neighbourhood_monte_carlo_regimes_keep_the_count_products_bits(monkeypa
     )
     z = np.arange(13) % 2
     B = 2 * bootstrap.MC_CHUNK + 100
+    calls = {}
+
+    def counted(name, call):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+
+        return count
+
     for pool in POOLS:
-        calls = {"take": 0, "counts": 0}
-
-        def counted(name, call):
-            def count(*args, **kwargs):
-                calls[name] += 1
-                return call(*args, **kwargs)
-
-            return count
-
+        calls.update(take=0, counts=0)
         mc_rng, ref = generator(33, takes), generator(33, takes)
         with monkeypatch.context() as patched:
             patched.setattr(np, "take", counted("take", np.take))
