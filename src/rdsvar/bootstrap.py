@@ -53,13 +53,12 @@ block, the buffer numpy would make for each product of int64 counts, so
 the replicates keep their bits; ``mc_bootstrap_moments`` one copy per
 tree run, in the memory order the kernel returned, as numpy would. A
 neighbourhood run of ``mc_bootstrap_moments`` makes no counts when the
-pooled terms are integers whose sums over n_r draws stay below 2**53: it
-sums the terms at the drawn slots, and such a sum is exact in any order,
-so it has the count product's bits. Where the terms are non-negative and
-n_r (max den * 2**s + max num) < 2**53, with 2**s > n_r max num, it
-gathers den * 2**s + num once and splits each exact sum S into
-floor(S / 2**s) and the rest; otherwise it gathers den and num apart.
-With other terms it casts the counts as a tree run does.
+pooled terms are non-negative integers with n_r (max den * 2**s + max
+num) < 2**53, where 2**s > n_r max num: it gathers den * 2**s + num at
+the drawn slots and sums them, each partial sum an exact integer in any
+order, and splits each sum S exactly into the den sum floor(S / 2**s)
+and the num sum, the rest, so it has the count product's bits. With
+other terms it casts the counts as a tree run does.
 
 Fair bits are full-range uint64 words. Where the bit generator is a
 PCG64, PCG64DXSM, Philox or SFC64 (or a subclass), they are read as its
@@ -442,12 +441,12 @@ class MonteCarloMoments:
 def _pack_radix(terms: np.ndarray, n_r: int) -> int:
     """The power of two 2**s > n_r * max(num) that packs integer (den, num) terms as den * 2**s + num, or 0.
 
-    It is 0 where a term is negative or a packed sum of n_r terms could
-    reach 2**53. Below that every partial sum is an exact integer, and a
-    sum S splits exactly into floor(S / 2**s) = the den sum and S minus
-    that times 2**s = the num sum.
+    It is 0 where a term is not a non-negative integer or a packed sum of
+    n_r terms could reach 2**53. Below that every partial sum is an exact
+    integer in any order, and a sum S splits exactly into floor(S / 2**s)
+    = the den sum and S minus that times 2**s = the num sum.
     """
-    if terms.min() < 0:
+    if terms.min() < 0 or not terms.max() < 2**53 or (terms != np.floor(terms)).any():
         return 0
     top_den, top_num = (int(t.max()) for t in terms)
     radix = 1 << (n_r * top_num).bit_length()
@@ -480,24 +479,19 @@ def mc_bootstrap_moments(
     nums, den = _replicate_terms(forest, cfg, totals, {"z": _as_z(z, forest.n)})
     terms = np.stack([den, nums["z"]])
     n_r = _nb_pool(forest, pool)[1] if cfg.method == "neighbourhood" else 0
-    # with integer terms, every sum of n_r of them is exact below 2**53 in any
-    # order, so summing the drawn members' terms gives the count product's bits
-    gather = n_r > 0 and bool((terms == np.floor(terms)).all()) and n_r * float(np.abs(terms).max()) <= 2**53
-    radix = _pack_radix(terms, n_r) if gather else 0
+    # where the terms pack, summing the drawn members' packed terms gives the
+    # count product's bits, and one gather serves den and num
+    radix = _pack_radix(terms, n_r) if n_r else 0
     if radix:
-        packed = terms[0] * radix + terms[1]  # one gather whose sums split exactly into den and num
+        packed = terms[0] * radix + terms[1]
     ones = np.ones(n_r)
     est = np.empty(B)
     for lo in range(0, B, MC_CHUNK):
         size = min(MC_CHUNK, B - lo)
-        if gather:
-            draws = _nb_draws(forest, pool, rng, size)[0]
-            if radix:
-                sums = np.take(packed, draws) @ ones
-                den_sums = np.floor(sums / radix)
-                num_sums = sums - den_sums * radix
-            else:
-                den_sums, num_sums = (np.take(t, draws) @ ones for t in terms)
+        if radix:
+            sums = np.take(packed, _nb_draws(forest, pool, rng, size)[0]) @ ones
+            den_sums = np.floor(sums / radix)
+            num_sums = sums - den_sums * radix
         else:
             # a run's float64 copy is made after its draws and freed before the next run's
             den_sums, num_sums = terms @ _counts(forest, cfg, rng, size).T.astype(np.float64)

@@ -685,16 +685,16 @@ def test_neighbourhood_monte_carlo_sums_its_draws_to_the_count_products_bits(mon
 
 
 @pytest.mark.parametrize(
-    "degree, takes",
+    "seed, degree, packs",
     [
-        (np.arange(1, 14), 1),  # integer terms whose packed sums stay below 2**53: one packed gather
-        ([1000003, 1000033, 999983] * 4 + [1000003], 2),  # the packed sums would not: one gather each
-        ([1000003, 1000033, 999983, 1000037, 999979] * 2 + [1000039, 999961, 1000081], 0),  # terms past 2**53
+        (0, np.arange(1, 14), True),  # integer terms whose packed sums stay below 2**53
+        (1, [1000003, 1000033, 999983] * 4 + [1000003], False),  # the packed sums would not, each sum would
+        (2, [1000003, 1000033, 999983, 1000037, 999979] * 2 + [1000039, 999961, 1000081], False),  # past 2**53
     ],
 )
-def test_neighbourhood_monte_carlo_regimes_keep_the_count_products_bits(monkeypatch, degree, takes):
-    # each run makes ``takes`` gathers of the drawn slots and no counts, or
-    # with terms past 2**53 casts its counts; in every regime the moments
+def test_neighbourhood_monte_carlo_regimes_keep_the_count_products_bits(monkeypatch, seed, degree, packs):
+    # each run makes one packed gather of the drawn slots and no counts, or
+    # where the terms do not pack casts its counts; in both regimes the moments
     # and the generator state are the per-run count product's over B > MC_CHUNK
     forest = rv.RecruitmentForest(
         node_id=[f"n{i}" for i in range(13)],
@@ -715,12 +715,12 @@ def test_neighbourhood_monte_carlo_regimes_keep_the_count_products_bits(monkeypa
 
     for pool in POOLS:
         calls.update(take=0, counts=0)
-        mc_rng, ref = generator(33, takes), generator(33, takes)
+        mc_rng, ref = generator(33, seed), generator(33, seed)
         with monkeypatch.context() as patched:
             patched.setattr(np, "take", counted("take", np.take))
             patched.setattr(bootstrap, "_nb_counts", counted("counts", _nb_counts))
             mm = rv.mc_bootstrap_moments(forest, z, "neighbourhood", "vh", B, mc_rng, pool)
-        assert calls == {"take": 3 * takes, "counts": 0 if takes else 3}
+        assert calls == ({"take": 3, "counts": 0} if packs else {"take": 0, "counts": 3})
         cfg = rv.BootstrapConfig("neighbourhood", B, pool, estimator="vh")
         assert (mm.mean, mm.variance) == _run_moments(forest, z, cfg, ref, bootstrap.MC_CHUNK)
         assert mc_rng.bit_generator.state == ref.bit_generator.state
