@@ -48,10 +48,11 @@ any order or split across workers without changing the result.
 Counts are held in the smallest unsigned type that holds any count: a
 neighbourhood count is at most n_r, and a tree count at most s times
 k_max to the power of the deepest wave. A consumer casts them to float64,
-exact below 2**53: ``bootstrap_distributions`` one C-ordered copy per
-block, the buffer numpy would make for each product of int64 counts, so
-the replicates keep their bits; ``mc_bootstrap_moments`` one copy per
-tree run, in the memory order the kernel returned, as numpy would. A
+exact below 2**53: ``bootstrap_distributions`` into one C-ordered
+buffer per call, refilled with each block's counts, the buffer numpy
+would make for each product of int64 counts, so the replicates keep
+their bits; ``mc_bootstrap_moments`` one copy per tree run, in the
+memory order the kernel returned, as numpy would. A
 neighbourhood run of ``mc_bootstrap_moments`` makes no counts when the
 pooled terms are non-negative integers with n_r (max den * 2**s + max
 num) < 2**53, where 2**s > n_r max num: it gathers den * 2**s + num at
@@ -61,10 +62,11 @@ and the num sum, the rest, so it has the count product's bits. With
 other terms it casts the counts as a tree run does.
 
 Fair bits are full-range uint64 words. Where the bit generator is a
-PCG64, PCG64DXSM, Philox or SFC64 (or a subclass), they are read as its
-raw words, which are the words and leave the state of the ``integers``
-call; any other bit generator, MT19937 among them, whose raw words are
-32-bit, is asked through ``integers``.
+PCG64, PCG64DXSM, Philox or SFC64 (or a subclass: ``rng._RAW_WORDS``,
+the types ``simulate_rds`` accepts), they are read as its raw words,
+which are the words and leave the state of the ``integers`` call; any
+other bit generator, MT19937 among them, whose raw words are 32-bit, is
+asked through ``integers``.
 
 A replicate estimate is (counts @ num) / (counts @ den) in float64, where
 num and den are the estimator's own integer terms from
@@ -83,7 +85,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimators import PopulationTotals, WeightedSample, _as_z, _degree_terms, _estimate
-from .rng import RngStream, generator
+from .rng import _RAW_WORDS, RngStream, generator
 from .simulate import RecruitmentForest
 
 __all__ = [
@@ -208,12 +210,6 @@ def neighbourhood_resample(
     mult[recruits] = counts[0, slot]
     picked = np.flatnonzero(mult)
     return WeightedSample(z[picked], forest.degree[picked], mult[picked])
-
-
-# bit generators whose raw words are the words of a full-range uint64
-# ``integers`` call, and leave the same state, a buffered 32-bit half
-# included; MT19937's raw words are 32-bit
-_RAW_WORDS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
 
 
 def _fair_words(rng: RngStream, shape) -> np.ndarray:
@@ -362,9 +358,11 @@ def bootstrap_distributions(
     nums, den = _replicate_terms(forest, cfg, totals, cols)
     B = cfg.n_replicates
     est = {name: np.empty(B) for name in cols}
+    # one C-ordered float64 copy of a block's counts serves every product: the
+    # buffer numpy would make for each one, refilled block by block
+    counts = np.empty((BLOCK, den.size))
     for k in range(-(-B // BLOCK)):
-        # one C-ordered float64 copy serves every product: the buffer numpy would make for each one
-        counts = np.ascontiguousarray(_counts(forest, cfg, generator(root, k), BLOCK), dtype=np.float64)
+        np.copyto(counts, _counts(forest, cfg, generator(root, k), BLOCK))
         lo, hi = k * BLOCK, min(B, (k + 1) * BLOCK)
         # evaluate the full block, so that no replicate depends on B
         den_sums = counts @ den

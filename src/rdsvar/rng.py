@@ -13,6 +13,11 @@ import numpy as np
 
 RngStream = np.random.Generator
 
+# bit generators whose raw words are numpy's 64-bit words: a full-range uint64
+# ``integers`` call reads them whole, and 32-bit draws read their low and then
+# their high half, the high half buffered; MT19937's raw words are 32-bit
+_RAW_WORDS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
 
 def substream(root: int | np.random.SeedSequence, *keys: int) -> np.random.SeedSequence:
     """Derive a child SeedSequence identified by ``keys`` under ``root``.

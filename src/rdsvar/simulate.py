@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BudgetError, DataError
 from .estimators import _as_positive_ints
 from .graph import PopulationGraph, _csr, _gather_rows, _open_text
-from .rng import RngStream
+from .rng import _RAW_WORDS, RngStream
 
 __all__ = [
     "RdsDesign",
@@ -128,9 +128,8 @@ class RecruitmentForest:
         self.parent = np.asarray(parent, dtype=np.int64)
         self.degree = _as_positive_ints(degree, "degree")
         self.n_reseeds, self.n_truncated = n_reseeds, n_truncated
-        # cached walks of the links, and read-only arrays derived from them
-        self._children = self._bfs = self._groups = None
-        self._seeds = self._out_degree = self._recruiters = None
+        # the one walk of the links, made on first use, and the recruiter groups drawn from it
+        self._walked = self._groups = None
         given = [None if c is None else np.asarray(c, dtype=np.int64) for c in (seed_index, wave)]
         n = len(node_id)
         if any(a.shape != (n,) for a in (self.node_index, self.parent, self.degree, *given) if a is not None):
@@ -156,57 +155,59 @@ class RecruitmentForest:
     def n(self) -> int:
         return len(self.node_id)
 
-    def seed_entries(self) -> np.ndarray:
-        if self._seeds is None:
-            self._seeds = _read_only(np.flatnonzero(self.parent < 0))
-        return self._seeds
+    def _walk(self) -> tuple[np.ndarray, ...]:
+        """The links, checked and walked breadth-first from the seeds once, as read-only arrays.
 
-    def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, child_entries) with children listed in entry order."""
-        if self._children is None:  # the first walk of the links checks them
-            if self.n and not -1 <= int(self.parent.min()) <= int(self.parent.max()) < self.n:
-                i = int(np.argmax((self.parent < -1) | (self.parent >= self.n)))
-                where = "past the last entry" if self.parent[i] >= 0 else "below the -1 that marks a seed"
-                raise DataError(f"entry {i} has recruiter index {int(self.parent[i])}, {where}")
-            nonseed = np.flatnonzero(self.parent >= 0)
-            self._children = _csr(self.n, self.parent[nonseed], nonseed)
-        return self._children
-
-    def out_degree(self) -> np.ndarray:
-        if self._out_degree is None:
-            self._out_degree = _read_only(np.diff(self.children_csr()[0]))
-        return self._out_degree
-
-    def _breadth_first(self) -> tuple[np.ndarray, ...]:
-        """(entries in breadth-first order, the depth of each; per entry, its wave and seed index)."""
-        if self._bfs is None:
-            indptr, children = self.children_csr()
-            waves = [self.seed_entries()]
-            wave, root = np.zeros(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
+        They are (children CSR indptr, child entries, out-degree, seed entries,
+        entries in BFS order, the depth of each; per entry, its wave and seed
+        index; the entries with a recruit), and every view of the links is one.
+        """
+        if self._walked is None:
+            n, parent = self.n, self.parent
+            if n and not -1 <= int(parent.min()) <= int(parent.max()) < n:
+                i = int(np.argmax((parent < -1) | (parent >= n)))
+                where = "past the last entry" if parent[i] >= 0 else "below the -1 that marks a seed"
+                raise DataError(f"entry {i} has recruiter index {int(parent[i])}, {where}")
+            nonseed = np.flatnonzero(parent >= 0)
+            indptr, children = _csr(n, parent[nonseed], nonseed)
+            waves = [np.flatnonzero(parent < 0)]
+            wave, root = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
             root[waves[0]] = np.arange(waves[0].size)
             while waves[-1].size:
                 front = _gather_rows(indptr, children, waves[-1])
-                wave[front], root[front] = len(waves), root[self.parent[front]]
+                wave[front], root[front] = len(waves), root[parent[front]]
                 waves.append(front)
             order = np.concatenate(waves)
-            if order.size != self.n:
+            if order.size != n:
                 raise DataError("forest has entries unreachable from any seed")
-            self._bfs = tuple(_read_only(a) for a in (order, wave[order], wave, root))
-        return self._bfs
+            out_degree = np.diff(indptr)
+            views = (indptr, children, out_degree, waves[0], order, wave[order], wave, root, np.flatnonzero(out_degree))
+            self._walked = tuple(map(_read_only, views))
+        return self._walked
+
+    def seed_entries(self) -> np.ndarray:
+        return self._walk()[3]
+
+    def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, child_entries) with children listed in entry order."""
+        return self._walk()[:2]
+
+    def out_degree(self) -> np.ndarray:
+        return self._walk()[2]
 
     @property
     def wave(self) -> np.ndarray:
         """The BFS depth of each entry: 0 for seeds, one more than the recruiter's otherwise."""
-        return self._breadth_first()[2]
+        return self._walk()[6]
 
     @property
     def seed_index(self) -> np.ndarray:
         """The entry-order rank, among the seeds, of each entry's seed."""
-        return self._breadth_first()[3]
+        return self._walk()[7]
 
     def bfs_order(self) -> np.ndarray:
         """Entries in breadth-first order from the seeds (parents first)."""
-        return self._breadth_first()[0]
+        return self._walk()[4]
 
     def recruiter_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Recruiters grouped by (BFS depth, recruit count k), shallow waves first.
@@ -217,9 +218,8 @@ class RecruitmentForest:
         the groups go by ascending k.
         """
         if self._groups is None:
-            order, depth = self._breadth_first()[:2]
-            indptr, children = self.children_csr()
-            k = self.out_degree()[order]
+            indptr, children, out_degree, _, order, depth = self._walk()[:6]
+            k = out_degree[order]
             keep = k > 0
             order, depth, k = order[keep], depth[keep], k[keep]
             by = np.lexsort((k, depth))  # stable: BFS order within a group
@@ -232,15 +232,8 @@ class RecruitmentForest:
         return self._groups
 
     def recruiter_entries(self) -> np.ndarray:
-        """Entry indices with at least one recruit, in recruitment order.
-
-        The links are walked from the seeds first (once, cached), so a forest
-        with entries that hang from no seed is a ``DataError`` here too.
-        """
-        if self._recruiters is None:
-            self._breadth_first()
-            self._recruiters = _read_only(np.flatnonzero(self.out_degree() >= 1))
-        return self._recruiters
+        """Entry indices with at least one recruit, in recruitment order."""
+        return self._walk()[8]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecruitmentForest):
@@ -261,7 +254,8 @@ class _Tape:
     64-bit bit generators (PCG64, PCG64DXSM, Philox, SFC64) make a double
     of one raw word x as (x >> 11) * 2**-53, and serve 32-bit words as the
     low and then the high half of one raw word, the high half waiting in a
-    buffer that doubles leave alone. Other bit generators are rejected.
+    buffer that doubles leave alone. A bit generator of any other type
+    (``rng._RAW_WORDS``) is rejected.
 
     Read at position i, a double is ``double[i]`` and gives the recruit
     count ``counts[i]``, the number of bounds of ``cum`` at or below it
@@ -274,10 +268,10 @@ class _Tape:
     """
 
     def __init__(self, bg, cum: np.ndarray, size: int):
+        if not isinstance(bg, _RAW_WORDS):
+            raise DataError(f"unsupported bit generator: {type(bg).__name__}")
         self.bg = bg
         self.start = bg.state
-        if "has_uint32" not in self.start:
-            raise DataError(f"unsupported bit generator: {type(bg).__name__}")
         self.has = bool(self.start["has_uint32"])
         self.half = self.start["uinteger"]
         self.cum = cum

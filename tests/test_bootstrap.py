@@ -921,8 +921,8 @@ def test_unwalkable_probe_forest_fails_its_first_walk():
 
 @pytest.mark.parametrize("pool", ["recruiters_only", "all_participants"])
 def test_neighbourhood_paths_walk_the_links_before_any_draw(pool):
-    # entries 2 and 3 recruit each other and hang from no seed: the
-    # neighbourhood paths reject them as the tree paths do
+    # entries 2 and 3 recruit each other and hang from no seed: the neighbourhood
+    # paths reject them as the tree paths and every view of the links do, before any draw
     def forest():
         return rv.RecruitmentForest(node_id=list("SABC"), node_index=[-1] * 4, parent=[-1, 0, 3, 2], degree=[1, 2, 2, 2])
 
@@ -934,6 +934,14 @@ def test_neighbourhood_paths_walk_the_links_before_any_draw(pool):
         lambda f: rv.mc_bootstrap_moments(f, z, "neighbourhood", "vh", 10, rng, pool),
         lambda f: rv.enumerate_neighbourhood(f, z, pool),
         lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("tree", 10), z),
+        lambda f: f.seed_entries(),
+        lambda f: f.children_csr(),
+        lambda f: f.out_degree(),
+        lambda f: f.bfs_order(),
+        lambda f: f.recruiter_entries(),
+        lambda f: f.recruiter_groups(),
+        lambda f: f.wave,
+        lambda f: f.seed_index,
     ):
         with pytest.raises(DataError, match="forest has entries unreachable from any seed"):
             use(forest())

@@ -360,8 +360,9 @@ def test_forest_constructor_checks_the_given_columns(two_recruiter_forest):
 
 
 def test_recruiter_index_past_the_last_entry_is_a_data_error():
-    # no wave= or seed_index= is given, so only the first walk of the links sees it
-    # nor a recruiter index below -1, which the links would take for a second seed
+    # no wave= or seed_index= is given, so only the first walk of the links sees it,
+    # nor a recruiter index below -1, which the links would take for a second seed;
+    # every view of the links is made by that walk, so each one raises alike
     def past():
         return rv.RecruitmentForest(node_id=["S", "A"], node_index=[-1, -1], parent=[-1, 5], degree=[1, 2])
 
@@ -374,8 +375,14 @@ def test_recruiter_index_past_the_last_entry_is_a_data_error():
     ):
         z = [0] * forest().n
         for use in (
+            lambda f: f.seed_entries(),
+            lambda f: f.children_csr(),
             lambda f: f.out_degree(),
+            lambda f: f.bfs_order(),
+            lambda f: f.recruiter_entries(),
+            lambda f: f.recruiter_groups(),
             lambda f: f.wave,
+            lambda f: f.seed_index,
             lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("tree", 10), z),
             lambda f: rv.bootstrap_distribution(f, rv.BootstrapConfig("neighbourhood", 10), z),
             lambda f: rv.enumerate_tree(f, z),
@@ -696,10 +703,11 @@ class WordRng:
         return low + (m >> 32)
 
 
-class WordBits:
-    """A bit generator stand-in that serves given 64-bit words as its raw output."""
+class WordBits(np.random.PCG64):
+    """A PCG64 that serves given 64-bit words as its raw output (the simulator takes only 64-bit-word types)."""
 
     def __init__(self, words):
+        super().__init__(0)
         self.words, self.pos, self.has, self.half = words, 0, 0, 0
 
     @property
@@ -764,9 +772,11 @@ def test_simulator_reads_past_its_first_chunk(tmp_path, monkeypatch):
 
 
 def test_simulator_rejects_unknown_bit_generators(tmp_path):
-    # MT19937 serves 32-bit raw words, not 32-bit halves of 64-bit ones
+    # MT19937 serves 32-bit raw words, not 32-bit halves of 64-bit ones; a
+    # state with a 32-bit buffer makes no bit generator of numpy's 64-bit words
     other = SimpleNamespace(bit_generator=SimpleNamespace(state={"bit_generator": "Other"}))
-    for rng in (other, np.random.Generator(np.random.MT19937(0))):
+    fake = SimpleNamespace(bit_generator=SimpleNamespace(state={"has_uint32": 0, "uinteger": 0}))
+    for rng in (other, fake, np.random.Generator(np.random.MT19937(0))):
         with pytest.raises(DataError, match="unsupported bit generator"):
             rv.simulate_rds(path_graph(tmp_path), rv.RdsDesign(1, 1, (0.5, 0.5), 2), rng)
 
