@@ -2,7 +2,7 @@
 prevalence estimators, and bootstrap uncertainty quantification."""
 
 __version__ = "0.1.0"
-DRAWS = 2  # revision of the random draws: bumped by every change of what is drawn at a fixed seed
+DRAWS = 3  # revision of the random draws: bumped by every change of what is drawn at a fixed seed
 
 
 def _tool_block() -> dict:

@@ -12,8 +12,9 @@ Two methods:
   included.
 
 Each method has one draw kernel for a batch of replicates: ``_nb_draws``
-returns the drawn pool slots, which ``_nb_counts`` counts, and
-``_tree_counts`` returns a count matrix. For the tree method the
+returns bounded codes that stand for g drawn pool slots each (the slots
+themselves at g = 1, which ``_nb_counts`` counts), and ``_tree_counts``
+returns a count matrix. For the tree method the
 counts propagate one BFS wave at a time: m occurrences of a recruiter with
 k recruits spawn m*k independent uniform child draws, i.e. the child
 counts are multinomial(m*k, uniform). Each wave makes one draw call per
@@ -34,9 +35,10 @@ multinomial over a run continues the stream where the last run stopped,
 so the runs have the draws of one call. ``mc_bootstrap_moments`` draws
 its B replicates as consecutive kernel calls on its one stream. For the
 neighbourhood method with the recruiters_only pool these are the draws
-of one call of all B; the tree method and the all_participants pool,
-which redraws a call's empty replicates after that call, draw the same
-law in another order when B exceeds ``MC_CHUNK``.
+and the generator state of one (B, q) call of its codes; the tree method
+and the all_participants pool, which redraws a call's empty replicates
+after that call, draw the same law in another order when B exceeds
+``MC_CHUNK``.
 
 Multiplicities are accumulated rather than materializing duplicate
 records. A bootstrap distribution draws its replicates in blocks of
@@ -55,11 +57,19 @@ their bits; ``mc_bootstrap_moments`` one copy per tree run, in the
 memory order the kernel returned, as numpy would. A
 neighbourhood run of ``mc_bootstrap_moments`` makes no counts when the
 pooled terms are non-negative integers with n_r (max den * 2**s + max
-num) < 2**53, where 2**s > n_r max num: it gathers den * 2**s + num at
-the drawn slots and sums them, each partial sum an exact integer in any
-order, and splits each sum S exactly into the den sum floor(S / 2**s)
-and the num sum, the rest, so it has the count product's bits. With
-other terms it casts the counts as a tree run does.
+num) < 2**53, where 2**s > n_r max num. Then one bounded draw over p**g
+codes stands for g of the p pool slots, its base-p digits, for the
+widest g <= n_r with p**g <= ``MC_TABLE`` (g = 1 wherever p > 64): a
+replicate's n_r draws are q = ceil(n_r / g) codes, the last counting
+only its r = n_r - (q - 1) g low digits, and uniform codes have
+independent uniform digits, so the law is the slot draws'. A table of
+at most 2 p**g sums of den * 2**s + num over each code's slots
+(``_digit_sums``), built once per call, is gathered at the codes and
+summed, each partial sum an exact integer in any order, and each sum S
+splits exactly into the den sum floor(S / 2**s) and the num sum, the
+rest, so it has the count product's bits. At g = 1 the codes are the
+slot draws and the table is the packed terms. With other terms a run
+draws single slots and casts their counts as a tree run does.
 
 Fair bits are full-range uint64 words. Where the bit generator is a
 PCG64, PCG64DXSM, Philox or SFC64 (or a subclass: ``rng._RAW_WORDS``,
@@ -107,6 +117,7 @@ SEED_MODES = ("with_replacement", "without_replacement")
 ESTIMATORS = ("sample_mean", "vh", "ipw")
 BLOCK = 100  # replicates per keyed substream in bootstrap_distributions
 MC_CHUNK = 1 << 13  # replicates per kernel call, and trials per draw call in the tree kernel's row runs
+MC_TABLE = 1 << 12  # most codes of one bounded draw in a neighbourhood Monte Carlo run (see _group_width)
 
 
 def _check_option(what: str, value, allowed: tuple[str, ...]) -> None:
@@ -158,8 +169,46 @@ def _nb_pool(forest: RecruitmentForest, pool: str) -> tuple[np.ndarray, int]:
     return np.arange(forest.n, dtype=np.int64), n_r
 
 
-def _nb_draws(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pool slots of the n_r uniform draws of ``size`` replicates, shape (size, n_r), and the pool entries.
+def _group_width(p: int, n_r: int) -> int:
+    """The pool slots g that one bounded draw stands for: the largest g <= n_r with p**g <= ``MC_TABLE``, at least 1."""
+    g = 1
+    while g < n_r and p ** (g + 1) <= MC_TABLE:
+        g += 1
+    return g
+
+
+def _digit_sums(values: np.ndarray, g: int, n_r: int) -> np.ndarray:
+    """Table of the sums of ``values`` over the pool slots that each code of ``_nb_draws`` at width g stands for.
+
+    Entry c < p**g sums values[(c // p**j) % p] over its g digits j. Where
+    the last of a replicate's q = ceil(n_r / g) codes counts only its
+    r = n_r - (q - 1) g < g low digits, entries p**g + c sum them over
+    j < r. So the table has at most 2 p**g entries, and on bool values it
+    tells whether any of the slots is True.
+    """
+    r = n_r - (-(-n_r // g) - 1) * g
+    sums = low = values
+    for j in range(1, g):
+        if j == r:
+            low = sums
+        sums = (values[:, None] + sums).ravel()  # entry d p**j + c: digit j is d, the lower ones are c's
+    if r < g:
+        sums = np.concatenate([sums, np.tile(low, values.size ** (g - r))])
+    return sums
+
+
+def _nb_draws(
+    forest: RecruitmentForest, pool: str, rng: RngStream, size: int, g: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the n_r uniform draws of ``size`` replicates in groups of g pool slots, shape (size, q), and the pool entries.
+
+    One bounded draw over p**g codes stands for g pool slots, the code's
+    digits (c // p**j) % p for j < g, least significant first: uniform
+    codes have independent uniform digits. A replicate makes
+    q = ceil(n_r / g) draws in one ``integers`` call with the others, and
+    its last code counts only its r = n_r - (q - 1) g low digits; where
+    r < g that column is offset by p**g, to index the second row of a
+    ``_digit_sums`` table. At g = 1 the codes are the drawn pool slots.
 
     Replicates whose drawn individuals have no recruits at all (possible
     only with the all_participants pool) are redrawn after the whole
@@ -167,20 +216,27 @@ def _nb_draws(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -
     one observation.
     """
     pool_entries, n_r = _nb_pool(forest, pool)
-    p = int(pool_entries.size)
-    draws = rng.integers(0, p, size=(size, n_r))
+    codes_per_draw, q = int(pool_entries.size) ** g, -(-n_r // g)
+
+    def draw(rows: int) -> np.ndarray:
+        codes = rng.integers(0, codes_per_draw, size=(rows, q))
+        if q * g > n_r:
+            codes[:, -1] += codes_per_draw
+        return codes
+
+    codes = draw(size)
     if pool == "all_participants":
-        recruiting = forest.out_degree()[pool_entries] > 0
-        empty = ~recruiting[draws].any(axis=1)
+        recruiting = _digit_sums(forest.out_degree()[pool_entries] > 0, g, n_r)
+        empty = ~recruiting[codes].any(axis=1)
         while empty.any():
-            draws[empty] = rng.integers(0, p, size=(int(empty.sum()), n_r))
-            empty = ~recruiting[draws].any(axis=1)
-    return draws, pool_entries
+            codes[empty] = draw(int(empty.sum()))
+            empty = ~recruiting[codes].any(axis=1)
+    return codes, pool_entries
 
 
 def _nb_counts(forest: RecruitmentForest, pool: str, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw counts over the pool for ``size`` replicates, shape (size, p), and the pool entries."""
-    draws, pool_entries = _nb_draws(forest, pool, rng, size)
+    draws, pool_entries = _nb_draws(forest, pool, rng, size, 1)
     p = int(pool_entries.size)
     draws += np.arange(size, dtype=np.int64)[:, None] * p
     counts = np.bincount(draws.ravel(), minlength=size * p).reshape(size, p)
@@ -478,16 +534,18 @@ def mc_bootstrap_moments(
     terms = np.stack([den, nums["z"]])
     n_r = _nb_pool(forest, pool)[1] if cfg.method == "neighbourhood" else 0
     # where the terms pack, summing the drawn members' packed terms gives the
-    # count product's bits, and one gather serves den and num
+    # count product's bits: one bounded draw stands for g pool slots, and one
+    # gather of a table of their packed sums serves den and num
     radix = _pack_radix(terms, n_r) if n_r else 0
     if radix:
-        packed = terms[0] * radix + terms[1]
-    ones = np.ones(n_r)
+        g = _group_width(den.size, n_r)
+        table = _digit_sums(terms[0] * radix + terms[1], g, n_r)
+        ones = np.ones(-(-n_r // g))
     est = np.empty(B)
     for lo in range(0, B, MC_CHUNK):
         size = min(MC_CHUNK, B - lo)
         if radix:
-            sums = np.take(packed, _nb_draws(forest, pool, rng, size)[0]) @ ones
+            sums = np.take(table, _nb_draws(forest, pool, rng, size, g)[0]) @ ones
             den_sums = np.floor(sums / radix)
             num_sums = sums - den_sums * radix
         else:

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdsvar as rv
-from rdsvar.bootstrap import BLOCK, POOLS, _counts, _half_binomial, _nb_counts, _replicate_terms, _tree_counts
+from rdsvar.bootstrap import (
+    BLOCK,
+    POOLS,
+    _counts,
+    _half_binomial,
+    _nb_counts,
+    _nb_draws,
+    _replicate_terms,
+    _tree_counts,
+)
 from rdsvar import bootstrap, exact
 from rdsvar.errors import DataError
 from rdsvar.exact import _balanced_sample_mean_moments, _tree_linear_moments
@@ -614,14 +623,62 @@ def test_unsigned_counts_give_the_int64_products_bits(monkeypatch):
                 assert run.bit_generator.state == ref.bit_generator.state
 
 
-def _run_moments(forest, z, cfg, rng, run):
-    """Monte Carlo (mean, variance) from one ``_counts`` call and one product per ``run`` replicates."""
+def _group_width(p, n_r):
+    """The pool slots that one bounded neighbourhood draw stands for: the widest g <= n_r with p**g <= MC_TABLE."""
+    return max([g for g in range(1, n_r + 1) if p**g <= bootstrap.MC_TABLE], default=1)
+
+
+def _decoded_counts(forest, pool, rng, size, g):
+    """Pool-slot counts of ``size`` replicates whose n_r draws are q = ceil(n_r / g) codes of g base-p digits.
+
+    Each replicate's codes come from one bounded ``integers`` call, and
+    their digits, least significant first and code after code, are its
+    first n_r drawn slots; at g = 1 they are the slot draws themselves.
+    Replicates that draw no recruiter (all_participants) are redrawn after
+    the batch.
+    """
+    recruiters = forest.recruiter_entries()
+    n_r = recruiters.size
+    pool_entries = recruiters if pool == "recruiters_only" else np.arange(forest.n)
+    p, q = pool_entries.size, -(-n_r // g)
+
+    def slots(rows):
+        codes = rng.integers(0, p**g, size=(rows, q))
+        return ((codes[:, :, None] // p ** np.arange(g)) % p).reshape(rows, q * g)[:, :n_r]
+
+    draws = slots(size)
+    if pool == "all_participants":
+        recruiting = forest.out_degree() > 0
+        empty = ~recruiting[draws].any(axis=1)
+        while empty.any():
+            draws[empty] = slots(int(empty.sum()))
+            empty = ~recruiting[draws].any(axis=1)
+    return np.bincount((draws + np.arange(size)[:, None] * p).ravel(), minlength=size * p).reshape(size, p)
+
+
+def _run_moments(forest, z, cfg, rng, run, g=None):
+    """Monte Carlo (mean, variance) from one count matrix and one product per ``run`` replicates.
+
+    The tree method's counts are ``_counts``'s. The neighbourhood method's
+    are decoded from codes of g pool slots each (``_decoded_counts``): by
+    default the widest group within ``MC_TABLE`` where the terms pack, and
+    single slots where they do not.
+    """
     nums, den = _replicate_terms(forest, cfg, None, {"z": z})
+    terms = np.stack([den, nums["z"]])
+    if g is None:
+        n_r = forest.recruiter_entries().size
+        packs = cfg.method == "neighbourhood" and bootstrap._pack_radix(terms, n_r)
+        g = _group_width(den.size, n_r) if packs else 1
     B = cfg.n_replicates
     est = []
     for lo in range(0, B, run):
-        counts = _counts(forest, cfg, rng, min(run, B - lo))
-        den_sums, num_sums = np.stack([den, nums["z"]]) @ counts.T.astype(np.float64)
+        size = min(run, B - lo)
+        if cfg.method == "neighbourhood":
+            counts = _decoded_counts(forest, cfg.selection_pool, rng, size, g)
+        else:
+            counts = _counts(forest, cfg, rng, size)
+        den_sums, num_sums = terms @ counts.T.astype(np.float64)
         est.append(num_sums / den_sums)
     est = np.concatenate(est)
     centered = est - float(est.mean())
@@ -724,6 +781,119 @@ def test_neighbourhood_monte_carlo_regimes_keep_the_count_products_bits(monkeypa
         cfg = rv.BootstrapConfig("neighbourhood", B, pool, estimator="vh")
         assert (mm.mean, mm.variance) == _run_moments(forest, z, cfg, ref, bootstrap.MC_CHUNK)
         assert mc_rng.bit_generator.state == ref.bit_generator.state
+
+
+def _thirteen_entry_forest():
+    """Two seeds and seven recruiters over 13 entries, with exact integer terms that pack."""
+    return rv.RecruitmentForest(
+        node_id=[f"n{i}" for i in range(13)],
+        node_index=np.full(13, -1),
+        parent=[-1, -1, 0, 0, 1, 2, 2, 3, 4, 4, 5, 7, 7],
+        degree=np.arange(1, 14),
+    )
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_neighbourhood_monte_carlo_without_room_for_a_group_makes_the_slot_draws(monkeypatch, pool):
+    # where p**2 > MC_TABLE (patched below p**2 on tiny forests, as it is on a
+    # balanced forest of 121 recruiters and 364 entries) a bounded draw stands
+    # for one pool slot: the packed runs make the slot draws, and keep their
+    # generator state and every bit of their count product
+    rng = np.random.default_rng(43)
+    big = balanced_forest(1, 3, 5, degrees=np.arange(364) % 7 + 1)
+    cases = [random_tiny_forest(rng) for _ in range(8)] + [(big, np.arange(big.n) % 2)]
+    B = bootstrap.MC_CHUNK + 100
+    widths, takes, take = [], [], np.take
+
+    def recorded_draws(forest, pool, rng, size, g):
+        widths.append(g)
+        return _nb_draws(forest, pool, rng, size, g)
+
+    def recorded_take(*args, **kwargs):
+        takes.append(1)
+        return take(*args, **kwargs)
+
+    for j, (forest, z) in enumerate(cases):
+        if forest.out_degree().max(initial=0) == 0:
+            continue
+        p = forest.n if pool == "all_participants" else forest.recruiter_entries().size
+        for estimator in ("sample_mean", "vh"):
+            widths.clear()
+            takes.clear()
+            mc_rng, ref = generator(44, j), generator(44, j)
+            with monkeypatch.context() as patched:
+                if p <= 64:
+                    patched.setattr(bootstrap, "MC_TABLE", p * p - 1)
+                patched.setattr(bootstrap, "_nb_draws", recorded_draws)
+                patched.setattr(np, "take", recorded_take)
+                mm = rv.mc_bootstrap_moments(forest, z, "neighbourhood", estimator, B, mc_rng, pool)
+            assert widths == [1, 1] and len(takes) == 2
+            cfg = rv.BootstrapConfig("neighbourhood", B, pool, estimator=estimator)
+            assert (mm.mean, mm.variance) == _run_moments(forest, z, cfg, ref, bootstrap.MC_CHUNK, g=1)
+            assert mc_rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("estimator", ["sample_mean", "vh"])
+@pytest.mark.parametrize("pool", POOLS)
+def test_grouped_neighbourhood_draws_match_enumeration(monkeypatch, pool, estimator):
+    # MC_TABLE = p**3: each code stands for three of the p pool slots, and the
+    # n_r = 7 draws of a replicate are q = 3 codes, the last counting r = 1 of
+    # its digits; the all_participants pool redraws its empty replicates
+    # through the digit table of its recruiting indicator
+    forest, z = _thirteen_entry_forest(), np.arange(13) % 2
+    p = 7 if pool == "recruiters_only" else 13
+    monkeypatch.setattr(bootstrap, "MC_TABLE", p**3)
+    shapes = []
+
+    def recorded(forest, pool, rng, size, g):
+        codes, pool_entries = _nb_draws(forest, pool, rng, size, g)
+        shapes.append((g, codes.shape[1]))
+        return codes, pool_entries
+
+    monkeypatch.setattr(bootstrap, "_nb_draws", recorded)
+    exact = rv.enumerate_neighbourhood(forest, z, pool=pool, estimator=estimator)
+    mc = rv.mc_bootstrap_moments(forest, z, "neighbourhood", estimator, 20_000, generator(45), pool)
+    assert shapes == [(3, 3)] * 3
+    assert abs(mc.mean - exact.mean_float) < 4 * mc.se_mean
+    assert abs(mc.variance - exact.variance_float) < 4 * mc.se_variance
+
+
+def test_digit_tables_sum_their_codes_slots_within_twice_mc_table(monkeypatch):
+    # a table of width g > 1 holds the g-digit sums of all p**g codes and, where
+    # the last code counts r < g digits, their r-digit sums: at most 2 MC_TABLE
+    # entries; at g = 1 it is the p values themselves
+    values = np.random.default_rng(47).integers(0, 1000, size=80).astype(np.float64)
+    for p, n_r in itertools.product(range(1, 81), range(1, 14)):
+        g = bootstrap._group_width(p, n_r)
+        assert g == _group_width(p, n_r)
+        table = bootstrap._digit_sums(values[:p], g, n_r)
+        if g == 1:
+            assert np.array_equal(table, values[:p])
+            continue
+        assert table.size <= 2 * bootstrap.MC_TABLE
+        q = -(-n_r // g)
+        r = n_r - (q - 1) * g
+        digits = (np.arange(p**g)[:, None] // p ** np.arange(g)) % p
+        rows = [values[:p][digits].sum(axis=1)] + ([values[:p][digits[:, :r]].sum(axis=1)] if r < g else [])
+        assert np.array_equal(table, np.concatenate(rows))
+    # and every table that the Monte Carlo runs build, on tiny forests and on pools of 31 and 63 slots
+    built, digit_sums = [], bootstrap._digit_sums
+
+    def recorded(values, g, n_r):
+        table = digit_sums(values, g, n_r)
+        built.append((values.size, g, table.size))
+        return table
+
+    monkeypatch.setattr(bootstrap, "_digit_sums", recorded)
+    rng = np.random.default_rng(48)
+    forests = [random_tiny_forest(rng, max_recruiters=12) for _ in range(10)]
+    forests.append((balanced_forest(1, 2, 5, degrees=np.arange(63) % 5 + 1), np.arange(63) % 2))
+    forests.append((_thirteen_entry_forest(), np.arange(13) % 2))
+    for (forest, z), pool in itertools.product(forests, POOLS):
+        if forest.out_degree().max(initial=0) > 0:
+            rv.mc_bootstrap_moments(forest, z, "neighbourhood", "vh", 100, generator(49), pool)
+    assert all(size <= 2 * bootstrap.MC_TABLE if g > 1 else size == p for p, g, size in built)
+    assert (63, 2, 2 * 63**2) in built  # all_participants: 31 draws in 16 codes of two slots
 
 
 @pytest.mark.parametrize("method", ["neighbourhood", "tree"])

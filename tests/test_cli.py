@@ -359,16 +359,16 @@ def test_experiment_starved_stderr_is_one_error_json(tmp_path):
 # sha256 of forest.csv and simulate_summary.json, taken while the forest
 # stored its wave and seed_index columns: the columns derived from the
 # links must write the same bytes, max_wave included (the summary's since
-# its tool block gained "draws", now 2). Both configs have reseeds and a
+# its tool block gained "draws", now 3). Both configs have reseeds and a
 # truncated recruit count.
 SIMULATE_SHA256 = {
     "without_replacement": (
         "fe8246f52865aa8e4f7d3892cc2794fbda861a08f9fa7bedc214828b0be47429",
-        "f69ab8f2b069e6971b551f540993531ad9c45d1299827ac1ec6d63709cb4d7b3",
+        "6e309172f8cc8acceb06fe83a1f8b0a16de405c0719247f9ca235356e331bed0",
     ),
     "with_replacement_walk": (
         "74f6313e77d6b4e261e5cc9da8acd782ca6b9738c93e353ae0503014c7687ce2",
-        "d2eba9742bdea2b61e72117152c860b24a15de606d2728bd65cf63d7a0929661",
+        "5dfef00d117b31cfd99c6728323ecde3e3a3ccf722b3d0a23c5653dfa04f91cc",
     ),
 }
 
