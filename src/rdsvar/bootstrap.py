@@ -59,17 +59,15 @@ neighbourhood run of ``mc_bootstrap_moments`` makes no counts when the
 pooled terms are non-negative integers with n_r (max den * 2**s + max
 num) < 2**53, where 2**s > n_r max num. Then one bounded draw over p**g
 codes stands for g of the p pool slots, its base-p digits, for the
-widest g <= n_r with p**g <= ``MC_TABLE`` (g = 1 wherever p > 64): a
-replicate's n_r draws are q = ceil(n_r / g) codes, the last counting
-only its r = n_r - (q - 1) g low digits, and uniform codes have
-independent uniform digits, so the law is the slot draws'. A table of
-at most 2 p**g sums of den * 2**s + num over each code's slots
-(``_digit_sums``), built once per call, is gathered at the codes and
-summed, each partial sum an exact integer in any order, and each sum S
-splits exactly into the den sum floor(S / 2**s) and the num sum, the
-rest, so it has the count product's bits. At g = 1 the codes are the
-slot draws and the table is the packed terms. With other terms a run
-draws single slots and casts their counts as a tree run does.
+widest g <= n_r with p**g <= ``MC_TABLE`` (g = 1 wherever p > 64; see
+``_nb_draws``): uniform codes have independent uniform digits, so the
+law is the slot draws'. A run gathers a table of the sums of
+den * 2**s + num over each code's slots (``_digit_sums``, built once per
+call) at its codes and sums the gathered entries, each partial sum an
+exact integer in any order, and splits each sum S exactly into the den
+sum floor(S / 2**s) and the num sum, the rest, so it has the count
+product's bits. With other terms a run draws single slots and casts
+their counts as a tree run does.
 
 Fair bits are full-range uint64 words. Where the bit generator is a
 PCG64, PCG64DXSM, Philox or SFC64 (or a subclass: ``rng._RAW_WORDS``,
